@@ -1,6 +1,8 @@
 """Assembly and cross-validation of one category Ver_{p^n}.
 
-`build` collects everything the rest of the package computes - decomposition
+`category(p, n)` is the context of one category: each quantity that several
+callers need is computed there once, on first use.  `build` collects
+everything the rest of the package computes - decomposition
 and Cartan matrices by independent routes, blocks, Steinberg labels, exact
 and numeric Frobenius-Perron dimensions, Ext^1 adjacency and the stable
 Grothendieck ring - into a single record, and `verify_all` runs every
@@ -11,13 +13,16 @@ report.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
 
 from . import cyclo, digits, grring, tilting
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InvalidCategory
 from .linalg import det, is_positive_definite, permutation_equivalent, smith_normal_form
 
 DEFAULT_BOUND = 2000
@@ -34,6 +39,95 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_category(p: int, n: int, bound: int = DEFAULT_BOUND) -> None:
+    """Refuse a (p, n) that names no category, or one above the build bound."""
+    if not is_prime(p):
+        raise InvalidCategory(f"{p} is not a prime")
+    if n < 1:
+        raise InvalidCategory(f"level must be >= 1, got {n}")
+    count = p ** (n - 1) * (p - 1)
+    if count > bound:
+        raise BoundExceeded(f"{count} simple objects exceeds the bound {bound}")
+
+
+class CategoryContext:
+    """Quantities of Ver_{p^n} shared by several callers, each computed on first use.
+
+    Values are shared process-wide, so they are immutable (tuples indexed by
+    simple label, read-only mappings and arrays) and fills are idempotent.
+    `rows` lists the projective highest weights in Cartan row order.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.n = n
+        self.simples = digits.simple_range(p, n)
+        self.rows = digits.projective_range(p, n)
+
+    @cached_property
+    def proj_of_simple(self) -> tuple[int, ...]:
+        return tuple(digits.steinberg_label(self.p, self.n, i) for i in self.simples)
+
+    @cached_property
+    def simple_of_proj(self) -> Mapping[int, int]:
+        p, n = self.p, self.n
+        return MappingProxyType({s: digits.simple_of_projective(p, n, s) for s in self.rows})
+
+    @cached_property
+    def cartan(self) -> np.ndarray:
+        cartan = digits.cartan_descendant(self.p, self.n)
+        cartan.flags.writeable = False
+        return cartan
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(b) for b in digits.block_partition(self.p, self.n))
+
+    def block_cartan(self, block) -> np.ndarray:
+        """Cartan submatrix on the given projectives."""
+        idx = [self.rows.index(s) for s in block]
+        return self.cartan[np.ix_(idx, idx)]
+
+    @cached_property
+    def block_dets(self) -> Mapping[tuple[int, ...], int]:
+        return MappingProxyType({b: int(det(self.block_cartan(b))) for b in self.blocks})
+
+    @cached_property
+    def fpdim_simples(self) -> tuple[cyclo.CycloInt, ...]:
+        return tuple(cyclo.fpdim_simple(self.p, self.n, i) for i in self.simples)
+
+    @cached_property
+    def fpdim_projectives(self) -> tuple[cyclo.CycloInt, ...]:
+        return tuple(cyclo.fpdim_projective(self.p, self.n, i) for i in self.simples)
+
+    @cached_property
+    def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
+        """Pairs a < b of simples with Ext^1(L_a, L_b) != 0; None at p=2."""
+        if self.p == 2:
+            return None
+        k = len(self.simples)
+        return tuple(
+            (a, b) for a in range(k) for b in range(a + 1, k) if digits.ext1(self.p, self.n, a, b)
+        )
+
+    @cached_property
+    def stable(self) -> Mapping[str, object]:
+        """Smith normal form of the Cartan matrix: order, invariant_factors, U, V."""
+        factors, U, V = smith_normal_form(self.cartan)
+        order = 1
+        for f in factors:
+            order *= abs(f)
+        U.flags.writeable = V.flags.writeable = False
+        stable = {"order": order, "invariant_factors": tuple(factors), "U": U, "V": V}
+        return MappingProxyType(stable)
+
+
+@lru_cache(maxsize=None)
+def category(p: int, n: int) -> CategoryContext:
+    """The one context of Ver_{p^n}; constructing it computes nothing."""
+    return CategoryContext(p, n)
 
 
 @dataclass
@@ -60,20 +154,22 @@ class VerificationReport:
 
 @dataclass
 class CategoryData:
+    """The record of Ver_{p^n}; fields shared with its context are read-only."""
+
     p: int
     n: int
     simples: list[int]
     projectives: list[int]
-    proj_of_simple: dict[int, int]
-    simple_of_proj: dict[int, int]
+    proj_of_simple: tuple[int, ...]
+    simple_of_proj: Mapping[int, int]
     decomposition: np.ndarray
     cartan: np.ndarray
-    blocks: list[list[int]]
+    blocks: tuple[tuple[int, ...], ...]
     block_dets: dict[tuple[int, ...], int]
     dims: dict[int, int]
-    fpdim_simples: dict[int, cyclo.CycloInt]
-    fpdim_projectives: dict[int, cyclo.CycloInt]
-    ext1_edges: list[tuple[int, int]] | None
+    fpdim_simples: tuple[cyclo.CycloInt, ...]
+    fpdim_projectives: tuple[cyclo.CycloInt, ...]
+    ext1_edges: tuple[tuple[int, int], ...] | None
     stable: dict
     verification: VerificationReport
 
@@ -112,23 +208,12 @@ def expected_block_det(p: int, n: int, block: list[int]) -> int:
 
 def block_cartan_dets(p: int, n: int) -> dict[tuple[int, ...], int]:
     """Exact determinant of each block's Cartan submatrix."""
-    cartan = digits.cartan_descendant(p, n)
-    rows = list(digits.projective_range(p, n))
-    out = {}
-    for block in digits.block_partition(p, n):
-        idx = [rows.index(s) for s in block]
-        out[tuple(block)] = int(det(cartan[np.ix_(idx, idx)]))
-    return out
+    return dict(category(p, n).block_dets)
 
 
 def stable_gr(p: int, n: int) -> dict:
     """Additive invariants of the stable Grothendieck ring: Cartan cokernel."""
-    cartan = digits.cartan_descendant(p, n)
-    factors, U, V = smith_normal_form(cartan)
-    order = 1
-    for f in factors:
-        order *= abs(f)
-    return {"order": order, "invariant_factors": factors, "U": U, "V": V}
+    return dict(category(p, n).stable)
 
 
 def _brauer_line(size: int) -> np.ndarray:
@@ -143,9 +228,9 @@ def _brauer_line(size: int) -> np.ndarray:
 def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> VerificationReport:
     """Run every consistency check; never raises."""
     report = VerificationReport()
-    rows = list(digits.projective_range(p, n))
-    pos = {s: a for a, s in enumerate(rows)}
-    cartan = digits.cartan_descendant(p, n)
+    ctx = category(p, n)
+    rows = ctx.rows
+    cartan = ctx.cartan
 
     routes_char = cartan_character(p, n)
     routes_kron = digits.cartan_kronecker(p, n)
@@ -158,7 +243,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     bad = [(i, j) for i in range(len(rows)) for j in range(len(rows)) if int(cartan[i, j]) not in powers]
     report.add("entries_powers_of_two", not bad, "" if not bad else f"entry at {bad[0]}")
 
-    unit = pos[digits.steinberg_label(p, n, 0)]
+    unit = ctx.rows.index(ctx.proj_of_simple[0])
     report.add(
         "unit_diagonal_entry",
         int(cartan[unit, unit]) == 2 ** (n - 1),
@@ -168,7 +253,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     simples = list(digits.simple_range(p, n))
     report.add("simple_count", len(simples) == p ** (n - 1) * (p - 1))
 
-    blocks = digits.block_partition(p, n)
+    blocks = ctx.blocks
     report.add("block_count", len(blocks) == n * (p - 1), f"got {len(blocks)}")
 
     sizes = sorted(len(b) for b in blocks)
@@ -181,17 +266,16 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     # blocks and the smallest non-semisimple ones both have one member.
     same = True
     witness = ""
-    by_size: dict[tuple[int, int], list[list[int]]] = {}
+    by_size: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for b in blocks:
         by_size.setdefault((len(b), expected_block_det(p, n, b)), []).append(b)
     for size, group in by_size.items():
         first = group[0]
-        ref = cartan[np.ix_([pos[s] for s in first], [pos[s] for s in first])]
+        ref = ctx.block_cartan(first)
         for other in group[1:]:
-            sub = cartan[np.ix_([pos[s] for s in other], [pos[s] for s in other])]
-            if permutation_equivalent(ref, sub) is None:
+            if permutation_equivalent(ref, ctx.block_cartan(other)) is None:
                 same = False
-                witness = f"blocks {first} vs {other}"
+                witness = f"blocks {list(first)} vs {list(other)}"
     report.add("same_size_blocks_identical", same, witness)
 
     if n >= 2:
@@ -199,10 +283,9 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
         witness = ""
         for block in blocks:
             if expected_block_det(p, n, block) == p and len(block) == p - 1:
-                sub = cartan[np.ix_([pos[s] for s in block], [pos[s] for s in block])]
-                if (sub != _brauer_line(p - 1)).any():
+                if (ctx.block_cartan(block) != _brauer_line(p - 1)).any():
                     ok = False
-                    witness = f"block {block}"
+                    witness = f"block {list(block)}"
         report.add("p2_nonsemisimple_block_is_brauer_line", ok, witness)
     else:
         report.add("p2_nonsemisimple_block_is_brauer_line", True, "no such blocks at n=1")
@@ -213,7 +296,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     bad_blocks = [b for b, d in dets.items() if d != expected_block_det(p, n, list(b))]
     report.add("det_per_block", not bad_blocks, "" if not bad_blocks else f"block {bad_blocks[0]}")
 
-    ok, wit = cyclo.verify_cd_eq_p(p, n, cartan)
+    ok, wit = cyclo.verify_cd_eq_p(p, n)
     report.add("cd_eq_p", ok, "" if ok else f"row {wit}")
 
     total = cyclo.fpdim_category(p, n)
@@ -225,7 +308,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     )
 
     if p**n > 2:
-        x = cyclo.fpdim_simple(p, n, 1)
+        x = ctx.fpdim_simples[1]
         at_level = cyclo.chebyshev_Q(p, n)(x)
         below = cyclo.chebyshev_Q(p, n - 1)(x)
         report.add("chebyshev_roots", (not at_level) and bool(below))
@@ -239,37 +322,30 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     )
 
     if p > 2:
-        sym = True
-        within = True
-        witness = ""
-        for a in simples:
-            for b in simples[a:]:
-                e = digits.ext1(p, n, a, b)
-                if e != digits.ext1(p, n, b, a) or (a == b and e):
-                    sym = False
-                    witness = f"({a},{b})"
-                if e and digits.block_key(p, n, digits.steinberg_label(p, n, a)) != digits.block_key(
-                    p, n, digits.steinberg_label(p, n, b)
-                ):
-                    within = False
-                    witness = f"({a},{b})"
-        report.add("ext1_symmetric", sym, witness if not sym else "")
-        report.add("ext1_within_blocks", within, witness if not within else "")
+        # The context holds Ext^1(L_a, L_b) for a < b; compare Ext^1(L_b, L_a).
+        forward = set(ctx.ext1_edges)
+        asym = [
+            (a, b)
+            for a in simples
+            for b in simples[a:]
+            if digits.ext1(p, n, b, a) != ((a, b) in forward)
+        ]
+        report.add("ext1_symmetric", not asym, "({},{})".format(*asym[0]) if asym else "")
+        key = [digits.block_key(p, n, s) for s in ctx.proj_of_simple]
+        across = [(a, b) for a, b in ctx.ext1_edges if key[a] != key[b]]
+        report.add("ext1_within_blocks", not across, "({},{})".format(*across[0]) if across else "")
     else:
         report.add("ext1_symmetric", True, "p=2 rule not implemented here")
         report.add("ext1_within_blocks", True, "p=2 rule not implemented here")
 
-    bij = all(
-        digits.simple_of_projective(p, n, digits.steinberg_label(p, n, i)) == i for i in simples
-    ) and all(
-        digits.steinberg_label(p, n, digits.simple_of_projective(p, n, s)) == s for s in rows
+    bij = all(ctx.simple_of_proj[ctx.proj_of_simple[i]] == i for i in simples) and all(
+        ctx.proj_of_simple[ctx.simple_of_proj[s]] == s for s in rows
     )
     report.add("steinberg_bijection", bij)
 
     if n >= 2:
         covers = all(
-            digits.steinberg_label(p, n, p * i)
-            == 2 * p - 2 + p * digits.steinberg_label(p, n - 1, i)
+            ctx.proj_of_simple[p * i] == 2 * p - 2 + p * digits.steinberg_label(p, n - 1, i)
             for i in digits.simple_range(p, n - 1)
         )
         report.add("covers_compat", covers)
@@ -297,44 +373,25 @@ def build(
     seed: int = 0,
 ) -> CategoryData:
     """Assemble the full CategoryData record for Ver_{p^n}."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    count = p ** (n - 1) * (p - 1)
-    if count > bound:
-        raise BoundExceeded(f"{count} simple objects exceeds the bound {bound}")
-
-    simples = list(digits.simple_range(p, n))
-    projectives = list(digits.projective_range(p, n))
-    proj_of_simple = {i: digits.steinberg_label(p, n, i) for i in simples}
-    simple_of_proj = {s: digits.simple_of_projective(p, n, s) for s in projectives}
-
-    ext1_edges = None
-    if p > 2:
-        ext1_edges = [
-            (a, b)
-            for a in simples
-            for b in simples[a + 1 :]
-            if digits.ext1(p, n, a, b)
-        ]
-
+    check_category(p, n, bound)
+    ctx = category(p, n)
+    simples = list(ctx.simples)
     stable = stable_gr(p, n)
     return CategoryData(
         p=p,
         n=n,
         simples=simples,
-        projectives=projectives,
-        proj_of_simple=proj_of_simple,
-        simple_of_proj=simple_of_proj,
+        projectives=list(ctx.rows),
+        proj_of_simple=ctx.proj_of_simple,
+        simple_of_proj=ctx.simple_of_proj,
         decomposition=digits.decomposition_matrix(p, n),
-        cartan=digits.cartan_descendant(p, n),
-        blocks=digits.block_partition(p, n),
+        cartan=ctx.cartan,
+        blocks=ctx.blocks,
         block_dets=block_cartan_dets(p, n),
         dims={i: cyclo.dim_simple(p, n, i)[0] for i in simples},
-        fpdim_simples={i: cyclo.fpdim_simple(p, n, i) for i in simples},
-        fpdim_projectives={i: cyclo.fpdim_projective(p, n, i) for i in simples},
-        ext1_edges=ext1_edges,
-        stable={"order": stable["order"], "invariant_factors": stable["invariant_factors"]},
+        fpdim_simples=ctx.fpdim_simples,
+        fpdim_projectives=ctx.fpdim_projectives,
+        ext1_edges=ctx.ext1_edges,
+        stable={"order": stable["order"], "invariant_factors": list(stable["invariant_factors"])},
         verification=verify_all(p, n, samples=samples, seed=seed),
     )

@@ -63,15 +63,9 @@ class SymChar:
     def __rmul__(self, scalar: int) -> "SymChar":
         return SymChar({w: scalar * c for w, c in self.coeffs.items()})
 
-    def is_symmetric(self) -> bool:
-        return all(self.coeffs.get(-w, 0) == c for w, c in self.coeffs.items())
-
     def top_weight(self) -> int:
         """Largest weight in the support; undefined on the zero character."""
         return max(self.coeffs)
-
-
-ZERO = SymChar({})
 
 
 def weyl_char(m: int) -> SymChar:

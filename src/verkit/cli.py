@@ -9,16 +9,17 @@ diffs stay readable; csv is restricted to matrix payloads.  Exit codes:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 
 import click
 import mpmath
-import numpy as np
 
 from . import catalog, digits, grring, tilting
 from .charring import dim_at_one
+from .errors import VerkitError
 
 SCHEMA_VERSION = 1
 NUMERIC_DIGITS = 20
@@ -40,12 +41,23 @@ def _matrix_payload(rows: list[str], cols: list[str], M) -> dict:
     }
 
 
+def _block_entries(cat) -> list[dict]:
+    """Blocks of a CategoryData or a category context, with their determinants."""
+    return [
+        {
+            "projectives": list(block),
+            "simples": [cat.simple_of_proj[s] for s in block],
+            "size": len(block),
+            "det": cat.block_dets[block],
+        }
+        for block in cat.blocks
+    ]
+
+
 def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dict:
     p, n = data.p, data.n
     fpdim = []
-    for i in data.simples:
-        fs = data.fpdim_simples[i]
-        fp = data.fpdim_projectives[i]
+    for i, fs, fp in zip(data.simples, data.fpdim_simples, data.fpdim_projectives):
         fpdim.append(
             {
                 "label": i,
@@ -72,18 +84,10 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
             [f"T{i}" for i in data.projectives],
             data.cartan,
         ),
-        "blocks": [
-            {
-                "projectives": block,
-                "simples": [data.simple_of_proj[s] for s in block],
-                "size": len(block),
-                "det": data.block_dets[tuple(block)],
-            }
-            for block in data.blocks
-        ],
+        "blocks": _block_entries(data),
         "fpdim": fpdim,
         "stable": data.stable,
-        "ext1": data.ext1_edges,
+        "ext1": None if data.ext1_edges is None else [list(e) for e in data.ext1_edges],
         "verification": {
             "samples": samples,
             "seed": seed,
@@ -128,7 +132,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int) -> dict:
-    """Cached category payload; rebuilt when the verification knobs differ."""
+    """Cached category payload; rebuilt unless it is for this (p, n) and these knobs."""
     path = _cache_path(_cache_dir(cache_dir), p, n)
     if os.path.exists(path):
         try:
@@ -139,6 +143,8 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
         if (
             payload
             and payload.get("schema_version") == SCHEMA_VERSION
+            and payload.get("p") == p
+            and payload.get("n") == n
             and payload.get("verification", {}).get("samples") == samples
             and payload.get("verification", {}).get("seed") == seed
         ):
@@ -197,7 +203,17 @@ def fold_text(p: int, n: int, v: grring.GrElement) -> str:
 # click plumbing
 
 
-def _common(f):
+def _common(command):
+    """Shared options, and the category guard: a refused (p, n) exits with 2."""
+
+    @functools.wraps(command)
+    def f(prime, level, **kwargs):
+        try:
+            catalog.check_category(prime, level)
+            return command(prime, level, **kwargs)
+        except VerkitError as exc:
+            raise click.UsageError(str(exc)) from exc
+
     f = click.option("-p", "prime", type=int, required=True, help="Prime p.")(f)
     f = click.option("-n", "level", type=int, required=True, help="Level n >= 1.")(f)
     f = click.option(
@@ -211,15 +227,6 @@ def _common(f):
     return f
 
 
-def _validated(prime: int, level: int) -> None:
-    if not catalog.is_prime(prime):
-        raise click.UsageError(f"{prime} is not a prime")
-    if level < 1:
-        raise click.UsageError(f"level must be >= 1, got {level}")
-    if prime ** (level - 1) * (prime - 1) > catalog.DEFAULT_BOUND:
-        raise click.UsageError("category exceeds the build bound")
-
-
 @click.group()
 def main() -> None:
     """Exact invariants of the symmetric tensor categories Ver_{p^n}."""
@@ -229,7 +236,6 @@ def main() -> None:
 @_common
 def report(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Full category report; exit 1 when a verification check fails."""
-    _validated(prime, level)
     payload = load_or_build(prime, level, cache_dir, samples, seed)
 
     def render(pl: dict) -> str:
@@ -240,15 +246,7 @@ def report(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip)
         lines.append(_grid(pairs))
         lines.append("")
         lines.append("cartan matrix:")
-        lines.append(
-            _grid(
-                [[""] + pl["cartan"]["cols"]]
-                + [
-                    [r] + [str(v) for v in row]
-                    for r, row in zip(pl["cartan"]["rows"], pl["cartan"]["entries"])
-                ]
-            )
-        )
+        lines.append(_render_matrix(pl["cartan"]))
         lines.append("")
         lines.append("blocks:")
         for b in pl["blocks"]:
@@ -279,10 +277,6 @@ def report(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip)
 @click.option("-b", "label_b", type=int, required=True)
 def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, label_a, label_b):
     """Tensor product of two simples, raw vector plus folded presentation."""
-    _validated(prime, level)
-    top = prime ** (level - 1) * (prime - 1)
-    if not (0 <= label_a < top and 0 <= label_b < top):
-        raise click.UsageError(f"labels must lie in [0, {top - 1}]")
     v = grring.fuse_simples(prime, level, label_a, label_b)
     simples, projectives, _ = grring.fold_projectives(prime, level, v)
     payload = {
@@ -312,7 +306,6 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
 @click.option("--even-only", is_flag=True, default=False)
 def table(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
     """Full tensor table of simple objects."""
-    _validated(prime, level)
     labels = [i for i in digits.simple_range(prime, level) if not even_only or i % 2 == 0]
     cells = []
     for a in labels:
@@ -333,79 +326,51 @@ def table(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, 
     _emit(_document("fusion_table", payload), fmt, output, render, check_roundtrip)
 
 
-def _matrix_command(name: str, help_text: str):
-    def register(builder):
-        @main.command(name=name, help=help_text)
-        @_common
-        @click.option("--even-only", is_flag=True, default=False)
-        def cmd(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
-            _validated(prime, level)
-            payload = builder(prime, level, even_only)
-
-            def render(pl: dict) -> str:
-                return _grid(
-                    [[""] + pl["cols"]]
-                    + [[r] + [str(v) for v in row] for r, row in zip(pl["rows"], pl["entries"])]
-                )
-
-            _emit(_document("matrix", payload), fmt, output, render, check_roundtrip)
-
-        return cmd
-
-    return register
+def _render_matrix(pl: dict) -> str:
+    return _grid(
+        [[""] + pl["cols"]]
+        + [[r] + [str(v) for v in row] for r, row in zip(pl["rows"], pl["entries"])]
+    )
 
 
-def _cartan_payload(p: int, n: int, even_only: bool) -> dict:
-    cartan = digits.cartan_descendant(p, n)
-    rows = list(digits.projective_range(p, n))
-    if not even_only:
-        return _matrix_payload([f"T{i}" for i in rows], [f"T{i}" for i in rows], cartan)
-    pos = {s: a for a, s in enumerate(rows)}
-    order: list[int] = []
-    for block in digits.block_partition(p, n):
-        members = [digits.simple_of_projective(p, n, s) for s in block]
-        if members[0] % 2 == 0:
-            order.extend(sorted(members))
-    idx = [pos[digits.steinberg_label(p, n, i)] for i in order]
-    sub = cartan[np.ix_(idx, idx)]
-    labels = [f"L{i}" for i in order]
-    return _matrix_payload(labels, labels, sub)
+@main.command()
+@_common
+@click.option("--even-only", is_flag=True, default=False)
+def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
+    """Cartan matrix (use --even-only for the even-part block order)."""
+    cat = catalog.category(prime, level)
+    if even_only:
+        order: list[int] = []
+        for block in cat.blocks:
+            members = [cat.simple_of_proj[s] for s in block]
+            if members[0] % 2 == 0:
+                order.extend(sorted(members))
+        labels = [f"L{i}" for i in order]
+        sub = cat.block_cartan([cat.proj_of_simple[i] for i in order])
+        payload = _matrix_payload(labels, labels, sub)
+    else:
+        labels = [f"T{i}" for i in cat.rows]
+        payload = _matrix_payload(labels, labels, cat.cartan)
+    _emit(_document("matrix", payload), fmt, output, _render_matrix, check_roundtrip)
 
 
-_matrix_command("cartan", "Cartan matrix (use --even-only for the even-part block order).")(
-    _cartan_payload
-)
-
-
-def _decomp_payload(p: int, n: int, even_only: bool) -> dict:
-    D = digits.decomposition_matrix(p, n)
-    rows = [f"T{i}" for i in digits.projective_range(p, n)]
-    cols = [f"W{j}" for j in range(p**n - 1)]
-    return _matrix_payload(rows, cols, D)
-
-
-_matrix_command("decomp", "Decomposition matrix (tilting rows, Weyl columns).")(_decomp_payload)
+@main.command()
+@_common
+def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
+    """Decomposition matrix (tilting rows, Weyl columns)."""
+    payload = _matrix_payload(
+        [f"T{i}" for i in digits.projective_range(prime, level)],
+        [f"W{j}" for j in range(prime**level - 1)],
+        digits.decomposition_matrix(prime, level),
+    )
+    _emit(_document("matrix", payload), fmt, output, _render_matrix, check_roundtrip)
 
 
 @main.command()
 @_common
 def blocks(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Block partition with sizes and Cartan determinants."""
-    _validated(prime, level)
-    dets = catalog.block_cartan_dets(prime, level)
-    payload = {
-        "p": prime,
-        "n": level,
-        "blocks": [
-            {
-                "projectives": list(block),
-                "simples": [digits.simple_of_projective(prime, level, s) for s in block],
-                "size": len(block),
-                "det": dets[tuple(block)],
-            }
-            for block in digits.block_partition(prime, level)
-        ],
-    }
+    payload = {"p": prime, "n": level, "blocks": _block_entries(catalog.category(prime, level))}
 
     def render(pl: dict) -> str:
         lines = []
@@ -423,15 +388,9 @@ def blocks(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip)
 @_common
 def ext1(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Ext^1 adjacency between simples (odd p only)."""
-    _validated(prime, level)
     if prime == 2:
         raise click.UsageError("Ext^1 adjacency is only computed for odd p")
-    edges = [
-        [a, b]
-        for a in digits.simple_range(prime, level)
-        for b in digits.simple_range(prime, level)
-        if a < b and digits.ext1(prime, level, a, b)
-    ]
+    edges = [list(e) for e in catalog.category(prime, level).ext1_edges]
     payload = {"p": prime, "n": level, "edges": edges}
 
     def render(pl: dict) -> str:
@@ -447,7 +406,6 @@ def ext1(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
 @click.option("-M", "depth", type=int, default=12, show_default=True)
 def invariants(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, depth):
     """Invariant dimensions in tensor powers, by both routes."""
-    _validated(prime, level)
     if depth < 0:
         raise click.UsageError("M must be >= 0")
     tensor_route = tilting.invariant_dims(prime, level, depth)
@@ -478,7 +436,6 @@ def invariants(prime, level, fmt, output, cache_dir, samples, seed, check_roundt
 @click.option("-m", "index", type=int, required=True)
 def tilting_cmd(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, index):
     """Weyl factors, dimension and character of one tilting module."""
-    _validated(prime, level)
     if not 0 <= index <= prime**level - 2:
         raise click.UsageError(f"tilting index must lie in [0, {prime**level - 2}]")
     char = tilting.tilting_char(prime, index)
@@ -504,7 +461,6 @@ def tilting_cmd(prime, level, fmt, output, cache_dir, samples, seed, check_round
 @_common
 def verify(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Run the verification suite; exit 1 on any failure."""
-    _validated(prime, level)
     payload = load_or_build(prime, level, cache_dir, samples, seed)["verification"]
 
     def render(pl: dict) -> str:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import mpmath
 
 from .digits import descendants, simple_range, steinberg_label, to_digits
-from .errors import OutOfRange
+from .errors import NotReal, OutOfRange, ShapeMismatch
 from .tilting import chebyshev_s
 
 NUMERIC_DPS = 40
@@ -47,12 +47,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs})"
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def split(self) -> tuple["IntPoly", "IntPoly"]:
         """Positive and negative parts: self = plus - minus, disjoint support."""
@@ -147,7 +141,8 @@ class CycloInt:
 
     def __init__(self, ctx: CycloContext, coeffs):
         coeffs = tuple(coeffs)
-        assert len(coeffs) == ctx.degree
+        if len(coeffs) != ctx.degree:
+            raise ShapeMismatch(f"{len(coeffs)} coefficients for a ring of degree {ctx.degree}")
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -208,7 +203,8 @@ class CycloInt:
 
     def numeric_real(self) -> mpmath.mpf:
         val = self.numeric()
-        assert abs(val.imag) < NUMERIC_TOL, "element is not real"
+        if abs(val.imag) >= NUMERIC_TOL:
+            raise NotReal(f"imaginary part {mpmath.nstr(val.imag, 5)} at q")
         return val.real
 
 
@@ -255,26 +251,22 @@ def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:
     return d, d % p
 
 
-def verify_cd_eq_p(p: int, n: int, cartan=None) -> tuple[bool, int | None]:
+def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
     """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
 
-    Verification by substitution row by row; no linear solve.  Returns
-    (True, None) or (False, offending projective index).
+    Substitutes the context's exact dimensions row by row; no linear solve.
+    Returns (True, None) or (False, offending projective index).
     """
-    from .digits import cartan_descendant, projective_range, simple_of_projective
+    from .catalog import category
 
-    if cartan is None:
-        cartan = cartan_descendant(p, n)
-    rows = list(projective_range(p, n))
-    dims = [fpdim_simple(p, n, simple_of_projective(p, n, s)) for s in rows]
-    for a, s in enumerate(rows):
+    cat = category(p, n)
+    dims = [cat.fpdim_simples[cat.simple_of_proj[s]] for s in cat.rows]
+    for a, s in enumerate(cat.rows):
         lhs = context(p, n).zero()
-        for b in range(len(rows)):
-            c = int(cartan[a, b])
+        for b, c in enumerate(cat.cartan[a]):
             if c:
-                lhs = lhs + c * dims[b]
-        rhs = fpdim_projective(p, n, simple_of_projective(p, n, s))
-        if lhs != rhs:
+                lhs = lhs + int(c) * dims[b]
+        if lhs != cat.fpdim_projectives[cat.simple_of_proj[s]]:
             return False, s
     return True, None
 
@@ -286,10 +278,13 @@ def chebyshev_Q(p: int, n: int) -> IntPoly:
 
 def fpdim_category(p: int, n: int) -> mpmath.mpf:
     """Numeric sum of FPdim(L_i) * FPdim(P_i) over all simples."""
+    from .catalog import category
+
+    cat = category(p, n)
     with mpmath.workdps(NUMERIC_DPS):
         total = mpmath.mpf(0)
-        for i in simple_range(p, n):
-            total += fpdim_simple(p, n, i).numeric_real() * fpdim_projective(p, n, i).numeric_real()
+        for fs, fp in zip(cat.fpdim_simples, cat.fpdim_projectives):
+            total += fs.numeric_real() * fp.numeric_real()
         return total
 
 

@@ -19,3 +19,15 @@ class NegativeLeadingCoefficient(VerkitError):
 
 class BoundExceeded(VerkitError):
     """The requested category is larger than the configured build bound."""
+
+
+class InvalidCategory(VerkitError, ValueError):
+    """(p, n) names no category Ver_{p^n}: p is not a prime or n < 1."""
+
+
+class ShapeMismatch(VerkitError):
+    """A coefficient vector does not have the rank of its ring."""
+
+
+class NotReal(VerkitError):
+    """A real value was asked of an element that is not real."""

@@ -28,13 +28,12 @@ import random
 from functools import lru_cache
 
 from .digits import (
-    cartan_descendant,
     projective_range,
     simple_of_projective,
     simple_range,
     steinberg_label,
 )
-from .errors import OutOfRange, UnsupportedPrime
+from .errors import OutOfRange, ShapeMismatch, UnsupportedPrime
 
 
 class GrElement:
@@ -46,7 +45,8 @@ class GrElement:
         self.p = p
         self.n = n
         self.coeffs = tuple(coeffs)
-        assert len(self.coeffs) == p ** (n - 1) * (p - 1)
+        if len(self.coeffs) != p ** (n - 1) * (p - 1):
+            raise ShapeMismatch(f"{len(self.coeffs)} coefficients for Gr(Ver_{{{p}^{n}}})")
 
     @classmethod
     def zero(cls, p: int, n: int) -> "GrElement":
@@ -173,16 +173,13 @@ def fuse_simples(p: int, n: int, a: int, b: int) -> GrElement:
     return GrElement(p, n, _fuse(p, n, a, b))
 
 
-@lru_cache(maxsize=None)
-def _cartan_cached(p: int, n: int):
-    return cartan_descendant(p, n)
-
-
 def projective_class(p: int, n: int, i: int) -> GrElement:
     """[P_i] read off a Cartan column: sum of c_{t, s(i)} [L(t)]."""
+    from .catalog import category
+
     s = steinberg_label(p, n, i)
-    cartan = _cartan_cached(p, n)
-    rows = list(projective_range(p, n))
+    cat = category(p, n)
+    cartan, rows = cat.cartan, cat.rows
     col = rows.index(s)
     out = [0] * (p ** (n - 1) * (p - 1))
     for a, t in enumerate(rows):

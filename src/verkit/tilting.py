@@ -17,7 +17,7 @@ together with the generating-series route that must reproduce them.
 
 from __future__ import annotations
 
-from .charring import SymChar, dim_at_one, frobenius_twist, inner, mul, weyl_char
+from .charring import SymChar, frobenius_twist, inner, mul, weyl_char
 from .errors import NegativeLeadingCoefficient
 
 _tilting_cache: dict[tuple[int, int], SymChar] = {}
@@ -109,11 +109,6 @@ def hom_dim(p: int, i: int, j: int) -> int:
     return inner(tilting_char(p, i), tilting_char(p, j))
 
 
-def dims_of_sum(p: int, s: TiltingSum) -> int:
-    """Total dimension of a sum of tilting modules."""
-    return sum(c * dim_at_one(tilting_char(p, m)) for m, c in s.mults.items())
-
-
 def _invariant_count(p: int, n: int, s: TiltingSum) -> int:
     """Dimension of invariants: T_m contributes iff m = 2p^l - 2, l < n."""
     total = 0
@@ -138,15 +133,6 @@ def invariant_dims(p: int, n: int, M: int) -> list[int]:
         for _ in range(2):
             v = truncate(p, n, decompose_tilting(p, mul(v.character(p), chi_v)))
         out.append(_invariant_count(p, n, v))
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
     return out
 
 

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from verkit import catalog, cyclo, digits
 from verkit.catalog import (
     block_cartan_dets,
     build,
@@ -191,3 +194,42 @@ def test_build_guards():
         build(3, 9)
     with pytest.raises(BoundExceeded):
         build(5, 2, bound=10)
+
+
+def test_build_computes_each_quantity_once(monkeypatch):
+    calls = Counter()
+    for module, name in [
+        (digits, "cartan_descendant"),
+        (digits, "block_partition"),
+        (cyclo, "fpdim_simple"),
+        (cyclo, "fpdim_projective"),
+    ]:
+        def counted(*args, _orig=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    catalog.category.cache_clear()
+    try:
+        data = build(3, 3)
+    finally:
+        catalog.category.cache_clear()
+    k = len(data.simples)
+    assert k == 18 and data.verification.all_passed
+    assert calls == {
+        "cartan_descendant": 1,
+        "block_partition": 1,
+        "fpdim_simple": k,
+        "fpdim_projective": k,
+    }
+
+
+def test_category_context_is_lazy_and_shared():
+    catalog.category.cache_clear()
+    ctx = catalog.category(3, 2)
+    assert catalog.category(3, 2) is ctx
+    assert vars(ctx).keys() == {"p", "n", "simples", "rows"}
+    assert block_cartan_dets(3, 2) == {(2,): 1, (3, 7): 3, (4, 6): 3, (5,): 1}
+    assert "fpdim_simples" not in vars(ctx)
+    with pytest.raises(ValueError):
+        ctx.cartan[0, 0] = 5

@@ -48,6 +48,12 @@ def test_report_rejects_bad_level(runner):
     assert invoke(runner, "report", "-p", "3", "-n", "0").exit_code == 2
 
 
+def test_every_command_refuses_a_category_above_the_bound(runner):
+    result = invoke(runner, "fuse", "-p", "3", "-n", "9", "-a", "0", "-b", "0")
+    assert result.exit_code == 2
+    assert "13122 simple objects exceeds the bound 2000" in result.output
+
+
 def test_report_correspondence_table(runner):
     result = invoke(runner, "report", "-p", "3", "-n", "3")
     assert result.exit_code == 0
@@ -108,6 +114,7 @@ def test_decomp_output(runner):
     doc = json.loads(result.output)
     assert doc["payload"]["rows"][0] == "T2"
     assert doc["payload"]["cols"][0] == "W0"
+    assert invoke(runner, "decomp", "-p", "3", "-n", "2", "--even-only").exit_code == 2
 
 
 def test_blocks_output(runner):
@@ -148,10 +155,11 @@ def test_verify_exit_code(runner):
 
 
 def test_json_roundtrip_flag(runner):
-    result = invoke(
-        runner, "report", "-p", "2", "-n", "2", "--format", "json", "--check-roundtrip"
-    )
-    assert result.exit_code == 0
+    for p in ("2", "3"):
+        result = invoke(
+            runner, "report", "-p", p, "-n", "2", "--format", "json", "--check-roundtrip"
+        )
+        assert result.exit_code == 0, result.output
 
 
 def test_csv_rejected_for_non_matrix(runner):
@@ -172,6 +180,33 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     assert cache_file.exists()
     warm = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
     assert cold == warm
+
+
+def test_cache_file_for_another_category_is_rebuilt(tmp_path):
+    cache = tmp_path / "cache"
+    runner = CliRunner()
+    assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
+    (cache / "verpn_3_2_v1.json").write_text((cache / "verpn_5_2_v1.json").read_text())
+    result = invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache))
+    assert result.exit_code == 0
+    assert "6 simple objects" in result.output
+    assert json.loads((cache / "verpn_3_2_v1.json").read_text())["p"] == 3
+
+
+def test_warm_report_computes_nothing(tmp_path, monkeypatch):
+    from verkit import catalog
+
+    runner = CliRunner()
+    args = ["-p", "3", "-n", "3", "--cache-dir", str(tmp_path / "cache")]
+    cold = [invoke(runner, cmd, *args).output for cmd in ("report", "verify")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run computed a category quantity")
+
+    monkeypatch.setattr(catalog, "build", refuse)
+    monkeypatch.setattr(catalog, "category", refuse)
+    warm = [invoke(runner, cmd, *args).output for cmd in ("report", "verify")]
+    assert warm == cold
 
 
 def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):

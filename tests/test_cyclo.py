@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from verkit.cyclo import (
+    CycloInt,
     IntPoly,
     chebyshev_Q,
     context,
@@ -16,7 +17,7 @@ from verkit.cyclo import (
     verify_cd_eq_p,
 )
 from verkit.digits import simple_range
-from verkit.errors import OutOfRange
+from verkit.errors import NotReal, OutOfRange, ShapeMismatch
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
 
@@ -146,3 +147,12 @@ def test_numeric_identities_guard_modulus():
             lhs = (qint(p, n, 3) * qint(p, n, 4)).numeric_real()
             rhs = (qint(p, n, 3).numeric_real()) * (qint(p, n, 4).numeric_real())
             assert abs(lhs - rhs) < mpmath.mpf("1e-20")
+
+
+def test_guards_are_explicit_errors():
+    ctx = context(3, 2)
+    with pytest.raises(ShapeMismatch):
+        CycloInt(ctx, (1, 0))
+    with pytest.raises(NotReal):
+        ctx.q_power(1).numeric_real()
+    assert qint(3, 2, 2).numeric_real() > 0

@@ -5,7 +5,7 @@ import pytest
 
 from verkit.cyclo import context, dim_simple, fpdim_simple
 from verkit.digits import projective_range, simple_of_projective, simple_range
-from verkit.errors import OutOfRange, UnsupportedPrime
+from verkit.errors import OutOfRange, ShapeMismatch, UnsupportedPrime
 from verkit.grring import (
     GrElement,
     base_fusion,
@@ -78,6 +78,8 @@ def test_fuse_unit_and_range():
             assert fuse_simples(p, n, 0, b) == GrElement.basis(p, n, b)
     with pytest.raises(OutOfRange):
         fuse_simples(3, 2, 0, 6)
+    with pytest.raises(ShapeMismatch):
+        GrElement(3, 2, (1, 0))
 
 
 def test_fusion_commutative_exhaustive_small():
@@ -232,3 +234,28 @@ def test_fold_reconstructs_and_empties_remainder_at_level_two():
                 for i, c in projectives.items():
                     rebuilt = rebuilt + c * projective_class(p, 2, i)
                 assert rebuilt == v
+
+
+def test_fold_reads_only_the_cartan_matrix_of_the_context(monkeypatch):
+    from collections import Counter
+
+    from verkit import catalog, cyclo, digits
+
+    calls = Counter()
+    for module, name in [
+        (digits, "cartan_descendant"),
+        (cyclo, "fpdim_simple"),
+        (cyclo, "fpdim_projective"),
+    ]:
+        def counted(*args, _orig=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    catalog.category.cache_clear()
+    try:
+        v = fuse_simples(3, 3, 2, 4)
+        assert fold_projectives(3, 3, v) == fold_projectives(3, 3, v)
+        assert calls == {"cartan_descendant": 1}
+    finally:
+        catalog.category.cache_clear()
