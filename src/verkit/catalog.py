@@ -23,7 +23,13 @@ import numpy as np
 
 from . import cyclo, digits, grring, tilting
 from .errors import BoundExceeded, InvalidCategory
-from .linalg import det, is_positive_definite, permutation_equivalent, smith_normal_form
+from .linalg import (
+    definiteness_witness,
+    det,
+    is_positive_definite,
+    permutation_equivalent,
+    smith_normal_form,
+)
 
 DEFAULT_BOUND = 2000
 INVARIANT_SERIES_DEPTH = 12
@@ -237,7 +243,8 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     agree = (cartan == routes_char).all() and (cartan == routes_kron).all()
     report.add("cartan_routes_agree", agree, "" if agree else "routes disagree")
 
-    report.add("cartan_symmetric_posdef", is_positive_definite(cartan))
+    posdef = is_positive_definite(cartan)
+    report.add("cartan_symmetric_posdef", posdef, "" if posdef else definiteness_witness(cartan))
 
     powers = {0} | {2**m for m in range(n)}
     bad = [(i, j) for i in range(len(rows)) for j in range(len(rows)) if int(cartan[i, j]) not in powers]

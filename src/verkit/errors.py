@@ -26,7 +26,8 @@ class InvalidCategory(VerkitError, ValueError):
 
 
 class ShapeMismatch(VerkitError):
-    """A coefficient vector does not have the rank of its ring."""
+    """An operand has the wrong shape: a coefficient vector not of the rank
+    of its ring, or a matrix that is not square where a square one is needed."""
 
 
 class NotReal(VerkitError):

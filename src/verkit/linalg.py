@@ -2,23 +2,67 @@
 
 Matrices are numpy arrays with dtype=object holding Python integers, so all
 results are exact regardless of entry growth.  Provided here: fraction-free
-determinants, leading principal minors (for definiteness tests), the Smith
-normal form with a transformation certificate, and equality of symmetric
-matrices up to a simultaneous row/column permutation.
+(Bareiss) determinants, leading principal minors and the definiteness test,
+the Smith normal form with a transformation certificate, and equality of
+symmetric matrices up to a simultaneous row/column permutation.
+
+Determinants and minors share one elimination step, applied to the whole
+trailing block at once.  Without row exchanges the pivot reached after step
+s is the (s+1)-th leading principal minor (Sylvester's identity; Bareiss,
+Math. Comp. 22, 1968), so one O(k^3) pass yields every minor; `det` swaps
+rows past a zero pivot instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+
+from .errors import ShapeMismatch
 
 
 def identity(k: int) -> np.ndarray:
     return np.eye(k, dtype=object)
 
 
+def _square_copy(M: np.ndarray) -> np.ndarray:
+    """A Python-int copy of M; ShapeMismatch unless M is a square matrix."""
+    A = np.array(M, dtype=object)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
+    return A
+
+
+def _bareiss_step(A: np.ndarray, s: int, prev: int) -> None:
+    """Eliminate below pivot A[s, s] in place; prev is the previous pivot.
+
+    The division is exact, so the entries stay Python ints.
+    """
+    A[s + 1 :, s + 1 :] = (
+        A[s + 1 :, s + 1 :] * A[s, s] - np.outer(A[s + 1 :, s], A[s, s + 1 :])
+    ) // prev
+
+
+def _leading_minors(A: np.ndarray) -> Iterator[int]:
+    """Leading principal minors of square A, from one unpivoted pass.
+
+    Eliminates in A; stops after the first zero minor, past which the pass
+    cannot go on.
+    """
+    prev = 1
+    for s in range(A.shape[0]):
+        pivot = A[s, s]
+        yield pivot
+        if pivot == 0:
+            return
+        _bareiss_step(A, s, prev)
+        prev = pivot
+
+
 def det(M: np.ndarray) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = M.astype(object).copy()
+    A = _square_copy(M)
     k = A.shape[0]
     if k == 0:
         return 1
@@ -33,24 +77,40 @@ def det(M: np.ndarray) -> int:
                     break
             else:
                 return 0
-        for i in range(s + 1, k):
-            for j in range(s + 1, k):
-                A[i, j] = (A[i, j] * A[s, s] - A[i, s] * A[s, j]) // prev
-            A[i, s] = 0
+        _bareiss_step(A, s, prev)
         prev = A[s, s]
     return sign * A[k - 1, k - 1]
 
 
 def leading_principal_minors(M: np.ndarray) -> list[int]:
-    """Determinants of the leading k x k submatrices, k = 1..size."""
-    return [det(M[:k, :k]) for k in range(1, M.shape[0] + 1)]
+    """Determinants of the leading j x j submatrices, j = 1..size."""
+    minors = list(_leading_minors(_square_copy(M)))
+    k = len(M)
+    return minors + [det(M[:j, :j]) for j in range(len(minors) + 1, k + 1)]
+
+
+def definiteness_witness(M: np.ndarray) -> str:
+    """Why M is not symmetric positive definite, or "" if it is.
+
+    Names the first asymmetric entry or the first non-positive leading
+    minor (1-based); elimination stops there.
+    """
+    A = _square_copy(M)
+    asymmetric = np.argwhere(A != A.T)
+    if len(asymmetric):
+        i, j = asymmetric[0]
+        return f"not symmetric at ({i}, {j})"
+    for j, minor in enumerate(_leading_minors(A), 1):
+        if minor <= 0:
+            return f"leading minor {j} = {minor}"
+    return ""
 
 
 def is_positive_definite(M: np.ndarray) -> bool:
-    """Sylvester criterion on an integer symmetric matrix."""
-    if (M != M.T).any():
-        return False
-    return all(m > 0 for m in leading_principal_minors(M))
+    """Sylvester criterion on an integer matrix: symmetric, with every
+    leading principal minor positive (one pass, stopping at the first
+    non-positive one)."""
+    return definiteness_witness(M) == ""
 
 
 def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from verkit.errors import BoundExceeded
 from verkit.linalg import (
     det,
     is_positive_definite,
+    leading_principal_minors,
     permutation_equivalent,
     smith_normal_form,
 )
@@ -41,6 +42,48 @@ def test_positive_definite():
     assert is_positive_definite(np.array([[2, 1], [1, 2]], dtype=object))
     assert not is_positive_definite(np.array([[1, 2], [2, 1]], dtype=object))
     assert not is_positive_definite(np.array([[0, 1], [1, 0]], dtype=object))
+
+
+def test_one_pass_minors_match_per_minor_dets_on_cartan():
+    for p, n in SET:
+        C = cartan_descendant(p, n)
+        k = C.shape[0]
+        if k > 64:
+            continue
+        minors = leading_principal_minors(C)
+        assert minors == [det(C[:j, :j]) for j in range(1, k + 1)], (p, n)
+        assert minors[-1] == p ** (p ** (n - 1) - 1), (p, n)
+
+
+def test_posdef_check_names_its_witness(monkeypatch):
+    def posdef_check(cartan):
+        ctx = catalog.CategoryContext(2, 3)
+        ctx.__dict__["cartan"] = cartan
+        monkeypatch.setattr(catalog, "category", lambda p, n: ctx)
+        checks = {c.name: c for c in verify_all(2, 3).checks}
+        return checks["cartan_symmetric_posdef"]
+
+    C = cartan_descendant(2, 3)
+    assert C.shape == (4, 4)
+    # Make row 2 of the leading 3x3 block the sum of rows 0 and 1, keeping
+    # the matrix symmetric: the first two leading minors stay positive and
+    # the third is 0.
+    a, b, c = C[0, 0], C[0, 1], C[1, 1]
+    singular = C.copy()
+    singular[0, 2] = singular[2, 0] = a + b
+    singular[1, 2] = singular[2, 1] = b + c
+    singular[2, 2] = a + 2 * b + c
+    assert leading_principal_minors(singular)[:3] == [a, a * c - b * b, 0]
+    check = posdef_check(singular)
+    assert not check.passed and check.witness == "leading minor 3 = 0"
+
+    skew = C.copy()
+    skew[1, 3] += 1
+    check = posdef_check(skew)
+    assert not check.passed and check.witness == "not symmetric at (1, 3)"
+
+    check = posdef_check(C)
+    assert check.passed and check.witness == ""
 
 
 def test_snf_examples():

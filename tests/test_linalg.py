@@ -1,0 +1,137 @@
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from verkit.errors import ShapeMismatch
+from verkit.linalg import (
+    definiteness_witness,
+    det,
+    is_positive_definite,
+    leading_principal_minors,
+)
+
+ENTRIES = st.integers(-4, 4) | st.integers(-(10**12), 10**12)
+
+
+def fraction_det(M) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    A = [[Fraction(int(x)) for x in row] for row in M]
+    k = len(A)
+    d = Fraction(1)
+    for s in range(k):
+        pivot = next((i for i in range(s, k) if A[i][s] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != s:
+            A[s], A[pivot] = A[pivot], A[s]
+            d = -d
+        d *= A[s][s]
+        for i in range(s + 1, k):
+            f = A[i][s] / A[s][s]
+            for j in range(s, k):
+                A[i][j] -= f * A[s][j]
+    assert d.denominator == 1
+    return int(d)
+
+
+def matrices(r: int, k: int):
+    """r x k matrices of Python ints."""
+    rows = st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=r, max_size=r)
+
+    def build(entries):
+        M = np.zeros((r, k), dtype=object)
+        for i, row in enumerate(entries):
+            M[i, :] = row
+        return M
+
+    return rows.map(build)
+
+
+@st.composite
+def symmetric_matrices(draw) -> np.ndarray:
+    """Symmetric integer matrices up to 8x8: arbitrary ones (mostly
+    indefinite, often singular) and Gram matrices B^T B (positive
+    semidefinite, singular when B has rank below k)."""
+    k = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 8))
+        B = draw(matrices(r, k))
+        return B.T @ B if r else np.zeros((k, k), dtype=object)
+    M = np.zeros((k, k), dtype=object)
+    for i in range(k):
+        for j in range(i, k):
+            M[i, j] = M[j, i] = draw(ENTRIES)
+    return M
+
+
+square_matrices = st.integers(0, 8).flatmap(lambda k: matrices(k, k))
+
+
+@settings(deadline=None)
+@given(symmetric_matrices())
+def test_minors_and_det_match_fraction_oracle(M):
+    k = M.shape[0]
+    assert leading_principal_minors(M) == [fraction_det(M[:j, :j]) for j in range(1, k + 1)]
+    assert det(M) == fraction_det(M)
+
+
+@settings(deadline=None)
+@given(square_matrices)
+def test_det_matches_fraction_oracle_on_any_square_matrix(M):
+    assert det(M) == fraction_det(M)
+
+
+@settings(deadline=None)
+@given(symmetric_matrices())
+def test_definite_iff_every_leading_minor_is_positive(M):
+    definite = all(m > 0 for m in leading_principal_minors(M))
+    assert is_positive_definite(M) == definite
+    assert (definiteness_witness(M) == "") == definite
+
+
+def test_explicit_minors_and_definiteness():
+    ones = np.array([[1, 1], [1, 1]], dtype=object)
+    assert leading_principal_minors(ones) == [1, 0]
+    assert not is_positive_definite(ones)
+    assert definiteness_witness(ones) == "leading minor 2 = 0"
+
+    swap = np.array([[0, 1], [1, 0]], dtype=object)
+    assert leading_principal_minors(swap) == [0, -1]
+    assert definiteness_witness(swap) == "leading minor 1 = 0"
+
+    empty = np.zeros((0, 0), dtype=object)
+    assert leading_principal_minors(empty) == []
+    assert det(empty) == 1
+    assert is_positive_definite(empty)
+
+    skew = np.array([[2, 1], [0, 2]], dtype=object)
+    assert leading_principal_minors(skew) == [2, 4]
+    assert not is_positive_definite(skew)
+    assert definiteness_witness(skew) == "not symmetric at (0, 1)"
+
+
+def test_inputs_are_left_untouched():
+    M = np.array([[4, 2, 1], [2, 5, 3], [1, 3, 6]], dtype=object)
+    M.flags.writeable = False
+    before = M.copy()
+    assert det(M) == 67
+    assert leading_principal_minors(M) == [4, 16, 67]
+    assert is_positive_definite(M)
+    assert (M == before).all()
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[1, 2, 3], [4, 5, 6]], dtype=object),
+        np.array([[1], [2]], dtype=object),
+        np.array([1, 2], dtype=object),
+    ],
+)
+def test_non_square_matrices_are_refused(M):
+    for fn in (det, leading_principal_minors, is_positive_definite, definiteness_witness):
+        with pytest.raises(ShapeMismatch):
+            fn(M)
