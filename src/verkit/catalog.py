@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from . import cyclo, digits, grring, tilting
-from .errors import BoundExceeded, InvalidCategory
+from .errors import BoundExceeded, InvalidCategory, OutOfRange
 from .linalg import (
     definiteness_witness,
     det,
@@ -381,6 +381,8 @@ def build(
 ) -> CategoryData:
     """Assemble the full CategoryData record for Ver_{p^n}."""
     check_category(p, n, bound)
+    if samples < 1:
+        raise OutOfRange(f"samples must be >= 1, got {samples}")
     ctx = category(p, n)
     simples = list(ctx.simples)
     stable = stable_gr(p, n)

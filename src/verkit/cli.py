@@ -286,8 +286,8 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
         "b": label_b,
         "vector": list(v.coeffs),
         "folded": {
-            "simples": sorted(simples.items()),
-            "projectives": sorted(projectives.items()),
+            "simples": [list(kv) for kv in sorted(simples.items())],
+            "projectives": [list(kv) for kv in sorted(projectives.items())],
             "text": fold_text(prime, level, v),
         },
     }
@@ -439,14 +439,15 @@ def tilting_cmd(prime, level, fmt, output, cache_dir, samples, seed, check_round
     if not 0 <= index <= prime**level - 2:
         raise click.UsageError(f"tilting index must lie in [0, {prime**level - 2}]")
     char = tilting.tilting_char(prime, index)
+    factors = digits.extended_decomposition_row(prime, level, index)
     payload = {
         "p": prime,
         "n": level,
         "m": index,
-        "weyl_factors": sorted(digits.extended_decomposition_row(prime, level, index).items()),
+        "weyl_factors": [list(kv) for kv in sorted(factors.items())],
         "dim": dim_at_one(char),
         "projective": index in digits.projective_range(prime, level),
-        "character": sorted(char.coeffs.items()),
+        "character": [list(kv) for kv in sorted(char.coeffs.items())],
     }
 
     def render(pl: dict) -> str:

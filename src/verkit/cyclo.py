@@ -7,7 +7,10 @@ order 2p^n:
     Phi(x) = x^(2^n) + 1                                                  (p = 2)
 
 The modulus is constructed directly and then self-checked two ways: it must
-divide x^(2p^n) - 1 exactly, and it must vanish numerically at q.  All
+divide x^(p^n) + 1 exactly (so q^(p^n) = -1 in the ring), and it must vanish
+numerically at q.  Every element is formed by `CycloContext.element`, which
+folds each exponent into [0, p^n) by that relation and reduces the folded
+list modulo Phi once; products are reduced once by `CycloInt.__mul__`.  All
 Frobenius-Perron dimension identities are verified by substitution in this
 ring; nothing is ever solved for.  Quantum integers are
 
@@ -48,12 +51,6 @@ class IntPoly:
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs})"
 
-    def split(self) -> tuple["IntPoly", "IntPoly"]:
-        """Positive and negative parts: self = plus - minus, disjoint support."""
-        plus = [c if c > 0 else 0 for c in self.coeffs]
-        minus = [-c if c < 0 else 0 for c in self.coeffs]
-        return IntPoly(plus), IntPoly(minus)
-
     def __call__(self, x: "CycloInt") -> "CycloInt":
         acc = x.ctx.zero()
         for c in reversed(self.coeffs):
@@ -64,12 +61,11 @@ class IntPoly:
 class CycloContext:
     """Immutable per-(p, n) context holding the reduction modulus."""
 
-    __slots__ = ("p", "n", "order", "degree", "modulus")
+    __slots__ = ("p", "n", "degree", "modulus")
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.order = 2 * p**n
         if p == 2:
             self.degree = 2**n
             modulus = [0] * (self.degree + 1)
@@ -85,12 +81,11 @@ class CycloContext:
         self._self_check()
 
     def _self_check(self) -> None:
-        # Exact: modulus | x^(2 p^n) - 1.
-        big = [0] * (self.order + 1)
-        big[0], big[self.order] = -1, 1
-        rem = _poly_mod(big, self.modulus)
+        # Exact: modulus | x^(p^n) + 1, the relation `element` folds by.
+        half = self.p**self.n
+        rem = _poly_mod([1] + [0] * (half - 1) + [1], self.modulus)
         if any(rem):
-            raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not divide x^{self.order} - 1")
+            raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not divide x^{half} + 1")
         # Numeric: modulus vanishes at exp(i pi / p^n).
         with mpmath.workdps(NUMERIC_DPS):
             q = mpmath.expjpi(mpmath.mpf(1) / self.p**self.n)
@@ -107,23 +102,34 @@ class CycloContext:
     def from_int(self, c: int) -> "CycloInt":
         return CycloInt(self, (c,) + (0,) * (self.degree - 1))
 
+    def element(self, terms) -> "CycloInt":
+        """The element sum of c * q^e over the pairs (e, c), for any integers e.
+
+        q^(kp^n + r) = (-1)^k q^r folds every exponent into [0, p^n), so the
+        sum is one list of length p^n, reduced modulo Phi once.
+        """
+        half = self.p**self.n
+        folded = [0] * half
+        for e, c in terms:
+            k, r = divmod(e, half)
+            folded[r] += -c if k % 2 else c
+        return CycloInt(self, _poly_mod(folded, self.modulus))
+
     def q_power(self, e: int) -> "CycloInt":
         """The element q^e for any integer e."""
-        mono = [0] * (e % self.order + 1)
-        mono[-1] = 1
-        return CycloInt(self, _poly_mod(mono, self.modulus))
+        return self.element([(e, 1)])
 
 
 def _poly_mod(poly, modulus) -> tuple[int, ...]:
     """Remainder of poly (ascending) modulo the monic modulus, as a tuple."""
     deg = len(modulus) - 1
+    lower = [(j, m) for j, m in enumerate(modulus[:deg]) if m]
     rem = list(poly)
     for k in range(len(rem) - 1, deg - 1, -1):
         c = rem[k]
         if c:
-            rem[k] = 0
-            for j in range(deg):
-                rem[k - deg + j] -= c * modulus[j]
+            for j, m in lower:
+                rem[k - deg + j] -= c * m
     rem = rem[:deg]
     rem += [0] * (deg - len(rem))
     return tuple(rem)
@@ -177,20 +183,17 @@ class CycloInt:
         return CycloInt(self.ctx, tuple(scalar * a for a in self.coeffs))
 
     def __mul__(self, other: "CycloInt") -> "CycloInt":
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         prod = [0] * (2 * self.ctx.degree - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in right:
                     prod[i + j] += a * b
         return CycloInt(self.ctx, _poly_mod(prod, self.ctx.modulus))
 
     def conjugate(self) -> "CycloInt":
         """Image under q -> q^(-1)."""
-        out = self.ctx.from_int(self.coeffs[0])
-        for e in range(1, self.ctx.degree):
-            if self.coeffs[e]:
-                out = out + self.coeffs[e] * self.ctx.q_power(-e)
-        return out
+        return self.ctx.element((-e, c) for e, c in enumerate(self.coeffs))
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -212,12 +215,8 @@ def qint(p: int, n: int, m: int, t: int = 0) -> CycloInt:
     """Quantum integer [m] at q^(p^t)."""
     if m < 0:
         raise OutOfRange(f"quantum integer index must be >= 0, got {m}")
-    ctx = context(p, n)
-    out = ctx.zero()
     step = p**t
-    for k in range(m):
-        out = out + ctx.q_power(step * (m - 1 - 2 * k))
-    return out
+    return context(p, n).element((step * (m - 1 - 2 * k), 1) for k in range(m))
 
 
 def fpdim_simple(p: int, n: int, i: int) -> CycloInt:
@@ -234,11 +233,8 @@ def fpdim_simple(p: int, n: int, i: int) -> CycloInt:
 def fpdim_projective(p: int, n: int, i: int) -> CycloInt:
     """FPdim of the projective cover of L_i: sum of [b] over descendants b."""
     s = steinberg_label(p, n, i)
-    ctx = context(p, n)
-    out = ctx.zero()
-    for b in sorted(descendants(s + 1, p, n)):
-        out = out + qint(p, n, b)
-    return out
+    terms = ((b - 1 - 2 * k, 1) for b in descendants(s + 1, p, n) for k in range(b))
+    return context(p, n).element(terms)
 
 
 def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ class VerkitError(Exception):
 
 
 class OutOfRange(VerkitError):
-    """An index or label lies outside its documented range."""
+    """An index, label or count lies outside its documented range."""
 
 
 class UnsupportedPrime(VerkitError):

@@ -14,7 +14,7 @@ from verkit.catalog import (
     verify_all,
 )
 from verkit.digits import cartan_descendant
-from verkit.errors import BoundExceeded
+from verkit.errors import BoundExceeded, OutOfRange
 from verkit.linalg import (
     det,
     is_positive_definite,
@@ -237,6 +237,9 @@ def test_build_guards():
         build(3, 9)
     with pytest.raises(BoundExceeded):
         build(5, 2, bound=10)
+    for samples in (-1, 0):
+        with pytest.raises(OutOfRange):
+            build(3, 2, samples=samples)
 
 
 def test_build_computes_each_quantity_once(monkeypatch):

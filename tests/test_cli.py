@@ -155,11 +155,21 @@ def test_verify_exit_code(runner):
 
 
 def test_json_roundtrip_flag(runner):
-    for p in ("2", "3"):
-        result = invoke(
-            runner, "report", "-p", p, "-n", "2", "--format", "json", "--check-roundtrip"
-        )
-        assert result.exit_code == 0, result.output
+    extra = {"fuse": ["-a", "1", "-b", "1"], "tilting": ["-m", "2"], "invariants": ["-M", "4"]}
+    for command in main.commands:
+        for p in ("2", "3"):
+            if command == "ext1" and p == "2":
+                continue
+            args = [command, "-p", p, "-n", "2", "--format", "json", "--check-roundtrip"]
+            result = invoke(runner, *args, *extra.get(command, []))
+            assert result.exit_code == 0, (command, p, result.output)
+
+
+def test_verify_refuses_fewer_than_one_sample(runner):
+    for samples in ("-1", "0"):
+        result = invoke(runner, "verify", "-p", "3", "-n", "2", "--samples", samples)
+        assert result.exit_code == 2, result.output
+        assert "samples" in result.output
 
 
 def test_csv_rejected_for_non_matrix(runner):

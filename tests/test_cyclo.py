@@ -2,10 +2,13 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verkit.cyclo import (
     CycloInt,
     IntPoly,
+    _poly_mod,
     chebyshev_Q,
     context,
     dim_simple,
@@ -20,6 +23,24 @@ from verkit.digits import simple_range
 from verkit.errors import NotReal, OutOfRange, ShapeMismatch
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
+SMALL = [
+    (p, n)
+    for p in range(2, 126)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 8)
+    if p**n <= 125
+]
+TERMS = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-50, 50)), max_size=20)
+
+
+def unfolded_reduction(ctx, terms) -> tuple[int, ...]:
+    """Sum of c * q^e, each q^e the monomial x^(e mod 2p^n) reduced modulo Phi."""
+    order = 2 * ctx.p**ctx.n
+    total = [0] * ctx.degree
+    for e, c in terms:
+        mono = [0] * (e % order) + [1]
+        total = [t + c * r for t, r in zip(total, _poly_mod(mono, ctx.modulus))]
+    return tuple(total)
 
 
 def test_modulus_construction():
@@ -105,20 +126,6 @@ def test_cd_eq_p_exact():
 def test_chebyshev_polynomials():
     assert chebyshev_Q(2, 1) == IntPoly([0, 1])
     assert chebyshev_Q(3, 1) == IntPoly([-1, 0, 1])
-    plus, minus = chebyshev_Q(3, 1).split()
-    assert plus == IntPoly([0, 0, 1]) and minus == IntPoly([1])
-    q, r = chebyshev_Q(5, 1).split()
-    recombined = [a - b for a, b in zip(q.coeffs + [0] * 9, r.coeffs + [0] * 9)]
-    assert IntPoly(recombined) == chebyshev_Q(5, 1)
-
-
-def test_chebyshev_split_disjoint_support():
-    for p, n in PAIRS:
-        plus, minus = chebyshev_Q(p, n).split()
-        sup_plus = {i for i, c in enumerate(plus.coeffs) if c}
-        sup_minus = {i for i, c in enumerate(minus.coeffs) if c}
-        assert not sup_plus & sup_minus
-        assert all(c >= 0 for c in plus.coeffs + minus.coeffs)
 
 
 def test_chebyshev_roots():
@@ -156,3 +163,27 @@ def test_guards_are_explicit_errors():
     with pytest.raises(NotReal):
         ctx.q_power(1).numeric_real()
     assert qint(3, 2, 2).numeric_real() > 0
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SMALL), TERMS)
+def test_element_matches_unfolded_reduction_and_numeric_sum(pn, terms):
+    ctx = context(*pn)
+    x = ctx.element(terms)
+    assert x.coeffs == unfolded_reduction(ctx, terms)
+    with mpmath.workdps(40):
+        expect = mpmath.mpc(0)
+        for e, c in terms:
+            expect += c * mpmath.expjpi(mpmath.mpf(e) / pn[0] ** pn[1])
+        assert abs(x.numeric() - expect) < mpmath.mpf("1e-20")
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SMALL), TERMS, TERMS)
+def test_conjugate_is_a_multiplicative_involution(pn, s, t):
+    ctx = context(*pn)
+    a, b = ctx.element(s), ctx.element(t)
+    assert a.conjugate().conjugate() == a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    with mpmath.workdps(40):
+        assert abs(a.conjugate().numeric() - mpmath.conj(a.numeric())) < mpmath.mpf("1e-20")
