@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from . import cyclo, digits, grring, tilting
-from .errors import BoundExceeded, InvalidCategory, OutOfRange
+from .errors import BoundExceeded, InvalidCategory
 from .linalg import (
     definiteness_witness,
     det,
@@ -109,6 +109,14 @@ class CategoryContext:
         return tuple(cyclo.fpdim_projective(self.p, self.n, i) for i in self.simples)
 
     @cached_property
+    def fpdim_numeric(self) -> tuple[tuple[mpmath.mpf, mpmath.mpf], ...]:
+        """Real values of (FPdim L_i, FPdim P_i), indexed by simple label."""
+        return tuple(
+            (fs.numeric_real(), fp.numeric_real())
+            for fs, fp in zip(self.fpdim_simples, self.fpdim_projectives)
+        )
+
+    @cached_property
     def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
         """Pairs a < b of simples with Ext^1(L_a, L_b) != 0; None at p=2."""
         if self.p == 2:
@@ -175,6 +183,7 @@ class CategoryData:
     dims: dict[int, int]
     fpdim_simples: tuple[cyclo.CycloInt, ...]
     fpdim_projectives: tuple[cyclo.CycloInt, ...]
+    fpdim_numeric: tuple[tuple[mpmath.mpf, mpmath.mpf], ...]
     ext1_edges: tuple[tuple[int, int], ...] | None
     stable: dict
     verification: VerificationReport
@@ -232,7 +241,11 @@ def _brauer_line(size: int) -> np.ndarray:
 
 
 def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> VerificationReport:
-    """Run every consistency check; never raises."""
+    """Run every consistency check; a failing check never raises.
+
+    A sample count below one raises OutOfRange before any check runs.
+    """
+    grring.check_samples(samples)
     report = VerificationReport()
     ctx = category(p, n)
     rows = ctx.rows
@@ -381,8 +394,7 @@ def build(
 ) -> CategoryData:
     """Assemble the full CategoryData record for Ver_{p^n}."""
     check_category(p, n, bound)
-    if samples < 1:
-        raise OutOfRange(f"samples must be >= 1, got {samples}")
+    grring.check_samples(samples)
     ctx = category(p, n)
     simples = list(ctx.simples)
     stable = stable_gr(p, n)
@@ -400,6 +412,7 @@ def build(
         dims={i: cyclo.dim_simple(p, n, i)[0] for i in simples},
         fpdim_simples=ctx.fpdim_simples,
         fpdim_projectives=ctx.fpdim_projectives,
+        fpdim_numeric=ctx.fpdim_numeric,
         ext1_edges=ctx.ext1_edges,
         stable={"order": stable["order"], "invariant_factors": list(stable["invariant_factors"])},
         verification=verify_all(p, n, samples=samples, seed=seed),

@@ -57,14 +57,15 @@ def _block_entries(cat) -> list[dict]:
 def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dict:
     p, n = data.p, data.n
     fpdim = []
-    for i, fs, fp in zip(data.simples, data.fpdim_simples, data.fpdim_projectives):
+    exact = zip(data.simples, data.fpdim_simples, data.fpdim_projectives, data.fpdim_numeric)
+    for i, fs, fp, (xs, xp) in exact:
         fpdim.append(
             {
                 "label": i,
                 "simple_coeffs": list(fs.coeffs),
-                "simple_numeric": _nstr(fs.numeric_real()),
+                "simple_numeric": _nstr(xs),
                 "projective_coeffs": list(fp.coeffs),
-                "projective_numeric": _nstr(fp.numeric_real()),
+                "projective_numeric": _nstr(xp),
             }
         )
     return {

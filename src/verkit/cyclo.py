@@ -18,20 +18,33 @@ ring; nothing is ever solved for.  Quantum integers are
 
 and the dimension of the simple object with digit string i_1...i_n is the
 product of [i_k + 1] at q^(p^(n-k)).
+
+The numeric embedding is the last step and the only one with floats.  Each
+context fills, on first use, a table of cos(pi j/p^n) and sin(pi j/p^n) for
+j < deg Phi, rounded to integers at scale 2^TABLE_BITS (the precision of
+NUMERIC_DPS plus GUARD_BITS).  An element's value at q is then two exact
+integer dot products with that table, scaled by 2^-TABLE_BITS; each part is
+within (sum |c_j| + 1) * 2^-TABLE_BITS of the true value, and an element for
+which that bound is not below NUMERIC_TOL is refused.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 
 from .digits import descendants, simple_range, steinberg_label, to_digits
-from .errors import NotReal, OutOfRange, ShapeMismatch
+from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 from .tilting import chebyshev_s
 
 NUMERIC_DPS = 40
 NUMERIC_TOL = mpmath.mpf("1e-25")
+GUARD_BITS = 32
+TABLE_BITS = mpmath.libmp.dps_to_prec(NUMERIC_DPS) + GUARD_BITS
+# (w + 1) * 2^-TABLE_BITS < NUMERIC_TOL exactly when w + 1 < _WEIGHT_LIMIT.
+_WEIGHT_LIMIT = int(mpmath.ldexp(NUMERIC_TOL, TABLE_BITS))
 
 
 class IntPoly:
@@ -59,9 +72,10 @@ class IntPoly:
 
 
 class CycloContext:
-    """Immutable per-(p, n) context holding the reduction modulus."""
+    """Per-(p, n) context holding the reduction modulus and, once filled, the
+    integer table of q's powers; the modulus is immutable."""
 
-    __slots__ = ("p", "n", "degree", "modulus")
+    __slots__ = ("p", "n", "degree", "modulus", "_table")
 
     def __init__(self, p: int, n: int):
         self.p = p
@@ -78,6 +92,7 @@ class CycloContext:
             if modulus[self.degree] != 1:
                 modulus = [-c for c in modulus]
         self.modulus = tuple(modulus)
+        self._table = None
         self._self_check()
 
     def _self_check(self) -> None:
@@ -92,6 +107,21 @@ class CycloContext:
             val = mpmath.polyval([mpmath.mpf(c) for c in reversed(self.modulus)], q)
             if abs(val) > NUMERIC_TOL:
                 raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not vanish at q")
+
+    def power_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """round(2^TABLE_BITS cos(pi j/p^n)) and the same for sin, j < degree.
+
+        Filled on first use; a concurrent fill computes the same table.
+        """
+        if self._table is None:
+            half = self.p**self.n
+            with mpmath.workprec(TABLE_BITS + GUARD_BITS):
+                angles = [mpmath.mpf(j) / half for j in range(self.degree)]
+                self._table = tuple(
+                    tuple(int(mpmath.nint(mpmath.ldexp(f(a), TABLE_BITS))) for a in angles)
+                    for f in (mpmath.cospi, mpmath.sinpi)
+                )
+        return self._table
 
     def zero(self) -> "CycloInt":
         return CycloInt(self, (0,) * self.degree)
@@ -199,10 +229,22 @@ class CycloInt:
         return self == self.conjugate()
 
     def numeric(self) -> mpmath.mpc:
-        """Evaluate at q = exp(i pi / p^n) with >= 60 significant bits."""
-        with mpmath.workdps(NUMERIC_DPS):
-            q = mpmath.expjpi(mpmath.mpf(1) / self.ctx.p**self.ctx.n)
-            return mpmath.polyval([mpmath.mpf(c) for c in reversed(self.coeffs)], q)
+        """Value at q = exp(i pi / p^n), within NUMERIC_TOL in each part.
+
+        Two integer dot products with the context's table, scaled exactly
+        by 2^-TABLE_BITS.  Each table entry is within one unit of its scaled
+        value, so the error is below (sum |c_j| + 1) * 2^-TABLE_BITS.
+        """
+        weight = sum(map(abs, self.coeffs))
+        if weight + 1 >= _WEIGHT_LIMIT:
+            raise PrecisionExceeded(
+                f"coefficients of absolute sum {weight} are too large to evaluate within {NUMERIC_TOL}"
+            )
+        cos, sin = self.ctx.power_table()
+        re = sum(map(mul, self.coeffs, cos))
+        im = sum(map(mul, self.coeffs, sin))
+        with mpmath.workprec(max(re.bit_length(), im.bit_length(), 1)):
+            return mpmath.mpc(mpmath.ldexp(re, -TABLE_BITS), mpmath.ldexp(im, -TABLE_BITS))
 
     def numeric_real(self) -> mpmath.mpf:
         val = self.numeric()
@@ -273,14 +315,13 @@ def chebyshev_Q(p: int, n: int) -> IntPoly:
 
 
 def fpdim_category(p: int, n: int) -> mpmath.mpf:
-    """Numeric sum of FPdim(L_i) * FPdim(P_i) over all simples."""
+    """Sum of FPdim(L_i) * FPdim(P_i) over all simples, from the context's values."""
     from .catalog import category
 
-    cat = category(p, n)
     with mpmath.workdps(NUMERIC_DPS):
         total = mpmath.mpf(0)
-        for fs, fp in zip(cat.fpdim_simples, cat.fpdim_projectives):
-            total += fs.numeric_real() * fp.numeric_real()
+        for fs, fp in category(p, n).fpdim_numeric:
+            total += fs * fp
         return total
 
 

@@ -32,3 +32,7 @@ class ShapeMismatch(VerkitError):
 
 class NotReal(VerkitError):
     """A real value was asked of an element that is not real."""
+
+
+class PrecisionExceeded(VerkitError):
+    """A numeric evaluation cannot meet its stated error bound."""

@@ -219,6 +219,12 @@ def lift(v: GrElement) -> GrElement:
     return GrElement(p, n, out)
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a sample count below one: a check of no pairs proves nothing."""
+    if samples < 1:
+        raise OutOfRange(f"samples must be >= 1, got {samples}")
+
+
 def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> dict:
     """Compare tilting tensor decompositions against simple-basis fusion.
 
@@ -230,6 +236,7 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
 
     if p == 2:
         raise UnsupportedPrime("the tilting-route consistency check needs odd p")
+    check_samples(samples)
     top = p**n - 1
     all_pairs = top * top
     if all_pairs <= samples:

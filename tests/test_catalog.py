@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from verkit import catalog, cyclo, digits
+from verkit import catalog, cli, cyclo, digits, grring
 from verkit.catalog import (
     block_cartan_dets,
     build,
@@ -268,6 +268,35 @@ def test_build_computes_each_quantity_once(monkeypatch):
         "fpdim_simple": k,
         "fpdim_projective": k,
     }
+
+
+def test_cold_build_and_payload_evaluate_each_fpdim_once(monkeypatch):
+    evaluated = Counter()
+
+    def counted(self, _orig=cyclo.CycloInt.numeric):
+        evaluated[id(self)] += 1
+        return _orig(self)
+
+    monkeypatch.setattr(cyclo.CycloInt, "numeric", counted)
+    catalog.category.cache_clear()
+    try:
+        data = build(3, 3)
+        payload = cli.category_payload(data, 100, 0)
+    finally:
+        catalog.category.cache_clear()
+    exact = data.fpdim_simples + data.fpdim_projectives
+    assert len(evaluated) == len(exact) == 36
+    assert evaluated == Counter(id(x) for x in exact)
+    assert payload["fpdim"][1]["simple_numeric"] == cli._nstr(data.fpdim_numeric[1][0])
+
+
+def test_fusion_check_refuses_fewer_than_one_sample():
+    for samples in (-5, 0):
+        for p, n in ((3, 2), (2, 3)):
+            with pytest.raises(OutOfRange):
+                verify_all(p, n, samples=samples)
+        with pytest.raises(OutOfRange):
+            grring.check_ring_hom_fusion(3, 2, samples=samples)
 
 
 def test_category_context_is_lazy_and_shared():

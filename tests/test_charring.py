@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verkit.charring import (
     SymChar,
@@ -96,3 +98,12 @@ def test_dim_at_one():
     for m in range(8):
         assert dim_at_one(weyl_char(m)) == m + 1
     assert dim_at_one(SymChar({})) == 0
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(0, 40), st.integers(-5, 5), max_size=6))
+def test_weyl_expand_recovers_any_weyl_combination(mults):
+    a = SymChar({})
+    for m, c in mults.items():
+        a = a + c * weyl_char(m)
+    assert weyl_expand(a) == {m: c for m, c in mults.items() if c}

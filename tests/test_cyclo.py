@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verkit.cyclo import (
+    TABLE_BITS,
+    CycloContext,
     CycloInt,
     IntPoly,
     _poly_mod,
@@ -20,7 +22,7 @@ from verkit.cyclo import (
     verify_cd_eq_p,
 )
 from verkit.digits import simple_range
-from verkit.errors import NotReal, OutOfRange, ShapeMismatch
+from verkit.errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
 SMALL = [
@@ -187,3 +189,39 @@ def test_conjugate_is_a_multiplicative_involution(pn, s, t):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     with mpmath.workdps(40):
         assert abs(a.conjugate().numeric() - mpmath.conj(a.numeric())) < mpmath.mpf("1e-20")
+
+
+def polyval_oracle(x: CycloInt) -> mpmath.mpc:
+    """x evaluated by Horner's rule at q = expjpi(1/p^n), at 60 digits."""
+    with mpmath.workdps(60):
+        q = mpmath.expjpi(mpmath.mpf(1) / x.ctx.p**x.ctx.n)
+        return mpmath.polyval([mpmath.mpf(c) for c in reversed(x.coeffs)], q)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SMALL), TERMS, TERMS)
+def test_numeric_matches_polyval_oracle(pn, s, t):
+    ctx = context(*pn)
+    for x in (ctx.element(s), ctx.element(s) * ctx.element(t)):
+        got, expect = x.numeric(), polyval_oracle(x)
+        with mpmath.workdps(60):
+            assert abs(got.real - expect.real) < mpmath.mpf("1e-30")
+            assert abs(got.imag - expect.imag) < mpmath.mpf("1e-30")
+
+
+def test_power_table_is_filled_on_first_use():
+    ctx = CycloContext(5, 2)
+    assert ctx._table is None
+    value = ctx.element([(1, 1), (-1, 1)]).numeric_real()
+    cos, sin = ctx._table
+    assert len(cos) == len(sin) == ctx.degree
+    assert cos[0] == 2**TABLE_BITS and sin[0] == 0
+    with mpmath.workdps(40):
+        assert abs(value - 2 * mpmath.cospi(mpmath.mpf(1) / 25)) < mpmath.mpf("1e-30")
+
+
+def test_numeric_refuses_coefficients_beyond_its_error_bound():
+    ctx = context(3, 2)
+    with pytest.raises(PrecisionExceeded):
+        (10**30 * ctx.one()).numeric()
+    assert abs((10**20 * ctx.one()).numeric_real() - 10**20) < mpmath.mpf("1e-25")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verkit.digits import (
     block_key,
@@ -17,6 +19,15 @@ from verkit.digits import (
     steinberg_label,
 )
 from verkit.errors import OutOfRange, UnsupportedPrime
+
+# Every category Ver_{p^n} with p^n <= 343; the property tests draw from it.
+CATEGORIES = [
+    (p, n)
+    for p in range(2, 344)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 9)
+    if p**n <= 343
+]
 
 
 def test_descendants_examples():
@@ -249,3 +260,18 @@ def test_frobenius_image_ranges():
             lower, base = out
             assert lower in simple_range(p, n - 1)
             assert 0 <= base <= p - 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CATEGORIES))
+def test_cartan_routes_agree_on_random_categories(pn):
+    assert (cartan_kronecker(*pn) == cartan_descendant(*pn)).all(), pn
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CATEGORIES))
+def test_steinberg_bijection_on_random_categories(pn):
+    p, n = pn
+    covers = [steinberg_label(p, n, i) for i in simple_range(p, n)]
+    assert sorted(covers) == list(projective_range(p, n))
+    assert [simple_of_projective(p, n, s) for s in covers] == list(simple_range(p, n))

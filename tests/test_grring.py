@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verkit.cyclo import context, dim_simple, fpdim_simple
 from verkit.digits import projective_range, simple_of_projective, simple_range
@@ -18,6 +20,19 @@ from verkit.grring import (
 )
 
 SMALL = [(3, 2), (5, 2), (2, 2), (2, 3), (3, 3), (2, 4), (7, 2)]
+# Every category Ver_{p^n} with p^n <= 343; the property tests draw from it.
+CATEGORIES = [
+    (p, n)
+    for p in range(2, 344)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 9)
+    if p**n <= 343
+]
+
+
+def draw_labels(data, p: int, n: int, count: int) -> list[int]:
+    label = st.integers(0, p ** (n - 1) * (p - 1) - 1)
+    return [data.draw(label) for _ in range(count)]
 
 
 def vec(e: GrElement) -> list[int]:
@@ -259,3 +274,25 @@ def test_fold_reads_only_the_cartan_matrix_of_the_context(monkeypatch):
         assert calls == {"cartan_descendant": 1}
     finally:
         catalog.category.cache_clear()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CATEGORIES), st.data())
+def test_fusion_commutative_and_associative_on_random_categories(pn, data):
+    p, n = pn
+    a, b, c = draw_labels(data, p, n, 3)
+    assert fuse_simples(p, n, a, b) == fuse_simples(p, n, b, a)
+    ea, eb, ec = (GrElement.basis(p, n, x) for x in (a, b, c))
+    assert (ea * eb) * ec == ea * (eb * ec)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CATEGORIES), st.data())
+def test_fpdim_is_multiplicative_on_random_categories(pn, data):
+    p, n = pn
+    a, b = draw_labels(data, p, n, 2)
+    rhs = context(p, n).zero()
+    for c, k in enumerate(fuse_simples(p, n, a, b).coeffs):
+        if k:
+            rhs = rhs + k * fpdim_simple(p, n, c)
+    assert fpdim_simple(p, n, a) * fpdim_simple(p, n, b) == rhs

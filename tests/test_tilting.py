@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verkit.charring import dim_at_one, frobenius_twist, mul, weyl_char, weyl_expand
 from verkit.digits import descendants
@@ -116,3 +118,13 @@ def test_series_examples():
 def test_series_matches_tensor_route():
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
         assert invariant_dims(p, n, 10) == series_fn(p, n, 10), (p, n)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.dictionaries(st.integers(0, 80), st.integers(1, 4), max_size=4),
+)
+def test_decompose_recovers_any_tilting_sum(p, mults):
+    s = TiltingSum(mults)
+    assert decompose_tilting(p, s.character(p)) == s
