@@ -141,13 +141,14 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
                 payload = json.load(handle)
         except (OSError, json.JSONDecodeError):
             payload = None
+        verification = payload.get("verification") if isinstance(payload, dict) else None
         if (
-            payload
+            isinstance(verification, dict)
             and payload.get("schema_version") == SCHEMA_VERSION
             and payload.get("p") == p
             and payload.get("n") == n
-            and payload.get("verification", {}).get("samples") == samples
-            and payload.get("verification", {}).get("seed") == seed
+            and verification.get("samples") == samples
+            and verification.get("seed") == seed
         ):
             return payload
     data = catalog.build(p, n, samples=samples, seed=seed)

@@ -11,6 +11,11 @@ trailing block at once.  Without row exchanges the pivot reached after step
 s is the (s+1)-th leading principal minor (Sylvester's identity; Bareiss,
 Math. Comp. 22, 1968), so one O(k^3) pass yields every minor; `det` swaps
 rows past a zero pivot instead.
+
+The Smith normal form works on the trailing block in the same way: each
+pivot search (the first entry of least nonzero absolute value, row-major),
+each elimination of the pivot's column and row, and each divisibility
+fix-up is one array operation, applied to U and V alongside.
 """
 
 from __future__ import annotations
@@ -20,10 +25,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import ShapeMismatch
-
-
-def identity(k: int) -> np.ndarray:
-    return np.eye(k, dtype=object)
 
 
 def _square_copy(M: np.ndarray) -> np.ndarray:
@@ -84,9 +85,9 @@ def det(M: np.ndarray) -> int:
 
 def leading_principal_minors(M: np.ndarray) -> list[int]:
     """Determinants of the leading j x j submatrices, j = 1..size."""
-    minors = list(_leading_minors(_square_copy(M)))
-    k = len(M)
-    return minors + [det(M[:j, :j]) for j in range(len(minors) + 1, k + 1)]
+    A = _square_copy(M)
+    minors = list(_leading_minors(A.copy()))
+    return minors + [det(A[:j, :j]) for j in range(len(minors) + 1, len(A) + 1)]
 
 
 def definiteness_witness(M: np.ndarray) -> str:
@@ -117,63 +118,50 @@ def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]
     """Invariant factors d_1 | d_2 | ... and a certificate (U, V).
 
     U and V are unimodular with U @ M @ V diagonal; the test suite verifies
-    the certificate rather than trusting this routine.  Pivots are chosen by
-    minimal absolute value to limit entry growth.
+    the certificate rather than trusting this routine.  M may be
+    rectangular; anything but a matrix raises ShapeMismatch.  Pivots are
+    chosen by minimal absolute value to limit entry growth.
     """
-    A = M.astype(object).copy()
+    A = np.array(M, dtype=object)
+    if A.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
     rows, cols = A.shape
-    U = identity(rows)
-    V = identity(cols)
+    U = np.eye(rows, dtype=object)
+    V = np.eye(cols, dtype=object)
     for s in range(min(rows, cols)):
-        while True:
-            pivot = None
-            for i in range(s, rows):
-                for j in range(s, cols):
-                    if A[i, j] != 0 and (pivot is None or abs(A[i, j]) < abs(A[pivot[0], pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            i, j = pivot
-            if i != s:
-                A[[s, i]] = A[[i, s]]
-                U[[s, i]] = U[[i, s]]
-            if j != s:
-                A[:, [s, j]] = A[:, [j, s]]
-                V[:, [s, j]] = V[:, [j, s]]
-            if A[s, s] < 0:
-                A[s, :] = -A[s, :]
-                U[s, :] = -U[s, :]
-            clean = True
-            for i in range(s + 1, rows):
-                q = A[i, s] // A[s, s]
-                if q:
-                    A[i, :] -= q * A[s, :]
-                    U[i, :] -= q * U[s, :]
-                if A[i, s] != 0:
-                    clean = False
-            for j in range(s + 1, cols):
-                q = A[s, j] // A[s, s]
-                if q:
-                    A[:, j] -= q * A[:, s]
-                    V[:, j] -= q * V[:, s]
-                if A[s, j] != 0:
-                    clean = False
-            if clean:
-                # Enforce divisibility of the trailing block by the pivot.
-                bad = None
-                for i in range(s + 1, rows):
-                    for j in range(s + 1, cols):
-                        if A[i, j] % A[s, s] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                A[s, :] += A[bad, :]
-                U[s, :] += U[bad, :]
-        if A[s, s] == 0:
+        # Rows and columns before s are zero outside the diagonal, so every
+        # step works on the trailing block T (a view) and on all of U and V.
+        T = A[s:, s:]
+        if not T.any():
             break
+        while True:
+            size = np.abs(T).ravel()
+            nonzero = np.flatnonzero(size)
+            i, j = divmod(int(nonzero[np.argmin(size[nonzero])]), T.shape[1])
+            T[[0, i]] = T[[i, 0]]
+            U[[s, s + i]] = U[[s + i, s]]
+            T[:, [0, j]] = T[:, [j, 0]]
+            V[:, [s, s + j]] = V[:, [s + j, s]]
+            if T[0, 0] < 0:
+                T[0] = -T[0]
+                U[s] = -U[s]
+            pivot = T[0, 0]
+            q = T[1:, 0] // pivot
+            r = np.flatnonzero(q)
+            T[1 + r] -= np.outer(q[r], T[0])
+            U[s + 1 + r] -= np.outer(q[r], U[s])
+            q = T[0, 1:] // pivot
+            c = np.flatnonzero(q)
+            T[:, 1 + c] -= np.outer(T[:, 0], q[c])
+            V[:, s + 1 + c] -= np.outer(V[:, s], q[c])
+            if T[1:, 0].any() or T[0, 1:].any():
+                continue
+            # Enforce divisibility of the rest of the block by the pivot.
+            bad = np.argwhere(T[1:, 1:] % pivot != 0)
+            if not len(bad):
+                break
+            T[0] += T[1 + bad[0, 0]]
+            U[s] += U[s + 1 + bad[0, 0]]
     factors = [int(A[s, s]) for s in range(min(rows, cols))]
     return factors, U, V
 

@@ -193,14 +193,31 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
 
 
 def test_cache_file_for_another_category_is_rebuilt(tmp_path):
+    """A cache file for another category, or valid JSON of the wrong shape,
+    is a miss: the command rebuilds and overwrites it."""
     cache = tmp_path / "cache"
     runner = CliRunner()
     assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
-    (cache / "verpn_3_2_v1.json").write_text((cache / "verpn_5_2_v1.json").read_text())
-    result = invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache))
-    assert result.exit_code == 0
-    assert "6 simple objects" in result.output
-    assert json.loads((cache / "verpn_3_2_v1.json").read_text())["p"] == 3
+    target = cache / "verpn_3_2_v1.json"
+    other = (cache / "verpn_5_2_v1.json").read_text()
+    mine = {**json.loads(other), "p": 3}
+    stale = [
+        other,
+        "[1, 2]\n",
+        "7\n",
+        json.dumps({**mine, "verification": [1, 2]}),
+        json.dumps({**mine, "verification": 7}),
+    ]
+    for command in ("report", "verify"):
+        for text in stale:
+            target.write_text(text)
+            result = invoke(runner, command, "-p", "3", "-n", "2", "--cache-dir", str(cache))
+            assert result.exit_code == 0, (command, text[:20], result.output)
+            rebuilt = json.loads(target.read_text())
+            assert rebuilt["p"] == 3 and isinstance(rebuilt["verification"], dict)
+        assert "6 simple objects" in invoke(
+            runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache)
+        ).output
 
 
 def test_warm_report_computes_nothing(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from verkit.linalg import (
     det,
     is_positive_definite,
     leading_principal_minors,
+    smith_normal_form,
 )
 
 ENTRIES = st.integers(-4, 4) | st.integers(-(10**12), 10**12)
@@ -100,6 +103,7 @@ def test_explicit_minors_and_definiteness():
 
     swap = np.array([[0, 1], [1, 0]], dtype=object)
     assert leading_principal_minors(swap) == [0, -1]
+    assert leading_principal_minors(swap.tolist()) == [0, -1]
     assert definiteness_witness(swap) == "leading minor 1 = 0"
 
     empty = np.zeros((0, 0), dtype=object)
@@ -135,3 +139,60 @@ def test_non_square_matrices_are_refused(M):
     for fn in (det, leading_principal_minors, is_positive_definite, definiteness_witness):
         with pytest.raises(ShapeMismatch):
             fn(M)
+
+
+@st.composite
+def integer_matrices(draw) -> np.ndarray:
+    """r x c integer matrices, r, c <= 6: arbitrary ones, diagonal ones
+    (whose entries rarely divide each other, so the pivot must be fixed up),
+    products B C of rank at most m (singular when m < min(r, c)) and zero
+    ones."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["any", "diagonal", "low rank", "zero"]))
+    if kind == "any":
+        return draw(matrices(r, c))
+    M = np.zeros((r, c), dtype=object)
+    small = st.integers(-6, 6)
+    if kind == "diagonal":
+        for i in range(min(r, c)):
+            M[i, i] = draw(small)
+    if kind != "low rank":
+        return M
+    m = draw(st.integers(0, min(r, c)))
+    B = np.array(draw(st.lists(small, min_size=r * m, max_size=r * m)), dtype=object).reshape(r, m)
+    C = np.array(draw(st.lists(small, min_size=m * c, max_size=m * c)), dtype=object).reshape(m, c)
+    return B @ C
+
+
+@settings(deadline=None)
+@given(integer_matrices())
+def test_snf_certificate_and_factors_match_minor_gcds(M):
+    r, c = M.shape
+    factors, U, V = smith_normal_form(M)
+    D = np.zeros((r, c), dtype=object)
+    D[range(len(factors)), range(len(factors))] = factors
+    assert (U @ M @ V == D).all()
+    assert abs(fraction_det(U)) == 1 and abs(fraction_det(V)) == 1
+    assert all(d >= 0 for d in factors)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(factors, factors[1:]))
+    # d_1 ... d_i is the gcd of the i x i minors (0 when all of them vanish).
+    for i in range(1, len(factors) + 1):
+        minors = (
+            fraction_det(M[np.ix_(rows, cols)])
+            for rows in combinations(range(r), i)
+            for cols in combinations(range(c), i)
+        )
+        assert prod(factors[:i]) == gcd(*minors)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([1, 2], dtype=object),
+        np.array(3, dtype=object),
+        np.zeros((2, 2, 2), dtype=object),
+    ],
+)
+def test_snf_refuses_anything_but_a_matrix(M):
+    with pytest.raises(ShapeMismatch):
+        smith_normal_form(M)
