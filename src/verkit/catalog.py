@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from . import cyclo, digits, grring, tilting
-from .errors import BoundExceeded, InvalidCategory
+from .errors import BoundExceeded, InvalidCategory, UnsupportedPrime
 from .linalg import (
     definiteness_witness,
     det,
@@ -125,6 +125,33 @@ class CategoryContext:
         return tuple(
             (a, b) for a in range(k) for b in range(a + 1, k) if digits.ext1(self.p, self.n, a, b)
         )
+
+    @cached_property
+    def tilting_classes(self) -> np.ndarray:
+        """[T_m] in the simple basis as row m, m < p^n - 1, for odd p.
+
+        Filled bottom-up: rows m <= 2p-2 are L_m and 2 L_{2p-2-m} + L_m;
+        each later row m = a + p*b (a in [p-1, 2p-2]) is one GrElement
+        product of row a and the lift of row b of the table one level down.
+        """
+        p, n = self.p, self.n
+        if p == 2:
+            raise UnsupportedPrime("tilting classes in the simple basis need odd p")
+        table = np.zeros((p**n - 1, len(self.simples)), dtype=np.int64)
+        for m in range(min(2 * p - 1, p**n - 1)):
+            table[m, m] = 1
+            if m >= p:
+                table[m, 2 * p - 2 - m] = 2
+        if n >= 2:
+            below = category(p, n - 1).tilting_classes
+            for m in range(2 * p - 1, p**n - 1):
+                r = m % p
+                a = p - 1 if r == p - 1 else p + r
+                b = (m - a) // p
+                low = grring.lift(grring.GrElement(p, n - 1, below[b].tolist()))
+                table[m] = (grring.GrElement(p, n, table[a].tolist()) * low).coeffs
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def stable(self) -> Mapping[str, object]:

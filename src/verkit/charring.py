@@ -14,6 +14,8 @@ decomposition matrices and Hom-dimension inner products.
 
 from __future__ import annotations
 
+from .errors import OutOfRange
+
 
 class SymChar:
     """Symmetric Laurent polynomial with integer coefficients.
@@ -63,15 +65,11 @@ class SymChar:
     def __rmul__(self, scalar: int) -> "SymChar":
         return SymChar({w: scalar * c for w, c in self.coeffs.items()})
 
-    def top_weight(self) -> int:
-        """Largest weight in the support; undefined on the zero character."""
-        return max(self.coeffs)
-
 
 def weyl_char(m: int) -> SymChar:
     """Character of the Weyl module of highest weight m >= 0."""
     if m < 0:
-        raise ValueError(f"Weyl highest weight must be >= 0, got {m}")
+        raise OutOfRange(f"Weyl highest weight must be >= 0, got {m}")
     return SymChar({w: 1 for w in range(-m, m + 1, 2)})
 
 

@@ -5,8 +5,8 @@ class VerkitError(Exception):
     """Base class for all errors raised by verkit."""
 
 
-class OutOfRange(VerkitError):
-    """An index, label or count lies outside its documented range."""
+class OutOfRange(VerkitError, ValueError):
+    """An index, label, weight, multiplicity or count lies outside its documented range."""
 
 
 class UnsupportedPrime(VerkitError):
@@ -35,4 +35,5 @@ class NotReal(VerkitError):
 
 
 class PrecisionExceeded(VerkitError):
-    """A numeric evaluation cannot meet its stated error bound."""
+    """A numeric evaluation cannot meet its stated error bound, or an int64
+    product could overflow."""

@@ -20,12 +20,21 @@ two-dimensional object of Ver_2 is zero), which kills the third term; the
 exact Frobenius-Perron character on the ring is an isomorphism onto a ring
 of cyclotomic integers, so the fusion here is completely pinned down by the
 cyclotomic identities checked in the test suite.
+
+Elements of different rings never mix: `+`, `-` and `*` refuse an operand of
+another Ver_{p^n} with ShapeMismatch.  For odd p the tilting classes [T_m]
+are read from a per-category table (`CategoryContext.tilting_classes`),
+filled bottom-up once.  The tilting-route check compares two independent
+sides of the ring map: the truncated tensor decomposition of T_i (x) T_j from
+tilting characters, summed as one integer combination of table rows, against
+[T_i] * [T_j] multiplied out by the fusion rule above.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import compress
 
 from .digits import (
     projective_range,
@@ -33,7 +42,7 @@ from .digits import (
     simple_range,
     steinberg_label,
 )
-from .errors import OutOfRange, ShapeMismatch, UnsupportedPrime
+from .errors import NegativeLeadingCoefficient, OutOfRange, ShapeMismatch, UnsupportedPrime
 
 
 class GrElement:
@@ -78,24 +87,32 @@ class GrElement:
         )
         return f"GrElement(p={self.p}, n={self.n}, {terms or '0'})"
 
+    def _same_ring(self, other: "GrElement") -> None:
+        if (self.p, self.n) != (other.p, other.n):
+            raise ShapeMismatch(
+                f"operands in Gr(Ver_{{{self.p}^{self.n}}}) and Gr(Ver_{{{other.p}^{other.n}}})"
+            )
+
     def __add__(self, other: "GrElement") -> "GrElement":
+        self._same_ring(other)
         return GrElement(self.p, self.n, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "GrElement") -> "GrElement":
+        self._same_ring(other)
         return GrElement(self.p, self.n, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rmul__(self, scalar: int) -> "GrElement":
         return GrElement(self.p, self.n, (scalar * a for a in self.coeffs))
 
     def __mul__(self, other: "GrElement") -> "GrElement":
+        self._same_ring(other)
         out = [0] * len(self.coeffs)
-        for a, ca in enumerate(self.coeffs):
-            if ca:
-                for b, cb in enumerate(other.coeffs):
-                    if cb:
-                        for k, ck in enumerate(_fuse(self.p, self.n, a, b)):
-                            if ck:
-                                out[k] += ca * cb * ck
+        right = list(compress(enumerate(other.coeffs), other.coeffs))
+        for a, ca in compress(enumerate(self.coeffs), self.coeffs):
+            for b, cb in right:
+                prod = _fuse(self.p, self.n, a, b)
+                for k, ck in compress(enumerate(prod), prod):
+                    out[k] += ca * cb * ck
         return GrElement(self.p, self.n, out)
 
     def is_effective(self) -> bool:
@@ -190,24 +207,20 @@ def projective_class(p: int, n: int, i: int) -> GrElement:
 
 
 def tilting_class(p: int, n: int, m: int) -> GrElement:
-    """[T_m] in the simple basis, for odd p.
+    """[T_m] in the simple basis, for odd p: row m of the context's table.
 
-    Bases: [T_m] = L_m for m <= p-1 and [T_m] = 2 L_{2p-2-m} + L_m for
-    p <= m <= 2p-2; above that [T_{a+pb}] = [T_a] * lift([T_b]) with the
-    second factor computed one level down.
+    The table (`CategoryContext.tilting_classes`) applies [T_m] = L_m for
+    m <= p-1, [T_m] = 2 L_{2p-2-m} + L_m for p <= m <= 2p-2, and above that
+    [T_{a+pb}] = [T_a] * lift([T_b]) with the second factor read from the
+    table one level down.
     """
+    from .catalog import category
+
     if p == 2:
         raise UnsupportedPrime("tilting classes in the simple basis need odd p")
     if not 0 <= m <= p**n - 2:
         raise OutOfRange(f"tilting index {m} outside [0, {p**n - 2}]")
-    if m <= p - 1:
-        return GrElement.basis(p, n, m)
-    if m <= 2 * p - 2:
-        return 2 * GrElement.basis(p, n, 2 * p - 2 - m) + GrElement.basis(p, n, m)
-    r = m % p
-    a = p - 1 if r == p - 1 else p + r
-    b = (m - a) // p
-    return tilting_class(p, n, a) * lift(tilting_class(p, n - 1, b))
+    return GrElement(p, n, category(p, n).tilting_classes[m].tolist())
 
 
 def lift(v: GrElement) -> GrElement:
@@ -230,8 +243,14 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
 
     For sampled (i, j) the class of the truncated decomposition of
     T_i (x) T_j must equal [T_i] * [T_j] expanded through fuse_simples.
+    The left side is one integer combination of rows of the class table;
+    the right side is one product of two rows.
     Exhaustive when the number of pairs is at most `samples`.
     """
+    import numpy as np
+
+    from .catalog import category
+    from .linalg import check_int64_products
     from .tilting import tensor_decompose, truncate
 
     if p == 2:
@@ -244,11 +263,15 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(top), rng.randrange(top)) for _ in range(samples)]
+    table = category(p, n).tilting_classes
+    entry_bound = int(np.abs(table).max())
     for i, j in pairs:
         dec = truncate(p, n, tensor_decompose(p, i, j))
-        left = GrElement.zero(p, n)
-        for k, c in dec.mults.items():
-            left = left + c * tilting_class(p, n, k)
+        counts = np.zeros(top, dtype=np.int64)
+        if dec.mults:
+            check_int64_products(max(dec.mults.values()), entry_bound, len(dec.mults), "class sum")
+            counts[list(dec.mults)] = list(dec.mults.values())
+        left = GrElement(p, n, (counts @ table).tolist())
         right = tilting_class(p, n, i) * tilting_class(p, n, j)
         if left != right:
             return {"pairs_checked": len(pairs), "passed": False, "counterexample": (i, j)}
@@ -280,7 +303,7 @@ def fold_projectives(p: int, n: int, v: GrElement):
     non-effective leftover and stays empty for effective inputs.
     """
     if not v.is_effective():
-        raise ValueError("fold_projectives expects an effective class")
+        raise NegativeLeadingCoefficient("fold_projectives expects an effective class")
     leftover = list(v.coeffs)
     peeled: dict[int, int] = {}
     singles = simple_projective_labels(p, n)

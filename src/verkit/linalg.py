@@ -16,6 +16,10 @@ The Smith normal form works on the trailing block in the same way: each
 pivot search (the first entry of least nonzero absolute value, row-major),
 each elimination of the pivot's column and row, and each divisibility
 fix-up is one array operation, applied to U and V alongside.
+
+Callers that do integer work in int64 instead (tilting characters, the
+fusion check's class combinations) first call `check_int64_products`, which
+raises before any sum of products could overflow.
 """
 
 from __future__ import annotations
@@ -24,7 +28,19 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import PrecisionExceeded, ShapeMismatch
+
+
+def check_int64_products(amax: int, bmax: int, terms: int, what: str) -> None:
+    """Refuse int64 work whose sums of `terms` products could overflow.
+
+    `amax` and `bmax` bound the absolute values of the two factors; raises
+    PrecisionExceeded when amax * bmax * terms >= 2^63.
+    """
+    if int(amax) * int(bmax) * int(terms) >= 2**63:
+        raise PrecisionExceeded(
+            f"{what}: {amax} * {bmax} * {terms} could overflow int64"
+        )
 
 
 def _square_copy(M: np.ndarray) -> np.ndarray:

@@ -7,20 +7,32 @@ The character of the tilting module T_m is produced by Donkin's recursion:
 * m >= 2p-1:            write m = a + p*b with a in [p-1, 2p-2]; then
                         chi(T_m) = chi(T_a) * chi(T_b)(x^p).
 
+Every weight of T_m has the parity of m, so the memo holds chi(T_m) densely:
+an int64 vector of length m+1 whose entry k is the multiplicity of the
+weight m-2k.  Products are `np.convolve` of such vectors and the Frobenius
+twist spreads a vector p entries apart; `tilting_char` returns the same
+character as a SymChar.
+
 On top of this the module provides the decomposition of an effective tilting
 character into indecomposables (greedy from the top weight, which is valid
-because the tilting-to-Weyl transition matrix is unitriangular), truncation
+because the tilting-to-Weyl transition matrix is unitriangular), run on a
+dense vector per weight parity and shared by every caller, truncation
 to the quotient where T_m vanishes for m >= p^n - 1, Hom dimensions, and the
 dimensions of invariants in tensor powers of the two-dimensional module,
-together with the generating-series route that must reproduce them.
+together with the generating-series route that must reproduce them.  All
+int64 work is guarded: it raises PrecisionExceeded before a product could
+overflow.
 """
 
 from __future__ import annotations
 
-from .charring import SymChar, frobenius_twist, inner, mul, weyl_char
-from .errors import NegativeLeadingCoefficient
+import numpy as np
 
-_tilting_cache: dict[tuple[int, int], SymChar] = {}
+from .charring import SymChar, inner, mul, weyl_char
+from .errors import NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded
+from .linalg import check_int64_products
+
+_tilting_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 class TiltingSum:
@@ -30,7 +42,7 @@ class TiltingSum:
 
     def __init__(self, mults: dict[int, int]):
         if any(c < 0 for c in mults.values()):
-            raise ValueError("tilting multiplicities must be >= 0")
+            raise OutOfRange("tilting multiplicities must be >= 0")
         self.mults = {m: c for m, c in mults.items() if c != 0}
 
     def __eq__(self, other) -> bool:
@@ -47,55 +59,115 @@ class TiltingSum:
         return out
 
 
-def tilting_char(p: int, m: int) -> SymChar:
-    """Character of the indecomposable tilting module T_m, memoized.
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two dense characters of one parity each."""
+    check_int64_products(np.abs(a).max(), np.abs(b).max(), min(len(a), len(b)), "character product")
+    return np.convolve(a, b)
 
-    The cache is only ever filled with the same value for a given key, so
+
+def _tilting_vec(p: int, m: int) -> np.ndarray:
+    """Dense chi(T_m), memoized: entry k is the multiplicity of weight m-2k.
+
+    The memo is only ever filled with the same value for a given key, so
     concurrent fills are idempotent.
     """
-    if m < 0:
-        raise ValueError(f"tilting index must be >= 0, got {m}")
     key = (p, m)
     got = _tilting_cache.get(key)
     if got is not None:
         return got
     if m <= p - 1:
-        out = weyl_char(m)
+        out = np.ones(m + 1, dtype=np.int64)
     elif m <= 2 * p - 2:
-        out = weyl_char(m) + weyl_char(2 * p - 2 - m)
+        out = np.ones(m + 1, dtype=np.int64)
+        out[m - p + 1 : p] += 1
     else:
         r = m % p
         a = p - 1 if r == p - 1 else p + r
         b = (m - a) // p
-        out = mul(tilting_char(p, a), frobenius_twist(tilting_char(p, b), p))
+        twisted = np.zeros(p * b + 1, dtype=np.int64)
+        twisted[::p] = _tilting_vec(p, b)
+        out = _convolve(_tilting_vec(p, a), twisted)
+    out.flags.writeable = False
     _tilting_cache[key] = out
     return out
+
+
+def tilting_char(p: int, m: int) -> SymChar:
+    """Character of the indecomposable tilting module T_m."""
+    if m < 0:
+        raise OutOfRange(f"tilting index must be >= 0, got {m}")
+    return SymChar(dict(zip(range(m, -m - 1, -2), _tilting_vec(p, m).tolist())))
+
+
+def _peel(p: int, top: int, rest: np.ndarray, mults: dict[int, int]) -> None:
+    """Greedy decomposition of one dense parity class, in place.
+
+    Entry k of `rest` is the multiplicity of weight top-2k.  Each step reads
+    the highest nonzero entry of nonnegative weight m and subtracts that
+    multiple of chi(T_m); a symmetric tilting character leaves nothing.
+    Entries only decrease, and the largest entry of chi(T_m) is its middle
+    one (a sum of Weyl characters peaks at weight 0 or 1), so tracking a
+    lower bound of `rest` refuses any step that could overflow int64.
+    """
+    low = min(int(rest.min()), 0)
+    k = 0
+    half = top // 2 + 1
+    while k < half:
+        nz = rest[k:half].nonzero()[0]
+        if not nz.size:
+            break
+        k += int(nz[0])
+        m = top - 2 * k
+        c = int(rest[k])
+        if c < 0:
+            raise NegativeLeadingCoefficient(
+                f"coefficient {c} at top weight {m}: not a tilting character"
+            )
+        t = _tilting_vec(p, m)
+        low -= c * int(t[m // 2])
+        if low <= -(2**63):
+            raise PrecisionExceeded(f"peeling {c} * T_{m} could overflow int64")
+        rest[k : k + m + 1] -= c * t
+        mults[m] = c
+    if rest.any():
+        raise NegativeLeadingCoefficient(
+            "nonzero remainder at negative weights: the character is not symmetric"
+        )
 
 
 def decompose_tilting(p: int, a: SymChar) -> TiltingSum:
     """Write an effective tilting character as a sum of indecomposables.
 
-    Greedy from the top weight.  Raises NegativeLeadingCoefficient if some
-    stage exposes a negative top coefficient, i.e. the input was not the
-    character of a tilting module.
+    Greedy from the top weight, one dense int64 vector per weight parity.
+    Raises NegativeLeadingCoefficient if some stage exposes a negative top
+    coefficient or leaves a remainder, i.e. the input was not the character
+    of a tilting module, and PrecisionExceeded if a coefficient does not fit
+    the int64 work.
     """
     mults: dict[int, int] = {}
-    rest = a
-    while rest:
-        m = rest.top_weight()
-        c = rest.coeffs[m]
-        if c < 0:
-            raise NegativeLeadingCoefficient(
-                f"coefficient {c} at top weight {m}: not a tilting character"
-            )
-        mults[m] = c
-        rest = rest - c * tilting_char(p, m)
+    for parity in (0, 1):
+        part = {w: c for w, c in a.coeffs.items() if w % 2 == parity}
+        if not part:
+            continue
+        if max(abs(c) for c in part.values()) >= 2**63:
+            raise PrecisionExceeded("a character coefficient does not fit in int64")
+        top = max(part)
+        bottom = min(min(part), -top)
+        rest = np.zeros((top - bottom) // 2 + 1, dtype=np.int64)
+        for w, c in part.items():
+            rest[(top - w) // 2] = c
+        _peel(p, top, rest, mults)
     return TiltingSum(mults)
 
 
 def tensor_decompose(p: int, i: int, j: int) -> TiltingSum:
     """Decomposition of T_i (x) T_j into indecomposable tilting summands."""
-    return decompose_tilting(p, mul(tilting_char(p, i), tilting_char(p, j)))
+    for m in (i, j):
+        if m < 0:
+            raise OutOfRange(f"tilting index must be >= 0, got {m}")
+    mults: dict[int, int] = {}
+    _peel(p, i + j, _convolve(_tilting_vec(p, i), _tilting_vec(p, j)), mults)
+    return TiltingSum(mults)
 
 
 def truncate(p: int, n: int, s: TiltingSum) -> TiltingSum:

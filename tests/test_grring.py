@@ -1,13 +1,15 @@
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verkit import catalog
 from verkit.cyclo import context, dim_simple, fpdim_simple
 from verkit.digits import projective_range, simple_of_projective, simple_range
-from verkit.errors import OutOfRange, ShapeMismatch, UnsupportedPrime
+from verkit.errors import NegativeLeadingCoefficient, OutOfRange, ShapeMismatch, UnsupportedPrime
 from verkit.grring import (
     GrElement,
     base_fusion,
@@ -296,3 +298,93 @@ def test_fpdim_is_multiplicative_on_random_categories(pn, data):
         if k:
             rhs = rhs + k * fpdim_simple(p, n, c)
     assert fpdim_simple(p, n, a) * fpdim_simple(p, n, b) == rhs
+
+
+def test_operands_of_another_category_are_refused():
+    a = GrElement.basis(3, 2, 1)
+    b = GrElement.basis(7, 1, 1)
+    for op in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: b * a,
+        lambda: b + a,
+    ):
+        with pytest.raises(ShapeMismatch) as info:
+            op()
+        assert "Ver_{3^2}" in str(info.value) and "Ver_{7^1}" in str(info.value)
+
+
+def test_fold_refuses_non_effective_class():
+    v = GrElement.basis(3, 2, 0) - GrElement.basis(3, 2, 1)
+    with pytest.raises(NegativeLeadingCoefficient):
+        fold_projectives(3, 2, v)
+
+
+@lru_cache(maxsize=None)
+def recursive_tilting_class(p: int, n: int, m: int) -> GrElement:
+    """[T_m] by the recursion on labels, one call per factor, no table."""
+    if m <= p - 1:
+        return GrElement.basis(p, n, m)
+    if m <= 2 * p - 2:
+        return 2 * GrElement.basis(p, n, 2 * p - 2 - m) + GrElement.basis(p, n, m)
+    r = m % p
+    a = p - 1 if r == p - 1 else p + r
+    b = (m - a) // p
+    return recursive_tilting_class(p, n, a) * lift(recursive_tilting_class(p, n - 1, b))
+
+
+ODD_UP_TO_125 = [(p, n) for p, n in CATEGORIES if p > 2 and p**n <= 125]
+
+
+@pytest.mark.parametrize("p, n", ODD_UP_TO_125)
+def test_class_table_matches_recursive_definition(p, n):
+    table = catalog.category(p, n).tilting_classes
+    assert table.shape == (p**n - 1, p ** (n - 1) * (p - 1))
+    for m in range(p**n - 1):
+        assert tilting_class(p, n, m) == recursive_tilting_class(p, n, m), (p, n, m)
+        assert list(table[m]) == list(recursive_tilting_class(p, n, m).coeffs)
+
+
+def test_cold_check_fills_each_level_table_once(monkeypatch):
+    p, n = 7, 3
+    products = []
+    original = GrElement.__mul__
+
+    def counted(self, other):
+        products.append((self.p, self.n))
+        return original(self, other)
+
+    monkeypatch.setattr(GrElement, "__mul__", counted)
+    catalog.category.cache_clear()
+    try:
+        first = check_ring_hom_fusion(p, n, samples=100, seed=0)
+        assert first["passed"]
+        table_fill = len(products) - first["pairs_checked"]
+        assert table_fill <= sum(p**l - 1 for l in range(1, n + 1))
+        before = len(products)
+        again = check_ring_hom_fusion(p, n, samples=100, seed=1)
+        assert again["passed"]
+        # A warm check reads the tables: one product per pair, no refill.
+        assert len(products) - before == again["pairs_checked"]
+    finally:
+        catalog.category.cache_clear()
+
+
+def test_corrupted_class_table_fails_the_check():
+    catalog.category.cache_clear()
+    try:
+        ctx = catalog.category(3, 2)
+        bad = ctx.tilting_classes.copy()
+        bad[4, 0] += 1
+        bad.flags.writeable = False
+        ctx.__dict__["tilting_classes"] = bad
+        rep = check_ring_hom_fusion(3, 2, samples=64)
+        assert not rep["passed"]
+        i, j = rep["counterexample"]
+        assert 0 <= i < 8 and 0 <= j < 8
+        check = {c.name: c for c in catalog.verify_all(3, 2).checks}["fusion_consistency"]
+        assert not check.passed and check.witness == f"pair {rep['counterexample']}"
+    finally:
+        catalog.category.cache_clear()
+    assert check_ring_hom_fusion(3, 2, samples=64)["passed"]

@@ -1,12 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verkit.charring import dim_at_one, frobenius_twist, mul, weyl_char, weyl_expand
+import verkit
+from verkit.charring import SymChar, dim_at_one, frobenius_twist, mul, weyl_char, weyl_expand
 from verkit.digits import descendants
-from verkit.errors import NegativeLeadingCoefficient
+from verkit.errors import (
+    NegativeLeadingCoefficient,
+    OutOfRange,
+    PrecisionExceeded,
+    VerkitError,
+)
+from verkit.linalg import check_int64_products
 from verkit.tilting import (
     TiltingSum,
     decompose_tilting,
@@ -128,3 +139,117 @@ def test_series_matches_tensor_route():
 def test_decompose_recovers_any_tilting_sum(p, mults):
     s = TiltingSum(mults)
     assert decompose_tilting(p, s.character(p)) == s
+
+
+# Every (p, top) with an odd or even prime p and top = p^n - 1 <= 342: the
+# tilting indices of the categories Ver_{p^n} with p^n <= 343.
+TOPS = [
+    (p, p**n - 1)
+    for p in range(2, 344)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 9)
+    if p**n <= 343
+]
+
+
+@lru_cache(maxsize=None)
+def oracle_tilting_char(p: int, m: int) -> SymChar:
+    """Donkin's recursion on dict characters, independent of the dense memo."""
+    if m <= p - 1:
+        return weyl_char(m)
+    if m <= 2 * p - 2:
+        return weyl_char(m) + weyl_char(2 * p - 2 - m)
+    r = m % p
+    a = p - 1 if r == p - 1 else p + r
+    b = (m - a) // p
+    return mul(oracle_tilting_char(p, a), frobenius_twist(oracle_tilting_char(p, b), p))
+
+
+def oracle_decompose(p: int, a: SymChar) -> dict[int, int]:
+    """Greedy from the top weight on dict characters."""
+    mults = {}
+    rest = a
+    while rest:
+        m = max(rest.coeffs)
+        c = rest.coeffs[m]
+        assert c > 0, (m, c)
+        mults[m] = c
+        rest = rest - c * oracle_tilting_char(p, m)
+    return mults
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(TOPS), st.data())
+def test_dense_tensor_decompose_matches_dict_oracle(ptop, data):
+    p, top = ptop
+    i = data.draw(st.integers(0, top - 1))
+    j = data.draw(st.integers(0, top - 1))
+    assert tilting_char(p, i) == oracle_tilting_char(p, i)
+    want = oracle_decompose(p, mul(oracle_tilting_char(p, i), oracle_tilting_char(p, j)))
+    assert tensor_decompose(p, i, j).mults == want
+    assert decompose_tilting(p, mul(tilting_char(p, i), tilting_char(p, j))).mults == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.dictionaries(st.integers(0, 120), st.integers(1, 6), max_size=6),
+)
+def test_dense_decompose_tilting_matches_dict_oracle(p, mults):
+    char = SymChar({})
+    for m, c in mults.items():
+        char = char + c * oracle_tilting_char(p, m)
+    got = decompose_tilting(p, char)
+    assert got.mults == oracle_decompose(p, char) == mults
+
+
+def test_decompose_rejects_asymmetric_character():
+    with pytest.raises(NegativeLeadingCoefficient):
+        decompose_tilting(3, SymChar({1: 1}))
+    with pytest.raises(NegativeLeadingCoefficient):
+        decompose_tilting(3, SymChar({-2: 1}))
+
+
+def test_int64_guard_raises_before_overflow():
+    with pytest.raises(PrecisionExceeded):
+        check_int64_products(2**32, 2**31, 2, "test")
+    check_int64_products(2**32, 2**30, 1, "test")
+    # A coefficient that does not fit int64 at all.
+    with pytest.raises(PrecisionExceeded):
+        decompose_tilting(3, SymChar({0: 2**63}))
+    # Peeling 2^62 copies of T_3 = W_3 + W_1 would subtract 2^63 from the
+    # middle weights.
+    with pytest.raises(PrecisionExceeded):
+        decompose_tilting(3, 2**62 * weyl_char(3))
+    assert decompose_tilting(3, 2**62 * tilting_char(3, 2)).mults == {2: 2**62}
+
+
+def test_int64_guard_raises_under_python_O():
+    code = (
+        "from verkit.charring import SymChar, weyl_char\n"
+        "from verkit.errors import PrecisionExceeded\n"
+        "from verkit.tilting import decompose_tilting\n"
+        "for char in (SymChar({0: 2**63}), 2**62 * weyl_char(3)):\n"
+        "    try:\n"
+        "        decompose_tilting(3, char)\n"
+        "    except PrecisionExceeded:\n"
+        "        continue\n"
+        "    raise SystemExit('no PrecisionExceeded')\n"
+    )
+    src = os.path.dirname(os.path.dirname(verkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-O", "-c", code]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr + done.stdout
+
+
+def test_range_errors_are_verkit_errors():
+    for call in (
+        lambda: weyl_char(-1),
+        lambda: tilting_char(3, -1),
+        lambda: tensor_decompose(3, -1, 2),
+        lambda: TiltingSum({1: -1}),
+    ):
+        with pytest.raises(OutOfRange) as info:
+            call()
+        assert isinstance(info.value, VerkitError) and isinstance(info.value, ValueError)
