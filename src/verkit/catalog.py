@@ -9,10 +9,20 @@ Grothendieck ring - into a single record, and `verify_all` runs every
 consistency check as a named entry of a VerificationReport.  Checks collect
 failures instead of aborting so a regression produces a full differential
 report.
+
+The Cartan matrix is block diagonal, one block per block of the category,
+and the exact linear algebra runs block by block: definiteness, the total
+determinant (the product of the block determinants) and the Smith normal
+form, whose block certificates are placed into U and V by indexing.  The
+check `cartan_block_diagonal` licenses this: it runs first, and when it
+fails the same code runs on one block of all rows, which is the
+full-matrix computation.  `stable_snf_certificate` checks each block's
+certificate and the merged invariant factors.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -22,11 +32,12 @@ import mpmath
 import numpy as np
 
 from . import cyclo, digits, grring, tilting
+from .digits import is_prime
 from .errors import BoundExceeded, InvalidCategory, UnsupportedPrime
 from .linalg import (
+    check_int64_products,
     definiteness_witness,
     det,
-    is_positive_definite,
     permutation_equivalent,
     smith_normal_form,
 )
@@ -34,17 +45,6 @@ from .linalg import (
 DEFAULT_BOUND = 2000
 INVARIANT_SERIES_DEPTH = 12
 FPDIM_TOLERANCE = mpmath.mpf("1e-9")
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def check_category(p: int, n: int, bound: int = DEFAULT_BOUND) -> None:
@@ -101,6 +101,55 @@ class CategoryContext:
         return MappingProxyType({b: int(det(self.block_cartan(b))) for b in self.blocks})
 
     @cached_property
+    def block_diagonal_witness(self) -> str:
+        """"" when the blocks partition the Cartan rows and every entry off
+        the blocks is zero; otherwise the first offence found."""
+        owner = np.full(len(self.rows), -1)
+        for b, block in enumerate(self.blocks):
+            for s in block:
+                if s not in self.rows:
+                    return f"T{s} of block {b} is no Cartan row"
+                a = self.rows.index(s)
+                if owner[a] >= 0:
+                    return f"T{s} lies in blocks {owner[a]} and {b}"
+                owner[a] = b
+        missing = np.flatnonzero(owner < 0)
+        if missing.size:
+            return f"T{self.rows[missing[0]]} lies in no block"
+        off = np.argwhere((owner[:, None] != owner[None, :]) & (self.cartan != 0))
+        if off.size:
+            return "nonzero off-block entry at ({}, {})".format(*off[0])
+        return ""
+
+    @cached_property
+    def solve_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks that definiteness, det_total and the Smith normal form
+        run on: the category's blocks when the Cartan matrix is block
+        diagonal over them, else one block of all rows."""
+        if self.block_diagonal_witness:
+            return (tuple(self.rows),)
+        return self.blocks
+
+    @cached_property
+    def solve_dets(self) -> tuple[int, ...]:
+        """Cartan determinant of each solve block, read from block_dets when
+        the solve blocks are the category's blocks."""
+        return tuple(
+            self.block_dets[b] if b in self.block_dets else int(det(self.block_cartan(b)))
+            for b in self.solve_blocks
+        )
+
+    @cached_property
+    def block_smith(self) -> tuple[tuple[list[int], np.ndarray, np.ndarray], ...]:
+        """`smith_normal_form` of the Cartan submatrix on each solve block."""
+        forms = []
+        for block in self.solve_blocks:
+            factors, U, V = smith_normal_form(self.block_cartan(block))
+            U.flags.writeable = V.flags.writeable = False
+            forms.append((factors, U, V))
+        return tuple(forms)
+
+    @cached_property
     def fpdim_simples(self) -> tuple[cyclo.CycloInt, ...]:
         return tuple(cyclo.fpdim_simple(self.p, self.n, i) for i in self.simples)
 
@@ -117,14 +166,21 @@ class CategoryContext:
         )
 
     @cached_property
-    def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
-        """Pairs a < b of simples with Ext^1(L_a, L_b) != 0; None at p=2."""
+    def ext1_matrix(self) -> np.ndarray | None:
+        """Boolean matrix of Ext^1(L_a, L_b) != 0 over all simples; None at p=2."""
         if self.p == 2:
             return None
-        k = len(self.simples)
-        return tuple(
-            (a, b) for a in range(k) for b in range(a + 1, k) if digits.ext1(self.p, self.n, a, b)
-        )
+        ext1 = digits.ext1_matrix(self.p, self.n)
+        ext1.flags.writeable = False
+        return ext1
+
+    @cached_property
+    def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
+        """Pairs a < b of simples with Ext^1(L_a, L_b) != 0; None at p=2."""
+        if self.ext1_matrix is None:
+            return None
+        a, b = np.nonzero(np.triu(self.ext1_matrix, 1))
+        return tuple(zip(a.tolist(), b.tolist()))
 
     @cached_property
     def tilting_classes(self) -> np.ndarray:
@@ -155,8 +211,28 @@ class CategoryContext:
 
     @cached_property
     def stable(self) -> Mapping[str, object]:
-        """Smith normal form of the Cartan matrix: order, invariant_factors, U, V."""
-        factors, U, V = smith_normal_form(self.cartan)
+        """Smith normal form of the Cartan matrix: order, invariant_factors, U, V.
+
+        The direct sum of the solve blocks' forms: each block certificate is
+        placed by indexing, and the factors are sorted (zeros last) with the
+        rows of U and the columns of V permuted alike, so U C V is still
+        diag(factors).  On block-diagonal input whose block factors merge
+        into a divisibility chain these are the invariant factors of the
+        whole matrix; `verify_all` checks that they do.
+        """
+        k = len(self.rows)
+        U = np.zeros((k, k), dtype=object)
+        V = np.zeros((k, k), dtype=object)
+        merged: list[int] = []
+        for block, (factors, Ub, Vb) in zip(self.solve_blocks, self.block_smith):
+            idx = [self.rows.index(s) for s in block]
+            slots = range(len(merged), len(merged) + len(block))
+            U[np.ix_(slots, idx)] = Ub
+            V[np.ix_(idx, slots)] = Vb
+            merged += factors
+        perm = sorted(range(k), key=lambda t: (merged[t] == 0, merged[t]))
+        U, V = U[perm], V[:, perm]
+        factors = [merged[t] for t in perm]
         order = 1
         for f in factors:
             order *= abs(f)
@@ -217,13 +293,18 @@ class CategoryData:
 
 
 def cartan_character(p: int, n: int) -> np.ndarray:
-    """Cartan matrix through tilting characters: D D^T with D from Weyl rows."""
+    """Cartan matrix through tilting characters: D D^T with D from Weyl rows.
+
+    D is int64; PrecisionExceeded is raised before a product could overflow.
+    """
     rows = list(digits.projective_range(p, n))
     cols = p**n - 1
-    D = np.zeros((len(rows), cols), dtype=object)
+    D = np.zeros((len(rows), cols), dtype=np.int64)
     for a, i in enumerate(rows):
         for j, c in digits.extended_decomposition_row(p, n, i).items():
             D[a, j] = c
+    top = int(np.abs(D).max())
+    check_int64_products(top, top, cols, "Cartan character product")
     return D @ D.T
 
 
@@ -258,6 +339,46 @@ def stable_gr(p: int, n: int) -> dict:
     return dict(category(p, n).stable)
 
 
+def _definiteness_witness(ctx: CategoryContext) -> str:
+    """`definiteness_witness` on each solve block, naming full-matrix rows."""
+    for block in ctx.solve_blocks:
+        rows = [ctx.rows.index(s) for s in block]
+        why = definiteness_witness(ctx.block_cartan(block), rows)
+        if why:
+            return why
+    return ""
+
+
+def _divides(a: int, b: int) -> bool:
+    return b == 0 if a == 0 else b % a == 0
+
+
+def _stable_witness(ctx: CategoryContext) -> str:
+    """Why the stored Smith normal form does not give the stable ring, or "".
+
+    Per solve block: U_b C_b V_b = diag(f_b) with |det U_b| = |det V_b| = 1.
+    Given the first, det U_b * det C_b * det V_b = prod(f_b) for integer
+    U_b and V_b, so the second holds exactly when |prod(f_b)| = |det C_b|
+    is nonzero; det C_b is the solve block's determinant.
+    Merged: a divisibility chain whose non-unit part is p, p^(n-1)-1 times.
+    """
+    p, n = ctx.p, ctx.n
+    blocks = zip(ctx.solve_blocks, ctx.block_smith, ctx.solve_dets)
+    for block, (factors, U, V), block_det in blocks:
+        if not (U @ ctx.block_cartan(block) @ V == np.diag(np.array(factors, dtype=object))).all():
+            return f"U C V != diag(factors) on the block of T{block[0]}"
+        if block_det == 0 or abs(math.prod(factors)) != abs(block_det):
+            return f"certificate not unimodular on the block of T{block[0]}"
+    factors = ctx.stable["invariant_factors"]
+    chain = [(a, b) for a, b in zip(factors, factors[1:]) if not _divides(a, b)]
+    if chain:
+        return "{} does not divide {}".format(*chain[0])
+    nonunit = [f for f in factors if f != 1]
+    if nonunit != [p] * (p ** (n - 1) - 1):
+        return f"non-unit factors {nonunit}"
+    return ""
+
+
 def _brauer_line(size: int) -> np.ndarray:
     M = np.zeros((size, size), dtype=object)
     for i in range(size):
@@ -278,13 +399,18 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     rows = ctx.rows
     cartan = ctx.cartan
 
+    # Definiteness, det_total and the stable ring run on ctx.solve_blocks,
+    # which are the category's blocks only when this check passes.
+    witness = ctx.block_diagonal_witness
+    report.add("cartan_block_diagonal", not witness, witness)
+
     routes_char = cartan_character(p, n)
     routes_kron = digits.cartan_kronecker(p, n)
     agree = (cartan == routes_char).all() and (cartan == routes_kron).all()
     report.add("cartan_routes_agree", agree, "" if agree else "routes disagree")
 
-    posdef = is_positive_definite(cartan)
-    report.add("cartan_symmetric_posdef", posdef, "" if posdef else definiteness_witness(cartan))
+    witness = _definiteness_witness(ctx)
+    report.add("cartan_symmetric_posdef", not witness, witness)
 
     powers = {0} | {2**m for m in range(n)}
     bad = [(i, j) for i in range(len(rows)) for j in range(len(rows)) if int(cartan[i, j]) not in powers]
@@ -337,11 +463,14 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     else:
         report.add("p2_nonsemisimple_block_is_brauer_line", True, "no such blocks at n=1")
 
-    report.add("det_total", det(cartan) == p ** (p ** (n - 1) - 1))
+    report.add("det_total", math.prod(ctx.solve_dets) == p ** (p ** (n - 1) - 1))
 
     dets = block_cartan_dets(p, n)
     bad_blocks = [b for b, d in dets.items() if d != expected_block_det(p, n, list(b))]
     report.add("det_per_block", not bad_blocks, "" if not bad_blocks else f"block {bad_blocks[0]}")
+
+    witness = _stable_witness(ctx)
+    report.add("stable_snf_certificate", not witness, witness)
 
     ok, wit = cyclo.verify_cd_eq_p(p, n)
     report.add("cd_eq_p", ok, "" if ok else f"row {wit}")
@@ -369,15 +498,8 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     )
 
     if p > 2:
-        # The context holds Ext^1(L_a, L_b) for a < b; compare Ext^1(L_b, L_a).
-        forward = set(ctx.ext1_edges)
-        asym = [
-            (a, b)
-            for a in simples
-            for b in simples[a:]
-            if digits.ext1(p, n, b, a) != ((a, b) in forward)
-        ]
-        report.add("ext1_symmetric", not asym, "({},{})".format(*asym[0]) if asym else "")
+        asym = np.argwhere(ctx.ext1_matrix != ctx.ext1_matrix.T)
+        report.add("ext1_symmetric", not len(asym), "({},{})".format(*asym[0]) if len(asym) else "")
         key = [digits.block_key(p, n, s) for s in ctx.proj_of_simple]
         across = [(a, b) for a, b in ctx.ext1_edges if key[a] != key[b]]
         report.add("ext1_within_blocks", not across, "({},{})".format(*across[0]) if across else "")

@@ -22,6 +22,9 @@ from .charring import dim_at_one
 from .errors import VerkitError
 
 SCHEMA_VERSION = 1
+# Part of every cache file name; raised whenever the payload of a category
+# changes (new checks included), so files of an older payload are rebuilt.
+CACHE_VERSION = 2
 NUMERIC_DIGITS = 20
 
 
@@ -116,7 +119,7 @@ def _cache_dir(explicit: str | None) -> str:
 
 
 def _cache_path(cache_dir: str, p: int, n: int) -> str:
-    return os.path.join(cache_dir, f"verpn_{p}_{n}_v{SCHEMA_VERSION}.json")
+    return os.path.join(cache_dir, f"verpn_{p}_{n}_v{CACHE_VERSION}.json")
 
 
 def _atomic_write(path: str, text: str) -> None:

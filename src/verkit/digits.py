@@ -22,6 +22,17 @@ import numpy as np
 from .errors import OutOfRange, UnsupportedPrime
 
 
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def to_digits(a: int, p: int, n: int) -> list[int]:
     """n base-p digits of a, most significant first."""
     if not 0 <= a < p**n:
@@ -212,6 +223,34 @@ def ext1(p: int, n: int, a: int, b: int) -> int:
     if abs(da[hi] - db[hi]) == 1 and da[lo] + db[lo] == p - 2:
         return 1
     return 0
+
+
+def ext1_matrix(p: int, n: int) -> np.ndarray:
+    """Boolean k x k matrix of Ext^1(L_a, L_b) != 0 over all simples, p odd.
+
+    The rule of `ext1` on every pair at once: digits are held in the
+    narrowest signed dtype that fits 2p, and each step compares one digit
+    position across all pairs, so at most a few k x k arrays are alive.
+    """
+    if p == 2:
+        raise UnsupportedPrime("Ext^1 digit rule is only defined for odd p")
+    k = p ** (n - 1) * (p - 1)
+    labels = np.arange(k)
+    dtype = np.min_scalar_type(-2 * p)
+    digits = [(labels // p ** (n - 1 - t) % p).astype(dtype) for t in range(n)]
+    differing = np.zeros((k, k), dtype=np.uint8)
+    adjacent = np.zeros((k, k), dtype=bool)
+    prev = None
+    for t, d in enumerate(digits):
+        col, row = d[:, None], d[None, :]
+        neq = col != row
+        differing += neq
+        if t:
+            hi = digits[t - 1]
+            step = np.abs(hi[:, None] - hi[None, :]) == 1
+            adjacent |= prev & step & neq & (col + row == p - 2)
+        prev = neq
+    return adjacent & (differing == 2)
 
 
 def frobenius_on_simple(p: int, n: int, i: int):

@@ -37,12 +37,19 @@ from functools import lru_cache
 from itertools import compress
 
 from .digits import (
+    is_prime,
     projective_range,
     simple_of_projective,
     simple_range,
     steinberg_label,
 )
-from .errors import NegativeLeadingCoefficient, OutOfRange, ShapeMismatch, UnsupportedPrime
+from .errors import (
+    InvalidCategory,
+    NegativeLeadingCoefficient,
+    OutOfRange,
+    ShapeMismatch,
+    UnsupportedPrime,
+)
 
 
 class GrElement:
@@ -216,6 +223,8 @@ def tilting_class(p: int, n: int, m: int) -> GrElement:
     """
     from .catalog import category
 
+    if not is_prime(p):
+        raise InvalidCategory(f"{p} is not a prime")
     if p == 2:
         raise UnsupportedPrime("tilting classes in the simple basis need odd p")
     if not 0 <= m <= p**n - 2:

@@ -17,9 +17,16 @@ pivot search (the first entry of least nonzero absolute value, row-major),
 each elimination of the pivot's column and row, and each divisibility
 fix-up is one array operation, applied to U and V alongside.
 
+These routines work on whatever matrix they are given.  `catalog` runs
+definiteness, determinants and the Smith normal form on the diagonal blocks
+of the Cartan matrix, after checking that it is block diagonal; the test
+suite keeps the full-matrix calls as the oracles those per-block results
+must reproduce.
+
 Callers that do integer work in int64 instead (tilting characters, the
-fusion check's class combinations) first call `check_int64_products`, which
-raises before any sum of products could overflow.
+fusion check's class combinations, the character route to the Cartan
+matrix) first call `check_int64_products`, which raises before any sum of
+products could overflow.
 """
 
 from __future__ import annotations
@@ -106,20 +113,26 @@ def leading_principal_minors(M: np.ndarray) -> list[int]:
     return minors + [det(A[:j, :j]) for j in range(len(minors) + 1, len(A) + 1)]
 
 
-def definiteness_witness(M: np.ndarray) -> str:
+def definiteness_witness(M: np.ndarray, rows=None) -> str:
     """Why M is not symmetric positive definite, or "" if it is.
 
     Names the first asymmetric entry or the first non-positive leading
-    minor (1-based); elimination stops there.
+    minor (1-based); elimination stops there.  When M is the principal
+    submatrix of a larger matrix on the increasing row numbers `rows`, the
+    witness names those rows: a leading minor of M on rows other than the
+    larger matrix's first ones is named as a principal minor on its rows.
     """
     A = _square_copy(M)
+    rows = range(len(A)) if rows is None else list(rows)
     asymmetric = np.argwhere(A != A.T)
     if len(asymmetric):
         i, j = asymmetric[0]
-        return f"not symmetric at ({i}, {j})"
+        return f"not symmetric at ({rows[i]}, {rows[j]})"
     for j, minor in enumerate(_leading_minors(A), 1):
         if minor <= 0:
-            return f"leading minor {j} = {minor}"
+            if list(rows[:j]) == list(range(j)):
+                return f"leading minor {j} = {minor}"
+            return f"principal minor on rows {list(rows[:j])} = {minor}"
     return ""
 
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .charring import SymChar, inner, mul, weyl_char
-from .errors import NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded
+from .digits import is_prime
+from .errors import InvalidCategory, NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded
 from .linalg import check_int64_products
 
 _tilting_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -69,12 +70,15 @@ def _tilting_vec(p: int, m: int) -> np.ndarray:
     """Dense chi(T_m), memoized: entry k is the multiplicity of weight m-2k.
 
     The memo is only ever filled with the same value for a given key, so
-    concurrent fills are idempotent.
+    concurrent fills are idempotent.  A miss for a p that is not a prime
+    raises InvalidCategory.
     """
     key = (p, m)
     got = _tilting_cache.get(key)
     if got is not None:
         return got
+    if not is_prime(p):
+        raise InvalidCategory(f"{p} is not a prime")
     if m <= p - 1:
         out = np.ones(m + 1, dtype=np.int64)
     elif m <= 2 * p - 2:

@@ -1,7 +1,13 @@
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verkit import catalog, cli, cyclo, digits, grring
 from verkit.catalog import (
@@ -14,7 +20,7 @@ from verkit.catalog import (
     verify_all,
 )
 from verkit.digits import cartan_descendant
-from verkit.errors import BoundExceeded, OutOfRange
+from verkit.errors import BoundExceeded, OutOfRange, PrecisionExceeded
 from verkit.linalg import (
     det,
     is_positive_definite,
@@ -174,6 +180,7 @@ def test_cartan_character_route():
 
 def test_verify_all_passes_everywhere():
     expected_names = {
+        "cartan_block_diagonal",
         "cartan_routes_agree",
         "cartan_symmetric_posdef",
         "entries_powers_of_two",
@@ -185,6 +192,7 @@ def test_verify_all_passes_everywhere():
         "p2_nonsemisimple_block_is_brauer_line",
         "det_total",
         "det_per_block",
+        "stable_snf_certificate",
         "cd_eq_p",
         "fpdim_category",
         "chebyshev_roots",
@@ -308,3 +316,218 @@ def test_category_context_is_lazy_and_shared():
     assert "fpdim_simples" not in vars(ctx)
     with pytest.raises(ValueError):
         ctx.cartan[0, 0] = 5
+
+
+def _fresh_context(p, n, cartan, rows=None, blocks=None):
+    """A CategoryContext of Ver_{p^n} whose Cartan matrix (and optionally
+    row labels and blocks) are replaced before anything is computed."""
+    ctx = catalog.CategoryContext(p, n)
+    if rows is not None:
+        ctx.rows = rows
+    cartan = np.array(cartan, dtype=object)
+    cartan.flags.writeable = False
+    ctx.__dict__["cartan"] = cartan
+    if blocks is not None:
+        ctx.__dict__["blocks"] = blocks
+    return ctx
+
+
+def _checks_on(monkeypatch, ctx):
+    """verify_all with `ctx` in place of its category's context."""
+    real = catalog.category
+    monkeypatch.setattr(catalog, "category", lambda p, n: ctx if (p, n) == (ctx.p, ctx.n) else real(p, n))
+    return {c.name: c for c in verify_all(ctx.p, ctx.n, samples=20).checks}
+
+
+def _elementary_divisors(factors) -> Counter:
+    """Prime powers of the nonzero factors, and the number of zeros."""
+    out = Counter()
+    for f in factors:
+        if f == 0:
+            out[0] += 1
+            continue
+        q = 2
+        while f > 1:
+            e = 0
+            while f % q == 0:
+                f //= q
+                e += 1
+            if e:
+                out[q**e] += 1
+            q += 1
+    return out
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """Symmetric integer blocks: arbitrary ones, or G^T D G with G unimodular
+    and D a diagonal of signed powers of one prime (or zeros), whose block
+    factors always merge into a divisibility chain."""
+    chained = draw(st.booleans())
+    prime = draw(st.sampled_from([2, 3, 5]))
+    blocks = []
+    for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        if chained:
+            G = np.eye(size, dtype=object)
+            for _ in range(draw(st.integers(0, 6))):
+                i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+                if i != j:
+                    G[i] += draw(st.integers(-2, 2)) * G[j]
+            signs = st.sampled_from([1, -1])
+            powers = st.sampled_from([0, 1, prime, prime, prime**2])
+            D = np.diag(np.array([draw(signs) * draw(powers) for _ in range(size)], dtype=object))
+            blocks.append(G.T @ D @ G)
+        else:
+            A = np.zeros((size, size), dtype=object)
+            for i in range(size):
+                for j in range(i, size):
+                    A[i, j] = A[j, i] = draw(st.integers(-4, 4))
+            if draw(st.booleans()):
+                A = A @ A.T + np.eye(size, dtype=object)
+            blocks.append(A)
+    return chained, blocks
+
+
+@settings(deadline=None, max_examples=150)
+@given(symmetric_blocks(), st.randoms(use_true_random=False))
+def test_per_block_linear_algebra_equals_full_matrix(drawn, rnd):
+    chained, blocks = drawn
+    k = sum(len(b) for b in blocks)
+    perm = list(range(k))
+    rnd.shuffle(perm)
+    C = np.zeros((k, k), dtype=object)
+    labels = range(10, 10 + k)
+    members = []
+    start = 0
+    for B in blocks:
+        idx = [perm[start + t] for t in range(len(B))]
+        C[np.ix_(idx, idx)] = B
+        members.append(tuple(sorted(labels[a] for a in idx)))
+        start += len(B)
+    ctx = _fresh_context(3, 2, C, rows=labels, blocks=tuple(members))
+    assert ctx.block_diagonal_witness == ""
+    assert ctx.solve_blocks == tuple(members)
+
+    assert (catalog._definiteness_witness(ctx) == "") == is_positive_definite(C)
+    assert math.prod(ctx.solve_dets) == det(C)
+
+    full, _, _ = smith_normal_form(C)
+    stable = ctx.stable
+    merged = list(stable["invariant_factors"])
+    if chained:
+        assert merged == full
+    assert _elementary_divisors(merged) == _elementary_divisors(full)
+    U, V = stable["U"], stable["V"]
+    assert (U @ C @ V == np.diag(np.array(merged, dtype=object))).all()
+    assert abs(det(U)) == 1 and abs(det(V)) == 1
+
+
+def test_full_matrix_routines_are_the_oracles_on_acceptance_pairs():
+    for p, n in SET:
+        ctx = catalog.category(p, n)
+        C = ctx.cartan
+        assert ctx.block_diagonal_witness == "" and ctx.solve_blocks == ctx.blocks
+        assert is_positive_definite(C) and catalog._definiteness_witness(ctx) == "", (p, n)
+        assert math.prod(ctx.solve_dets) == det(C) == p ** (p ** (n - 1) - 1), (p, n)
+        factors, _, _ = smith_normal_form(C)
+        assert list(ctx.stable["invariant_factors"]) == factors, (p, n)
+        U, V = ctx.stable["U"], ctx.stable["V"]
+        assert (U @ C @ V == np.diag(np.array(factors, dtype=object))).all(), (p, n)
+        assert abs(det(U)) == 1 and abs(det(V)) == 1, (p, n)
+        assert catalog._stable_witness(ctx) == "", (p, n)
+
+
+def test_off_block_entry_fails_the_block_diagonal_check(monkeypatch):
+    p, n = 3, 3
+    C = cartan_descendant(p, n)
+    rows = digits.projective_range(p, n)
+    blocks = catalog.category(p, n).blocks
+    owner = {rows.index(s): b for b, block in enumerate(blocks) for s in block}
+    # The first off-block position, row-major: (0, j) for the first j outside
+    # row 0's block.  A 5 there (diagonal entries are at most 4) makes a 2x2
+    # principal minor negative.
+    j = next(j for j in range(len(rows)) if owner[j] != owner[0])
+    C[0, j] = C[j, 0] = 5
+    ctx = _fresh_context(p, n, C)
+    checks = _checks_on(monkeypatch, ctx)
+    assert not checks["cartan_block_diagonal"].passed
+    assert checks["cartan_block_diagonal"].witness == f"nonzero off-block entry at (0, {j})"
+    # Everything that would run per block runs on the whole matrix instead,
+    # and fails there; none of it passes on the untouched blocks.
+    assert ctx.solve_blocks == (tuple(rows),)
+    for name in ("cartan_symmetric_posdef", "det_total", "stable_snf_certificate"):
+        assert not checks[name].passed, name
+    assert math.prod(ctx.solve_dets) == det(C) != p ** (p ** (n - 1) - 1)
+    assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
+
+
+def test_block_diagonal_check_refuses_a_broken_partition():
+    C = cartan_descendant(3, 2)
+    blocks = catalog.category(3, 2).blocks  # ((3, 7), (4, 6), (2,), (5,))
+    cases = {
+        blocks[1:]: "T3 lies in no block",
+        blocks + ((7,),): "T7 lies in blocks 0 and 4",
+        blocks[:-1] + ((5, 8),): "T8 of block 3 is no Cartan row",
+    }
+    for broken, witness in cases.items():
+        ctx = _fresh_context(3, 2, C, blocks=broken)
+        assert ctx.block_diagonal_witness == witness
+        assert ctx.solve_blocks == (tuple(ctx.rows),)
+
+
+def test_posdef_witness_names_full_matrix_rows_inside_a_block(monkeypatch):
+    p, n = 3, 3
+    ctx = catalog.category(p, n)
+    block = ctx.blocks[1]
+    first = ctx.rows.index(block[0])
+    assert first > 0
+    C = cartan_descendant(p, n)
+    C[first, first] = 0
+    checks = _checks_on(monkeypatch, _fresh_context(p, n, C))
+    assert checks["cartan_block_diagonal"].passed
+    assert checks["cartan_symmetric_posdef"].witness == f"principal minor on rows [{first}] = 0"
+
+
+def test_stable_check_reports_a_bad_certificate(monkeypatch):
+    p, n = 3, 2
+    good = catalog.category(p, n).block_smith
+
+    def with_first_form(factors, U, V):
+        ctx = _fresh_context(p, n, cartan_descendant(p, n))
+        ctx.__dict__["block_smith"] = ((factors, U, V),) + good[1:]
+        return _checks_on(monkeypatch, ctx)["stable_snf_certificate"]
+
+    factors, U, V = good[0]
+    # Doubling a row of U and its factor keeps U C V diagonal but makes
+    # |det U| = 2.
+    U2 = U.copy()
+    U2[0] *= 2
+    check = with_first_form([2 * factors[0]] + factors[1:], U2, V)
+    assert not check.passed and check.witness.startswith("certificate not unimodular")
+    check = with_first_form(factors, U2, V)
+    assert not check.passed and check.witness.startswith("U C V != diag(factors)")
+    check = with_first_form(factors, U, V)
+    assert check.passed and check.witness == ""
+
+
+def test_cartan_character_refuses_int64_overflow(monkeypatch):
+    monkeypatch.setattr(digits, "extended_decomposition_row", lambda p, n, i: {0: 2**31})
+    with pytest.raises(PrecisionExceeded):
+        cartan_character(3, 2)
+
+
+def test_cartan_character_guard_raises_under_python_O():
+    code = (
+        "from verkit import catalog, digits\n"
+        "from verkit.errors import PrecisionExceeded\n"
+        "digits.extended_decomposition_row = lambda p, n, i: {0: 2**31}\n"
+        "try:\n"
+        "    catalog.cartan_character(3, 2)\n"
+        "except PrecisionExceeded:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no PrecisionExceeded')\n"
+    )
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr + done.stdout

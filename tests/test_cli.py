@@ -186,7 +186,7 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "fresh"))
     runner = CliRunner()
     cold = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
-    cache_file = tmp_path / "fresh" / "verpn_2_3_v1.json"
+    cache_file = tmp_path / "fresh" / "verpn_2_3_v2.json"
     assert cache_file.exists()
     warm = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
     assert cold == warm
@@ -198,8 +198,8 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
     cache = tmp_path / "cache"
     runner = CliRunner()
     assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
-    target = cache / "verpn_3_2_v1.json"
-    other = (cache / "verpn_5_2_v1.json").read_text()
+    target = cache / "verpn_3_2_v2.json"
+    other = (cache / "verpn_5_2_v2.json").read_text()
     mine = {**json.loads(other), "p": 3}
     stale = [
         other,
@@ -243,7 +243,7 @@ def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
         ["report", "-p", "2", "-n", "2", "--cache-dir", str(tmp_path / "flagdir"), "--format", "json"],
     )
     assert result.exit_code == 0
-    assert (tmp_path / "flagdir" / "verpn_2_2_v1.json").exists()
+    assert (tmp_path / "flagdir" / "verpn_2_2_v2.json").exists()
     assert not (tmp_path / "envdir").exists()
 
 
@@ -257,3 +257,21 @@ def test_output_file(tmp_path, monkeypatch):
     assert result.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["kind"] == "matrix"
+
+
+def test_cache_file_of_the_previous_payload_is_not_read(tmp_path):
+    """A file under the previous cache name, valid for this request but
+    written before the payload gained checks, is never served."""
+    cache = tmp_path / "cache"
+    runner = CliRunner()
+    assert invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
+    current = cache / "verpn_3_2_v2.json"
+    old = json.loads(current.read_text())
+    old["simples"] = [0]
+    current.unlink()
+    (cache / "verpn_3_2_v1.json").write_text(json.dumps(old))
+    result = invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache))
+    assert result.exit_code == 0, result.output
+    assert "6 simple objects" in result.output
+    names = {c["name"] for c in json.loads(current.read_text())["verification"]["checks"]}
+    assert {"cartan_block_diagonal", "stable_snf_certificate"} <= names

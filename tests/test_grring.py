@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from verkit import catalog
 from verkit.cyclo import context, dim_simple, fpdim_simple
 from verkit.digits import projective_range, simple_of_projective, simple_range
-from verkit.errors import NegativeLeadingCoefficient, OutOfRange, ShapeMismatch, UnsupportedPrime
+from verkit.errors import (
+    InvalidCategory,
+    NegativeLeadingCoefficient,
+    OutOfRange,
+    ShapeMismatch,
+    UnsupportedPrime,
+)
 from verkit.grring import (
     GrElement,
     base_fusion,
@@ -388,3 +394,9 @@ def test_corrupted_class_table_fails_the_check():
     finally:
         catalog.category.cache_clear()
     assert check_ring_hom_fusion(3, 2, samples=64)["passed"]
+
+
+def test_tilting_class_refuses_a_p_that_is_not_prime():
+    for p, n, m in ((4, 2, 9), (1, 3, 0), (9, 1, 2)):
+        with pytest.raises(InvalidCategory):
+            tilting_class(p, n, m)

@@ -12,6 +12,7 @@ import verkit
 from verkit.charring import SymChar, dim_at_one, frobenius_twist, mul, weyl_char, weyl_expand
 from verkit.digits import descendants
 from verkit.errors import (
+    InvalidCategory,
     NegativeLeadingCoefficient,
     OutOfRange,
     PrecisionExceeded,
@@ -253,3 +254,17 @@ def test_range_errors_are_verkit_errors():
         with pytest.raises(OutOfRange) as info:
             call()
         assert isinstance(info.value, VerkitError) and isinstance(info.value, ValueError)
+
+
+def test_tilting_characters_refuse_a_p_that_is_not_prime():
+    # At p = 1 the recursion never reached a base case and at p = 0 it
+    # divided by zero; p = 4 and 6 name no category either.
+    for call in (
+        lambda: tilting_char(1, 5),
+        lambda: tilting_char(0, 5),
+        lambda: tilting_char(4, 9),
+        lambda: tensor_decompose(6, 3, 4),
+        lambda: hom_dim(9, 2, 2),
+    ):
+        with pytest.raises(InvalidCategory):
+            call()
