@@ -32,8 +32,8 @@ import mpmath
 import numpy as np
 
 from . import cyclo, digits, grring, tilting
-from .digits import is_prime
-from .errors import BoundExceeded, InvalidCategory, UnsupportedPrime
+from .digits import check_pn, is_prime  # is_prime is re-exported
+from .errors import BoundExceeded, UnsupportedPrime
 from .linalg import (
     check_int64_products,
     definiteness_witness,
@@ -49,10 +49,7 @@ FPDIM_TOLERANCE = mpmath.mpf("1e-9")
 
 def check_category(p: int, n: int, bound: int = DEFAULT_BOUND) -> None:
     """Refuse a (p, n) that names no category, or one above the build bound."""
-    if not is_prime(p):
-        raise InvalidCategory(f"{p} is not a prime")
-    if n < 1:
-        raise InvalidCategory(f"level must be >= 1, got {n}")
+    check_pn(p, n)
     count = p ** (n - 1) * (p - 1)
     if count > bound:
         raise BoundExceeded(f"{count} simple objects exceeds the bound {bound}")
@@ -243,7 +240,11 @@ class CategoryContext:
 
 @lru_cache(maxsize=None)
 def category(p: int, n: int) -> CategoryContext:
-    """The one context of Ver_{p^n}; constructing it computes nothing."""
+    """The one context of Ver_{p^n}; constructing it computes nothing.
+
+    A (p, n) that names no category raises InvalidCategory.
+    """
+    check_pn(p, n)
     return CategoryContext(p, n)
 
 
@@ -412,9 +413,9 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     witness = _definiteness_witness(ctx)
     report.add("cartan_symmetric_posdef", not witness, witness)
 
-    powers = {0} | {2**m for m in range(n)}
-    bad = [(i, j) for i in range(len(rows)) for j in range(len(rows)) if int(cartan[i, j]) not in powers]
-    report.add("entries_powers_of_two", not bad, "" if not bad else f"entry at {bad[0]}")
+    bad = np.argwhere(~np.isin(cartan, [0] + [2**m for m in range(n)]))
+    witness = f"entry at {tuple(bad[0].tolist())}" if bad.size else ""
+    report.add("entries_powers_of_two", not bad.size, witness)
 
     unit = ctx.rows.index(ctx.proj_of_simple[0])
     report.add(

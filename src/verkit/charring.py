@@ -7,14 +7,14 @@ precision integer multiplicity.  The Weyl character of highest weight m is
     [m+1]_x = (x^(m+1) - x^(-m-1)) / (x - x^(-1)),
 
 i.e. multiplicity one on the weights m, m-2, ..., -m.  Every symmetric
-integer character is a unique integer combination of Weyl characters, and the
-expansion is computed greedily from the top weight; this is the engine behind
+integer character a is a unique integer combination of Weyl characters, the
+coefficient of [m+1]_x being a[m] - a[m+2]; this is the engine behind
 decomposition matrices and Hom-dimension inner products.
 """
 
 from __future__ import annotations
 
-from .errors import OutOfRange
+from .errors import NegativeLeadingCoefficient, OutOfRange
 
 
 class SymChar:
@@ -89,25 +89,19 @@ def frobenius_twist(a: SymChar, p: int) -> SymChar:
 
 
 def weyl_expand(a: SymChar) -> dict[int, int]:
-    """Expand a symmetric character in the Weyl basis.
+    """Expand a symmetric character in the Weyl basis, top weight first.
 
-    Repeatedly reads the top weight m and subtracts that multiple of
-    weyl_char(m).  Coefficients may come out negative for inputs that are not
-    effective; the reconstruction identity holds in all cases.
+    The coefficient of weyl_char(m), m >= 0, is a[m] - a[m+2]; it may be
+    negative.  A character that is not symmetric raises
+    NegativeLeadingCoefficient.
     """
-    out: dict[int, int] = {}
-    rest = dict(a.coeffs)
-    while rest:
-        m = max(rest)
-        c = rest[m]
-        out[m] = c
-        for w in range(-m, m + 1, 2):
-            r = rest.get(w, 0) - c
-            if r:
-                rest[w] = r
-            else:
-                rest.pop(w, None)
-    return out
+    mult = a.coeffs
+    bad = next((w for w, c in mult.items() if mult.get(-w, 0) != c), None)
+    if bad is not None:
+        raise NegativeLeadingCoefficient(f"weights {bad} and {-bad} differ: not symmetric")
+    tops = sorted({m for w in mult for m in (w, w - 2) if m >= 0}, reverse=True)
+    diffs = ((m, mult.get(m, 0) - mult.get(m + 2, 0)) for m in tops)
+    return {m: c for m, c in diffs if c}
 
 
 def inner(a: SymChar, b: SymChar) -> int:

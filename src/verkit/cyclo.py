@@ -17,7 +17,8 @@ ring; nothing is ever solved for.  Quantum integers are
     [m]_(q^s) = sum_{k=0}^{m-1} q^(s(m-1-2k)),
 
 and the dimension of the simple object with digit string i_1...i_n is the
-product of [i_k + 1] at q^(p^(n-k)).
+product of [i_k + 1] at q^(p^(n-k)).  It and each projective dimension, a
+sum of [b], are formed from their weights by one `element` call.
 
 The numeric embedding is the last step and the only one with floats.  Each
 context fills, on first use, a table of cos(pi j/p^n) and sin(pi j/p^n) for
@@ -30,12 +31,13 @@ which that bound is not below NUMERIC_TOL is refused.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from operator import mul
 
 import mpmath
 
-from .digits import descendants, simple_range, steinberg_label, to_digits
+from .digits import check_pn, descendants, simple_range, steinberg_label, to_digits
 from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 from .tilting import chebyshev_s
 
@@ -167,6 +169,8 @@ def _poly_mod(poly, modulus) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def context(p: int, n: int) -> CycloContext:
+    """The one ring of Ver_{p^n}; a (p, n) that names no category raises InvalidCategory."""
+    check_pn(p, n)
     return CycloContext(p, n)
 
 
@@ -254,28 +258,29 @@ class CycloInt:
 
 
 def qint(p: int, n: int, m: int, t: int = 0) -> CycloInt:
-    """Quantum integer [m] at q^(p^t)."""
-    if m < 0:
-        raise OutOfRange(f"quantum integer index must be >= 0, got {m}")
+    """Quantum integer [m] at q^(p^t), m >= 0 and t >= 0."""
+    if m < 0 or t < 0:
+        raise OutOfRange(f"quantum integer index and exponent must be >= 0, got m={m}, t={t}")
     step = p**t
     return context(p, n).element((step * (m - 1 - 2 * k), 1) for k in range(m))
 
 
 def fpdim_simple(p: int, n: int, i: int) -> CycloInt:
-    """FPdim(L_i) = product over digits of [i_k + 1] at q^(p^(n-k))."""
+    """FPdim(L_i) = product over digits of [i_k + 1] at q^(p^(n-k)), formed as
+    the sum of q^e over e = sum_k p^(n-k) (i_k - 2 j_k), 0 <= j_k <= i_k."""
     if i not in simple_range(p, n):
         raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
-    digits = to_digits(i, p, n)
-    out = context(p, n).one()
-    for k, d in enumerate(digits, start=1):
-        out = out * qint(p, n, d + 1, n - k)
-    return out
+    weights = [0]
+    for k, d in enumerate(to_digits(i, p, n), start=1):
+        weights = [w + p ** (n - k) * (d - 2 * j) for w in weights for j in range(d + 1)]
+    return context(p, n).element((e, 1) for e in weights)
 
 
 def fpdim_projective(p: int, n: int, i: int) -> CycloInt:
-    """FPdim of the projective cover of L_i: sum of [b] over descendants b."""
-    s = steinberg_label(p, n, i)
-    terms = ((b - 1 - 2 * k, 1) for b in descendants(s + 1, p, n) for k in range(b))
+    """FPdim of the projective cover of L_i: sum of [b] over descendants b,
+    which share one parity, so weight e has multiplicity #{b : b > |e|}."""
+    bs = sorted(descendants(steinberg_label(p, n, i) + 1, p, n))
+    terms = ((e, len(bs) - bisect_right(bs, abs(e))) for e in range(1 - bs[-1], bs[-1], 2))
     return context(p, n).element(terms)
 
 

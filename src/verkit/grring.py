@@ -37,14 +37,13 @@ from functools import lru_cache
 from itertools import compress
 
 from .digits import (
-    is_prime,
+    check_pn,
     projective_range,
     simple_of_projective,
     simple_range,
     steinberg_label,
 )
 from .errors import (
-    InvalidCategory,
     NegativeLeadingCoefficient,
     OutOfRange,
     ShapeMismatch,
@@ -223,8 +222,7 @@ def tilting_class(p: int, n: int, m: int) -> GrElement:
     """
     from .catalog import category
 
-    if not is_prime(p):
-        raise InvalidCategory(f"{p} is not a prime")
+    check_pn(p, n)
     if p == 2:
         raise UnsupportedPrime("tilting classes in the simple basis need odd p")
     if not 0 <= m <= p**n - 2:

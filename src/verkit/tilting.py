@@ -200,8 +200,10 @@ def invariant_dims(p: int, n: int, M: int) -> list[int]:
 
     Multiplies by chi(V) one factor at a time, decomposing and truncating
     after each step; truncation commutes with tensoring, so this never
-    inflates intermediate characters.
+    inflates intermediate characters.  M < 0 raises OutOfRange.
     """
+    if M < 0:
+        raise OutOfRange(f"series depth must be >= 0, got {M}")
     v = TiltingSum({0: 1})
     chi_v = weyl_char(1)
     out = [_invariant_count(p, n, v)]
@@ -232,7 +234,10 @@ def series_fn(p: int, n: int, M: int) -> list[int]:
     descending powers.  S_{p^n-1} is monic, so the division is integral.
     Substituting u = t + t^(-1) shows this series lists the invariant
     dimensions, which is exactly what the invariants_series check asserts.
+    M < 0 raises OutOfRange.
     """
+    if M < 0:
+        raise OutOfRange(f"series depth must be >= 0, got {M}")
     num = [0] + chebyshev_s(p**n - 2)
     den = chebyshev_s(p**n - 1)
     # Reverse into power series in v = 1/u; den has constant term 1 after

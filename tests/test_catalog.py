@@ -20,7 +20,7 @@ from verkit.catalog import (
     verify_all,
 )
 from verkit.digits import cartan_descendant
-from verkit.errors import BoundExceeded, OutOfRange, PrecisionExceeded
+from verkit.errors import BoundExceeded, InvalidCategory, OutOfRange, PrecisionExceeded
 from verkit.linalg import (
     det,
     is_positive_definite,
@@ -531,3 +531,29 @@ def test_cartan_character_guard_raises_under_python_O():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr + done.stdout
+
+
+def test_pairs_that_name_no_category_are_refused():
+    # verify_all(3, 0) raised TypeError; block_cartan_dets(4, 2) and
+    # stable_gr(9, 1) returned values for a "Ver_16" and a "Ver_9" at p = 9.
+    for call in (
+        lambda: verify_all(3, 0),
+        lambda: block_cartan_dets(4, 2),
+        lambda: stable_gr(9, 1),
+        lambda: catalog.category(1, 3),
+        lambda: catalog.category(5, -1),
+    ):
+        with pytest.raises(InvalidCategory):
+            call()
+
+
+@pytest.mark.parametrize("entry", [3, 2**70])
+def test_entry_that_is_no_power_of_two_fails_its_check(monkeypatch, entry):
+    # Ver_9 rows are T2..T7 and (T3, T7) is a block, so rows 1 and 5 stay
+    # block diagonal; the witness is the first offence in row-major order.
+    C = cartan_descendant(3, 2)
+    C[1, 5] = C[5, 1] = entry
+    checks = _checks_on(monkeypatch, _fresh_context(3, 2, C))
+    assert not checks["entries_powers_of_two"].passed
+    assert checks["entries_powers_of_two"].witness == "entry at (1, 5)"
+    assert checks["cartan_block_diagonal"].passed

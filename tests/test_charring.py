@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from verkit import charring
 from verkit.charring import (
     SymChar,
     dim_at_one,
@@ -107,3 +111,52 @@ def test_weyl_expand_recovers_any_weyl_combination(mults):
     for m, c in mults.items():
         a = a + c * weyl_char(m)
     assert weyl_expand(a) == {m: c for m, c in mults.items() if c}
+
+
+def greedy_weyl_expand(a):
+    """The top-down greedy `weyl_expand` used to run: read the top weight m,
+    subtract that multiple of weyl_char(m), repeat.  It returns only on a
+    symmetric character."""
+    out = {}
+    rest = dict(a.coeffs)
+    while rest:
+        m = max(rest)
+        c = rest[m]
+        out[m] = c
+        for w in range(-m, m + 1, 2):
+            r = rest.get(w, 0) - c
+            if r:
+                rest[w] = r
+            else:
+                rest.pop(w, None)
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(st.integers(0, 60), st.integers(-6, 6), max_size=12))
+@example({5: 2, 2: -3, 0: 1, 1: -1})
+def test_weyl_expand_equals_the_greedy_on_symmetric_characters(half):
+    a = SymChar({**half, **{-w: c for w, c in half.items()}})
+    # Same coefficients in the same order, top weight first.
+    assert list(weyl_expand(a).items()) == list(greedy_weyl_expand(a).items())
+
+
+def test_weyl_expand_refuses_a_character_that_is_not_symmetric():
+    # The greedy looped forever on these: it left a term at a negative top
+    # weight m, whose range(-m, m + 1, 2) is empty.  Run in a child process
+    # so that a hang fails the test at its timeout.
+    code = (
+        "from verkit.charring import SymChar, inner, weyl_char, weyl_expand\n"
+        "from verkit.errors import NegativeLeadingCoefficient\n"
+        "for a in (SymChar({1: 1}), SymChar({3: 1, -1: 1})):\n"
+        "    for call in (lambda: weyl_expand(a), lambda: inner(weyl_char(1), a)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except NegativeLeadingCoefficient:\n"
+        "            continue\n"
+        "        raise SystemExit(f'no NegativeLeadingCoefficient on {a}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(charring.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr + done.stdout

@@ -21,8 +21,8 @@ from verkit.cyclo import (
     qint,
     verify_cd_eq_p,
 )
-from verkit.digits import simple_range
-from verkit.errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
+from verkit.digits import descendants, simple_range, steinberg_label, to_digits
+from verkit.errors import InvalidCategory, NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
 SMALL = [
@@ -31,6 +31,13 @@ SMALL = [
     if all(p % d for d in range(2, p))
     for n in range(1, 8)
     if p**n <= 125
+]
+UP_TO_343 = [
+    (p, n)
+    for p in range(2, 344)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 9)
+    if p**n <= 343
 ]
 TERMS = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-50, 50)), max_size=20)
 
@@ -225,3 +232,31 @@ def test_numeric_refuses_coefficients_beyond_its_error_bound():
     with pytest.raises(PrecisionExceeded):
         (10**30 * ctx.one()).numeric()
     assert abs((10**20 * ctx.one()).numeric_real() - 10**20) < mpmath.mpf("1e-25")
+
+
+def test_fpdims_equal_their_term_by_term_definitions():
+    # FPdim L_i as the product of quantum integers and FPdim P_i as the sum
+    # of [b] expanded term by term, on every label of every p^n <= 343.
+    for p, n in UP_TO_343:
+        ctx = context(p, n)
+        for i in simple_range(p, n):
+            product = ctx.one()
+            for k, d in enumerate(to_digits(i, p, n), start=1):
+                product = product * qint(p, n, d + 1, n - k)
+            assert fpdim_simple(p, n, i) == product, (p, n, i)
+            bs = descendants(steinberg_label(p, n, i) + 1, p, n)
+            terms = [(b - 1 - 2 * k, 1) for b in bs for k in range(b)]
+            assert fpdim_projective(p, n, i) == ctx.element(terms), (p, n, i)
+
+
+def test_context_refuses_a_pair_that_names_no_category():
+    # (3, 0) raised TypeError and (4, 2) AssertionError from the modulus check.
+    for p, n in ((3, 0), (3, -1), (4, 2), (1, 1), (0, 2), (9, 1)):
+        with pytest.raises(InvalidCategory):
+            context(p, n)
+
+
+def test_qint_refuses_a_negative_exponent():
+    with pytest.raises(OutOfRange):
+        qint(3, 2, 2, t=-1)
+    assert qint(3, 2, 2, t=1) == context(3, 2).element([(3, 1), (-3, 1)])

@@ -268,3 +268,11 @@ def test_tilting_characters_refuse_a_p_that_is_not_prime():
     ):
         with pytest.raises(InvalidCategory):
             call()
+
+
+def test_series_refuse_a_negative_depth():
+    # invariant_dims returned [1] and series_fn [] for M < 0.
+    for call in (lambda: invariant_dims(3, 2, -1), lambda: series_fn(3, 2, -1)):
+        with pytest.raises(OutOfRange):
+            call()
+    assert invariant_dims(3, 2, 0) == series_fn(3, 2, 0) == [1]
