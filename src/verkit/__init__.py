@@ -6,88 +6,69 @@ combinatorial skeleton with exact arithmetic: tilting characters and their
 tensor products, decomposition and Cartan matrices by three independent
 routes, block structure, Steinberg labels, Ext^1, cyclotomic
 Frobenius-Perron dimensions, fusion rules, and stable Grothendieck rings.
+
+Import policy: importing the package loads none of its modules.  Each name
+in `__all__` is looked up in its defining module on first access (PEP 562),
+so `from verkit import build` loads `catalog` and what it needs, and
+`import verkit.cli` loads only the command line and `errors`.  Inside the package, an
+import that only a build or a check needs sits in the function that needs
+it, so a warm command line call loads neither numpy nor mpmath.
 """
 
-from .catalog import CategoryData, VerificationReport, build, verify_all
-from .charring import SymChar, dim_at_one, frobenius_twist, inner, mul, weyl_char, weyl_expand
-from .cyclo import CycloInt, chebyshev_Q, dim_simple, fpdim_projective, fpdim_simple, qint
-from .digits import (
-    block_partition,
-    cartan_descendant,
-    cartan_kronecker,
-    decomposition_matrix,
-    descendants,
-    ext1,
-    frobenius_on_simple,
-    simple_of_projective,
-    steinberg_label,
-)
-from .errors import (
-    BoundExceeded,
-    NegativeLeadingCoefficient,
-    OutOfRange,
-    UnsupportedPrime,
-    VerkitError,
-)
-from .grring import GrElement, base_fusion, fold_projectives, fuse_simples, tilting_class
-from .linalg import smith_normal_form
-from .tilting import (
-    TiltingSum,
-    decompose_tilting,
-    hom_dim,
-    invariant_dims,
-    series_fn,
-    tensor_decompose,
-    tilting_char,
-    truncate,
-)
+import importlib
 
-__all__ = [
-    "BoundExceeded",
-    "CategoryData",
-    "CycloInt",
-    "GrElement",
-    "NegativeLeadingCoefficient",
-    "OutOfRange",
-    "SymChar",
-    "TiltingSum",
-    "UnsupportedPrime",
-    "VerificationReport",
-    "VerkitError",
-    "base_fusion",
-    "block_partition",
-    "build",
-    "cartan_descendant",
-    "cartan_kronecker",
-    "chebyshev_Q",
-    "decompose_tilting",
-    "decomposition_matrix",
-    "descendants",
-    "dim_at_one",
-    "dim_simple",
-    "ext1",
-    "fold_projectives",
-    "fpdim_projective",
-    "fpdim_simple",
-    "frobenius_on_simple",
-    "frobenius_twist",
-    "fuse_simples",
-    "hom_dim",
-    "inner",
-    "invariant_dims",
-    "mul",
-    "qint",
-    "series_fn",
-    "simple_of_projective",
-    "smith_normal_form",
-    "steinberg_label",
-    "tensor_decompose",
-    "tilting_char",
-    "tilting_class",
-    "truncate",
-    "verify_all",
-    "weyl_char",
-    "weyl_expand",
-]
+
+# Defining module of each exported name.
+_EXPORTS = {
+    "catalog": ["CategoryData", "VerificationReport", "build", "verify_all"],
+    "charring": ["SymChar", "dim_at_one", "frobenius_twist", "inner", "mul", "weyl_char", "weyl_expand"],
+    "cyclo": ["CycloInt", "chebyshev_Q", "dim_simple", "fpdim_projective", "fpdim_simple", "qint"],
+    "digits": [
+        "block_partition",
+        "cartan_descendant",
+        "cartan_kronecker",
+        "decomposition_matrix",
+        "descendants",
+        "ext1",
+        "frobenius_on_simple",
+        "simple_of_projective",
+        "steinberg_label",
+    ],
+    "errors": [
+        "BoundExceeded",
+        "NegativeLeadingCoefficient",
+        "OutOfRange",
+        "UnsupportedPrime",
+        "VerkitError",
+    ],
+    "grring": ["GrElement", "base_fusion", "fold_projectives", "fuse_simples", "tilting_class"],
+    "linalg": ["smith_normal_form"],
+    "tilting": [
+        "TiltingSum",
+        "decompose_tilting",
+        "hom_dim",
+        "invariant_dims",
+        "series_fn",
+        "tensor_decompose",
+        "tilting_char",
+        "truncate",
+    ],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

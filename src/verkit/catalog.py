@@ -27,13 +27,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-import mpmath
 import numpy as np
 
-from . import cyclo, digits, grring, tilting
-from .digits import check_pn, is_prime  # is_prime is re-exported
-from .errors import BoundExceeded, UnsupportedPrime
+from . import digits
+from .errors import DEFAULT_BOUND, UnsupportedPrime, check_category, check_pn
+from .errors import is_prime  # re-exported
 from .linalg import (
     check_int64_products,
     definiteness_witness,
@@ -42,17 +42,15 @@ from .linalg import (
     smith_normal_form,
 )
 
-DEFAULT_BOUND = 2000
+if TYPE_CHECKING:
+    import mpmath
+
+    from . import cyclo
+
 INVARIANT_SERIES_DEPTH = 12
-FPDIM_TOLERANCE = mpmath.mpf("1e-9")
-
-
-def check_category(p: int, n: int, bound: int = DEFAULT_BOUND) -> None:
-    """Refuse a (p, n) that names no category, or one above the build bound."""
-    check_pn(p, n)
-    count = p ** (n - 1) * (p - 1)
-    if count > bound:
-        raise BoundExceeded(f"{count} simple objects exceeds the bound {bound}")
+# A float, so that loading this module needs no mpmath: mpmath compares an
+# mpf with it exactly, and it is the 53-bit value that mpf("1e-9") rounds to.
+FPDIM_TOLERANCE = 1e-9
 
 
 class CategoryContext:
@@ -148,10 +146,14 @@ class CategoryContext:
 
     @cached_property
     def fpdim_simples(self) -> tuple[cyclo.CycloInt, ...]:
+        from . import cyclo
+
         return tuple(cyclo.fpdim_simple(self.p, self.n, i) for i in self.simples)
 
     @cached_property
     def fpdim_projectives(self) -> tuple[cyclo.CycloInt, ...]:
+        from . import cyclo
+
         return tuple(cyclo.fpdim_projective(self.p, self.n, i) for i in self.simples)
 
     @cached_property
@@ -187,6 +189,8 @@ class CategoryContext:
         each later row m = a + p*b (a in [p-1, 2p-2]) is one GrElement
         product of row a and the lift of row b of the table one level down.
         """
+        from . import grring
+
         p, n = self.p, self.n
         if p == 2:
             raise UnsupportedPrime("tilting classes in the simple basis need odd p")
@@ -394,6 +398,10 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
 
     A sample count below one raises OutOfRange before any check runs.
     """
+    import mpmath
+
+    from . import cyclo, grring, tilting
+
     grring.check_samples(samples)
     report = VerificationReport()
     ctx = category(p, n)
@@ -543,6 +551,8 @@ def build(
     seed: int = 0,
 ) -> CategoryData:
     """Assemble the full CategoryData record for Ver_{p^n}."""
+    from . import cyclo, grring
+
     check_category(p, n, bound)
     grring.check_samples(samples)
     ctx = category(p, n)

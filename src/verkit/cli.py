@@ -5,6 +5,13 @@ one Ver_{p^n} and emits a deterministic document in json, csv or text form.
 Text tables use the L_i / P_i / T_m notation of the printed tables so golden
 diffs stay readable; csv is restricted to matrix payloads.  Exit codes:
 0 success, 1 verification failure, 2 usage error.
+
+Import policy: this module imports only the standard library, click and
+`errors` at the top.  Each command imports the modules it uses in its body,
+and `load_or_build` imports `catalog` only on a cache miss, so a warm
+`report` or `verify` loads neither numpy nor mpmath.  `catalog.build` and
+`catalog.category` are read as module attributes at call time, so a
+replacement of either (a test double, a tracing wrapper) is what runs.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ import functools
 import json
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
 import click
-import mpmath
 
-from . import catalog, digits, grring, tilting
-from .charring import dim_at_one
-from .errors import VerkitError
+from .errors import VerkitError, check_category
+
+if TYPE_CHECKING:
+    from . import catalog, grring
 
 SCHEMA_VERSION = 1
 # Part of every cache file name; raised whenever the payload of a category
@@ -33,6 +41,8 @@ NUMERIC_DIGITS = 20
 
 
 def _nstr(x) -> str:
+    import mpmath
+
     return mpmath.nstr(x, NUMERIC_DIGITS)
 
 
@@ -40,7 +50,7 @@ def _matrix_payload(rows: list[str], cols: list[str], M) -> dict:
     return {
         "rows": rows,
         "cols": cols,
-        "entries": [[int(M[i, j]) for j in range(len(cols))] for i in range(len(rows))],
+        "entries": [[int(v) for v in row] for row in M.tolist()],
     }
 
 
@@ -154,6 +164,8 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
             and verification.get("seed") == seed
         ):
             return payload
+    from . import catalog
+
     data = catalog.build(p, n, samples=samples, seed=seed)
     payload = category_payload(data, samples, seed)
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -196,12 +208,19 @@ def _grid(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
-def fold_text(p: int, n: int, v: grring.GrElement) -> str:
-    """Render a class the way the worked tables do: simples then projectives."""
+def _folded(p: int, n: int, v: grring.GrElement) -> tuple[dict[int, int], dict[int, int], str]:
+    """One `fold_projectives` of v: its simples, its projectives and their text."""
+    from . import grring
+
     simples, projectives, _ = grring.fold_projectives(p, n, v)
     parts = [f"{c if c > 1 else ''}L{i}" for i, c in sorted(simples.items())]
     parts += [f"{c if c > 1 else ''}P{i}" for i, c in sorted(projectives.items())]
-    return " + ".join(parts) if parts else "0"
+    return simples, projectives, " + ".join(parts) if parts else "0"
+
+
+def fold_text(p: int, n: int, v: grring.GrElement) -> str:
+    """Render a class the way the worked tables do: simples then projectives."""
+    return _folded(p, n, v)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +233,7 @@ def _common(command):
     @functools.wraps(command)
     def f(prime, level, **kwargs):
         try:
-            catalog.check_category(prime, level)
+            check_category(prime, level)
             return command(prime, level, **kwargs)
         except VerkitError as exc:
             raise click.UsageError(str(exc)) from exc
@@ -282,8 +301,10 @@ def report(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip)
 @click.option("-b", "label_b", type=int, required=True)
 def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, label_a, label_b):
     """Tensor product of two simples, raw vector plus folded presentation."""
+    from . import grring
+
     v = grring.fuse_simples(prime, level, label_a, label_b)
-    simples, projectives, _ = grring.fold_projectives(prime, level, v)
+    simples, projectives, text = _folded(prime, level, v)
     payload = {
         "p": prime,
         "n": level,
@@ -293,7 +314,7 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
         "folded": {
             "simples": [list(kv) for kv in sorted(simples.items())],
             "projectives": [list(kv) for kv in sorted(projectives.items())],
-            "text": fold_text(prime, level, v),
+            "text": text,
         },
     }
 
@@ -311,6 +332,8 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
 @click.option("--even-only", is_flag=True, default=False)
 def table(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
     """Full tensor table of simple objects."""
+    from . import digits, grring
+
     labels = [i for i in digits.simple_range(prime, level) if not even_only or i % 2 == 0]
     cells = []
     for a in labels:
@@ -343,6 +366,8 @@ def _render_matrix(pl: dict) -> str:
 @click.option("--even-only", is_flag=True, default=False)
 def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
+    from . import catalog
+
     cat = catalog.category(prime, level)
     if even_only:
         order: list[int] = []
@@ -363,6 +388,8 @@ def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip,
 @_common
 def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Decomposition matrix (tilting rows, Weyl columns)."""
+    from . import digits
+
     payload = _matrix_payload(
         [f"T{i}" for i in digits.projective_range(prime, level)],
         [f"W{j}" for j in range(prime**level - 1)],
@@ -375,6 +402,8 @@ def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip)
 @_common
 def blocks(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Block partition with sizes and Cartan determinants."""
+    from . import catalog
+
     payload = {"p": prime, "n": level, "blocks": _block_entries(catalog.category(prime, level))}
 
     def render(pl: dict) -> str:
@@ -395,6 +424,8 @@ def ext1(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Ext^1 adjacency between simples (odd p only)."""
     if prime == 2:
         raise click.UsageError("Ext^1 adjacency is only computed for odd p")
+    from . import catalog
+
     edges = [list(e) for e in catalog.category(prime, level).ext1_edges]
     payload = {"p": prime, "n": level, "edges": edges}
 
@@ -413,6 +444,8 @@ def invariants(prime, level, fmt, output, cache_dir, samples, seed, check_roundt
     """Invariant dimensions in tensor powers, by both routes."""
     if depth < 0:
         raise click.UsageError("M must be >= 0")
+    from . import tilting
+
     tensor_route = tilting.invariant_dims(prime, level, depth)
     series_route = tilting.series_fn(prime, level, depth)
     payload = {
@@ -443,6 +476,9 @@ def tilting_cmd(prime, level, fmt, output, cache_dir, samples, seed, check_round
     """Weyl factors, dimension and character of one tilting module."""
     if not 0 <= index <= prime**level - 2:
         raise click.UsageError(f"tilting index must lie in [0, {prime**level - 2}]")
+    from . import digits, tilting
+    from .charring import dim_at_one
+
     char = tilting.tilting_char(prime, index)
     factors = digits.extended_decomposition_row(prime, level, index)
     payload = {

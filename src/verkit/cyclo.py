@@ -36,6 +36,7 @@ from functools import lru_cache
 from operator import mul
 
 import mpmath
+import numpy as np
 
 from .digits import check_pn, descendants, simple_range, steinberg_label, to_digits
 from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
@@ -297,20 +298,29 @@ def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:
 def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
     """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
 
-    Substitutes the context's exact dimensions row by row; no linear solve.
-    Returns (True, None) or (False, offending projective index).
+    One integer matrix product per solve block of the context (the
+    category's blocks when the Cartan matrix is block diagonal over them,
+    else one block of all rows): the Cartan block times the coefficient
+    vectors of the FP dimensions of its rows' simples, stacked in row order.
+    The product is int64 when no sum can overflow, else it runs on Python
+    ints.  No linear solve.  Returns (True, None) or (False, the offending
+    projective of the first offending Cartan row).
     """
     from .catalog import category
 
     cat = category(p, n)
-    dims = [cat.fpdim_simples[cat.simple_of_proj[s]] for s in cat.rows]
-    for a, s in enumerate(cat.rows):
-        lhs = context(p, n).zero()
-        for b, c in enumerate(cat.cartan[a]):
-            if c:
-                lhs = lhs + int(c) * dims[b]
-        if lhs != cat.fpdim_projectives[cat.simple_of_proj[s]]:
-            return False, s
+    simple = cat.simple_of_proj
+    offending = []
+    for block in cat.solve_blocks:
+        C = cat.block_cartan(block)
+        d = np.array([cat.fpdim_simples[simple[s]].coeffs for s in block], dtype=object)
+        if int(np.abs(C).max()) * int(np.abs(d).max()) * len(block) < 2**63:
+            C, d = C.astype(np.int64), d.astype(np.int64)
+        for s, row in zip(block, (C @ d).tolist()):
+            if tuple(row) != cat.fpdim_projectives[simple[s]].coeffs:
+                offending.append(cat.rows.index(s))
+    if offending:
+        return False, cat.rows[min(offending)]
     return True, None
 
 

@@ -19,26 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidCategory, OutOfRange, UnsupportedPrime
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def check_pn(p: int, n: int) -> None:
-    """Refuse a (p, n) that names no category Ver_{p^n}."""
-    if not is_prime(p):
-        raise InvalidCategory(f"{p} is not a prime")
-    if n < 1:
-        raise InvalidCategory(f"level must be >= 1, got {n}")
+from .errors import OutOfRange, UnsupportedPrime
+from .errors import check_pn, is_prime  # re-exported
 
 
 def to_digits(a: int, p: int, n: int) -> list[int]:

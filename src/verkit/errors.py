@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the category guard.
+
+The guard (`is_prime`, `check_pn`, `check_category`) lives here because it
+needs nothing but integers: the command line runs it on every call, and
+this module imports neither numpy nor mpmath.
+"""
+
+# Largest number of simple objects `catalog.build` and the command line accept.
+DEFAULT_BOUND = 2000
 
 
 class VerkitError(Exception):
@@ -37,3 +45,30 @@ class NotReal(VerkitError):
 class PrecisionExceeded(VerkitError):
     """A numeric evaluation cannot meet its stated error bound, or an int64
     product could overflow."""
+
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def check_pn(p: int, n: int) -> None:
+    """Refuse a (p, n) that names no category Ver_{p^n}."""
+    if not is_prime(p):
+        raise InvalidCategory(f"{p} is not a prime")
+    if n < 1:
+        raise InvalidCategory(f"level must be >= 1, got {n}")
+
+
+def check_category(p: int, n: int, bound: int = DEFAULT_BOUND) -> None:
+    """Refuse a (p, n) that names no category, or one above the build bound."""
+    check_pn(p, n)
+    count = p ** (n - 1) * (p - 1)
+    if count > bound:
+        raise BoundExceeded(f"{count} simple objects exceeds the bound {bound}")

@@ -547,6 +547,57 @@ def test_pairs_that_name_no_category_are_refused():
             call()
 
 
+def _cd_witness_by_rows(ctx):
+    """C d = p row by row in Cyclo arithmetic, the way `verify_cd_eq_p` once
+    ran: the projective of the first offending row, or None."""
+    dims = [ctx.fpdim_simples[ctx.simple_of_proj[s]] for s in ctx.rows]
+    for a, s in enumerate(ctx.rows):
+        lhs = cyclo.context(ctx.p, ctx.n).zero()
+        for b, c in enumerate(ctx.cartan[a]):
+            if c:
+                lhs = lhs + int(c) * dims[b]
+        if lhs != ctx.fpdim_projectives[ctx.simple_of_proj[s]]:
+            return s
+    return None
+
+
+@pytest.mark.parametrize(
+    "p, n, field, corrupt",
+    [
+        # T25 lies in the first block and T8 in the fifth, so a scan in
+        # block order meets T25 (or T9, its block's first row) first.
+        (3, 3, "fpdim_simples", [25, 8]),
+        (3, 3, "fpdim_projectives", [25, 8]),
+        # A Cartan entry beyond int64 inside the block (T3, T7): the Python-int product.
+        (3, 2, "cartan", [(1, 5, 2**70)]),
+        # An entry between the blocks of T2 and T3: one block of all rows.
+        (3, 2, "cartan", [(0, 1, 1)]),
+    ],
+)
+def test_cd_eq_p_names_the_first_offending_row_in_row_order(monkeypatch, p, n, field, corrupt):
+    C = cartan_descendant(p, n)
+    if field == "cartan":
+        for a, b, entry in corrupt:
+            C[a, b] = C[b, a] = entry
+    ctx = _fresh_context(p, n, C)
+    if field != "cartan":
+        values = list(getattr(ctx, field))
+        for s in corrupt:
+            i = ctx.simple_of_proj[s]
+            values[i] = values[i] + cyclo.context(p, n).one()
+        ctx.__dict__[field] = tuple(values)
+    expected = _cd_witness_by_rows(ctx)
+    assert expected is not None
+    checks = _checks_on(monkeypatch, ctx)
+    assert cyclo.verify_cd_eq_p(p, n) == (False, expected)
+    assert not checks["cd_eq_p"].passed
+    assert checks["cd_eq_p"].witness == f"row {expected}"
+    if field != "cartan":
+        assert expected == 8 and ctx.solve_blocks[0][-1] == 25
+    elif corrupt[0][2] == 1:
+        assert ctx.solve_blocks == (tuple(ctx.rows),)
+
+
 @pytest.mark.parametrize("entry", [3, 2**70])
 def test_entry_that_is_no_power_of_two_fails_its_check(monkeypatch, entry):
     # Ver_9 rows are T2..T7 and (T3, T7) is a block, so rows 1 and 5 stay

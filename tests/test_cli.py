@@ -74,6 +74,23 @@ def test_fuse_examples(runner):
     assert "= L5" in result.output
 
 
+def test_fuse_folds_its_product_once(runner, monkeypatch):
+    from verkit import grring
+
+    folds = []
+
+    def counted(p, n, v, _orig=grring.fold_projectives):
+        folds.append((p, n))
+        return _orig(p, n, v)
+
+    monkeypatch.setattr(grring, "fold_projectives", counted)
+    for fmt in ("json", "text"):
+        folds.clear()
+        result = invoke(runner, "fuse", "-p", "3", "-n", "3", "-a", "4", "-b", "7", "--format", fmt)
+        assert result.exit_code == 0, result.output
+        assert folds == [(3, 3)]
+
+
 def test_fuse_label_out_of_range(runner):
     assert invoke(runner, "fuse", "-p", "3", "-n", "2", "-a", "0", "-b", "6").exit_code == 2
 

@@ -1,0 +1,96 @@
+"""What a call loads: each case runs in a fresh interpreter, because this
+one has loaded numpy and every verkit module already."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+import verkit
+from verkit.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(verkit.__file__)))
+
+# Runs the command named by argv in this interpreter, then prints which of
+# numpy, mpmath and the verkit modules it loaded.
+PROBE = """
+import json, sys
+import verkit.cli
+try:
+    verkit.cli.main(args=sys.argv[1:], prog_name="verkit")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in sys.modules if m in ("numpy", "mpmath") or m.startswith("verkit")
+)}))
+"""
+
+
+def _loaded(args: list[str]) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0, done.stdout
+    return set(result["loaded"])
+
+
+@pytest.fixture(scope="module")
+def primed(tmp_path_factory):
+    """A cache directory holding Ver_27."""
+    cache = str(tmp_path_factory.mktemp("cache"))
+    result = CliRunner().invoke(main, ["report", "-p", "3", "-n", "3", "--cache-dir", cache])
+    assert result.exit_code == 0, result.output
+    return cache
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_a_warm_cached_command_loads_neither_numpy_nor_mpmath(primed, command):
+    loaded = _loaded([command, "-p", "3", "-n", "3", "--format", "json", "--cache-dir", primed])
+    assert not loaded & {"numpy", "mpmath"}, loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cartan", "--even-only"],
+        ["blocks"],
+        ["fuse", "-a", "3", "-b", "5"],
+        ["tilting", "-m", "7"],
+        ["invariants", "-M", "12"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_small_command_loads_neither_mpmath_nor_cyclo(primed, args):
+    loaded = _loaded(args + ["-p", "3", "-n", "3", "--format", "json", "--cache-dir", primed])
+    assert not loaded & {"mpmath", "verkit.cyclo"}, loaded
+
+
+def test_package_exports_load_their_module_on_first_access():
+    code = """
+import sys
+import verkit
+assert [m for m in sys.modules if m.startswith("verkit.")] == [], sorted(sys.modules)
+for name in verkit.__all__:
+    obj = getattr(verkit, name)
+    assert obj.__module__.startswith("verkit."), (name, obj.__module__)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+assert set(verkit.__all__) <= set(dir(verkit))
+space = {}
+exec("from verkit import *", space)
+assert all(space[name] is getattr(verkit, name) for name in verkit.__all__)
+try:
+    verkit.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise SystemExit("an unknown name resolved")
+"""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
