@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import tempfile
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 import click
@@ -27,6 +28,8 @@ import click
 from .errors import VerkitError, check_category
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from . import catalog, grring
 
 SCHEMA_VERSION = 1
@@ -132,12 +135,20 @@ def _cache_path(cache_dir: str, p: int, n: int) -> str:
     return os.path.join(cache_dir, f"verpn_{p}_{n}_v{CACHE_VERSION}.json")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to `path` through a temporary file.
+
+    They are joined 65536 at a time.  The indented JSON encoder yields
+    millions of small strings for a large category, and held all at once
+    they took about 800 MB at Ver_2187.
+    """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            chunks = iter(chunks)
+            while batch := list(islice(chunks, 1 << 16)):
+                handle.write("".join(batch))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -168,7 +179,8 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
 
     data = catalog.build(p, n, samples=samples, seed=seed)
     payload = category_payload(data, samples, seed)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    _atomic_write(path, chain(encoder.iterencode(payload), ["\n"]))
     return payload
 
 
@@ -198,7 +210,7 @@ def _emit(doc: dict, fmt: str, output: str | None, text_renderer, check_roundtri
         if not body.endswith("\n"):
             body += "\n"
     if output:
-        _atomic_write(os.path.abspath(output), body)
+        _atomic_write(os.path.abspath(output), [body])
     else:
         click.echo(body, nl=False)
 

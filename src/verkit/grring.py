@@ -21,8 +21,12 @@ exact Frobenius-Perron character on the ring is an isomorphism onto a ring
 of cyclotomic integers, so the fusion here is completely pinned down by the
 cyclotomic identities checked in the test suite.
 
+Every product (`*`, `fuse_simples`, the class-table fill) applies this rule
+bilinearly to sparse {label: coeff} dicts, one level at a time, with no memo.
+
 Elements of different rings never mix: `+`, `-` and `*` refuse an operand of
-another Ver_{p^n} with ShapeMismatch.  For odd p the tilting classes [T_m]
+another Ver_{p^n} with ShapeMismatch, and one that is no GrElement with
+TypeError; the only scalars are integers.  For odd p the tilting classes [T_m]
 are read from a per-category table (`CategoryContext.tilting_classes`),
 filled bottom-up once.  The tilting-route check compares two independent
 sides of the ring map: the truncated tensor decomposition of T_i (x) T_j from
@@ -32,8 +36,8 @@ tilting characters, summed as one integer combination of table rows, against
 
 from __future__ import annotations
 
+import operator
 import random
-from functools import lru_cache
 from itertools import compress
 
 from .digits import (
@@ -100,25 +104,32 @@ class GrElement:
             )
 
     def __add__(self, other: "GrElement") -> "GrElement":
+        if not isinstance(other, GrElement):
+            return NotImplemented
         self._same_ring(other)
         return GrElement(self.p, self.n, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "GrElement") -> "GrElement":
+        if not isinstance(other, GrElement):
+            return NotImplemented
         self._same_ring(other)
         return GrElement(self.p, self.n, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rmul__(self, scalar: int) -> "GrElement":
+        try:
+            scalar = operator.index(scalar)
+        except TypeError:
+            return NotImplemented
         return GrElement(self.p, self.n, (scalar * a for a in self.coeffs))
 
     def __mul__(self, other: "GrElement") -> "GrElement":
+        if not isinstance(other, GrElement):
+            return NotImplemented
         self._same_ring(other)
+        x, y = (dict(compress(enumerate(e.coeffs), e.coeffs)) for e in (self, other))
         out = [0] * len(self.coeffs)
-        right = list(compress(enumerate(other.coeffs), other.coeffs))
-        for a, ca in compress(enumerate(self.coeffs), self.coeffs):
-            for b, cb in right:
-                prod = _fuse(self.p, self.n, a, b)
-                for k, ck in compress(enumerate(prod), prod):
-                    out[k] += ca * cb * ck
+        for k, c in _product(self.p, self.n, x, y).items():
+            out[k] = c
         return GrElement(self.p, self.n, out)
 
     def is_effective(self) -> bool:
@@ -137,63 +148,49 @@ def base_fusion(p: int, i: int, j: int) -> list[int]:
     return list(range(abs(i - j), top + 1, 2))
 
 
-@lru_cache(maxsize=None)
-def _fuse(p: int, n: int, a: int, b: int) -> tuple[int, ...]:
-    """Coefficient vector of L_a L_b."""
-    size = p ** (n - 1) * (p - 1)
-    out = [0] * size
-    if n == 1:
-        for k in base_fusion(p, a, b):
-            out[k] = 1
-        return tuple(out)
-    ap, m = divmod(a, p)
-    bp, r = divmod(b, p)
-    w = _fuse(p, n - 1, ap, bp)
-    if m + r < p:
-        low = {k: 1 for k in range(abs(m - r), m + r + 1, 2)}
-    else:
-        low = {k: 1 for k in range(abs(m - r), 2 * (p - 2) - m - r + 1, 2)}
-        start = 2 * (p - 1) - m - r
-        for k in range(start, p):
-            if (m + r - k) % 2 == 0:
-                low[k] = 2 - (k == p - 1)
-    for j, cj in enumerate(w):
-        if cj:
-            for k, ck in low.items():
-                out[j * p + k] += cj * ck
-    if m + r >= p:
-        wv = _mul_by_v(p, n - 1, w)
-        for j, cj in enumerate(wv):
-            if cj:
-                for k in range(p, m + r + 1):
-                    if (m + r - k) % 2 == 0:
-                        out[j * p + k - p] += cj
-    return tuple(out)
+def _product(p: int, n: int, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """x * y on sparse {label: coeff} dicts, x = sum lift(X_m) L_m by lowest digit.
 
-
-def _mul_by_v(p: int, n: int, w: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiply a coefficient vector by the class of V one level down.
-
-    V is the basis label 1; in Ver_2 the two-dimensional object is zero, so
-    for p=2, n=1 this is identically zero.
+    Each digit pair (m, r) places X_m Y_r, one level down, by the rule above;
+    those of one digit sum m + r >= p are summed first and multiplied by V once.
     """
-    if p == 2 and n == 1:
-        return (0,) * len(w)
-    out = [0] * len(w)
-    for j, cj in enumerate(w):
-        if cj:
-            for k, ck in enumerate(_fuse(p, n, 1, j)):
-                if ck:
-                    out[k] += cj * ck
-    return tuple(out)
+    out: dict[int, int] = {}
+    if n == 1:
+        for i, ci in x.items():
+            for j, cj in y.items():
+                for k in base_fusion(p, i, j):
+                    out[k] = out.get(k, 0) + ci * cj
+        return {k: c for k, c in out.items() if c}
+    xs, ys = {}, {}  # lowest digit m -> X_m, r -> Y_r
+    for z, groups in ((x, xs), (y, ys)):
+        for a, c in z.items():
+            groups.setdefault(a % p, {})[a // p] = c
+    placed = []  # (w, digits): add lift(w) * sum of digits[k] L_k
+    by_sum: dict[int, dict[int, int]] = {}
+    for m, xm in xs.items():
+        for r, yr in ys.items():
+            s, w = m + r, _product(p, n - 1, xm, yr)
+            digits = {k: 1 for k in range(abs(m - r), (s if s < p else 2 * (p - 2) - s) + 1, 2)}
+            if s >= p:
+                digits.update((k, 2 - (k == p - 1)) for k in range(2 * (p - 1) - s, p, 2))
+                if p > 2 or n > 2:  # V of Ver_2 is zero
+                    acc = by_sum.setdefault(s, {})
+                    for j, c in w.items():
+                        acc[j] = acc.get(j, 0) + c
+            placed.append((w, digits))
+    for s, acc in by_sum.items():
+        wv = _product(p, n - 1, {1: 1}, acc)
+        placed.append((wv, dict.fromkeys(range((s - p) % 2, s - p + 1, 2), 1)))
+    for w, digits in placed:
+        for j, cj in w.items():
+            for k, ck in digits.items():
+                out[j * p + k] = out.get(j * p + k, 0) + cj * ck
+    return {k: c for k, c in out.items() if c}
 
 
 def fuse_simples(p: int, n: int, a: int, b: int) -> GrElement:
     """The product [L_a][L_b] in Gr(Ver_{p^n})."""
-    for label in (a, b):
-        if label not in simple_range(p, n):
-            raise OutOfRange(f"simple label {label} outside range for p={p}, n={n}")
-    return GrElement(p, n, _fuse(p, n, a, b))
+    return GrElement.basis(p, n, a) * GrElement.basis(p, n, b)
 
 
 def projective_class(p: int, n: int, i: int) -> GrElement:

@@ -209,6 +209,20 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     assert cold == warm
 
 
+def test_cache_file_is_indented_json_written_in_batches(tmp_path):
+    """The cache file is the sorted, indented JSON of the payload, byte for
+    byte, though the writer joins the encoder's chunks a batch at a time."""
+    from verkit.cli import _atomic_write, load_or_build
+
+    payload = load_or_build(3, 3, str(tmp_path), 100, 0)
+    written = (tmp_path / "verpn_3_3_v2.json").read_text()
+    assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    chunks = [f"{i}," for i in range(200_000)]  # more than three batches
+    _atomic_write(str(tmp_path / "chunks.txt"), iter(chunks))
+    assert (tmp_path / "chunks.txt").read_text() == "".join(chunks)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["chunks.txt", "verpn_3_3_v2.json"]
+
+
 def test_cache_file_for_another_category_is_rebuilt(tmp_path):
     """A cache file for another category, or valid JSON of the wrong shape,
     is a miss: the command rebuilds and overwrites it."""

@@ -319,6 +319,24 @@ def test_operands_of_another_category_are_refused():
         with pytest.raises(ShapeMismatch) as info:
             op()
         assert "Ver_{3^2}" in str(info.value) and "Ver_{7^1}" in str(info.value)
+    # An operand that is no GrElement is refused by Python; the only scalars
+    # are integers (numpy ones included), so no float enters a coefficient.
+    for op in (
+        lambda: a * 2,
+        lambda: a + 1,
+        lambda: 1 + a,
+        lambda: a - 1,
+        lambda: 1 - a,
+        lambda: 2.5 * a,
+        lambda: a * 2.5,
+        lambda: np.float64(2.5) * a,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    for scalar in (2, np.int64(2), True):
+        doubled = scalar * a
+        assert doubled == GrElement(3, 2, [0, int(scalar), 0, 0, 0, 0])
+        assert all(type(c) is int for c in doubled.coeffs)
 
 
 def test_fold_refuses_non_effective_class():
@@ -400,3 +418,100 @@ def test_tilting_class_refuses_a_p_that_is_not_prime():
     for p, n, m in ((4, 2, 9), (1, 3, 0), (9, 1, 2)):
         with pytest.raises(InvalidCategory):
             tilting_class(p, n, m)
+
+
+@lru_cache(maxsize=None)
+def reference_fuse(p: int, n: int, a: int, b: int) -> tuple[int, ...]:
+    """L_a L_b label pair by label pair, memoised, with V applied separately.
+
+    An independent reference for the sparse product: the same digit rule,
+    written over dense coefficient vectors of basis pairs.
+    """
+    size = p ** (n - 1) * (p - 1)
+    out = [0] * size
+    if n == 1:
+        for k in base_fusion(p, a, b):
+            out[k] = 1
+        return tuple(out)
+    ap, m = divmod(a, p)
+    bp, r = divmod(b, p)
+    w = reference_fuse(p, n - 1, ap, bp)
+    if m + r < p:
+        low = {k: 1 for k in range(abs(m - r), m + r + 1, 2)}
+    else:
+        low = {k: 1 for k in range(abs(m - r), 2 * (p - 2) - m - r + 1, 2)}
+        start = 2 * (p - 1) - m - r
+        for k in range(start, p):
+            if (m + r - k) % 2 == 0:
+                low[k] = 2 - (k == p - 1)
+    for j, cj in enumerate(w):
+        if cj:
+            for k, ck in low.items():
+                out[j * p + k] += cj * ck
+    if m + r >= p:
+        wv = reference_mul_by_v(p, n - 1, w)
+        for j, cj in enumerate(wv):
+            if cj:
+                for k in range(p, m + r + 1):
+                    if (m + r - k) % 2 == 0:
+                        out[j * p + k - p] += cj
+    return tuple(out)
+
+
+def reference_mul_by_v(p: int, n: int, w: tuple[int, ...]) -> tuple[int, ...]:
+    """w times the class of V (label 1); V of Ver_2 is zero."""
+    if p == 2 and n == 1:
+        return (0,) * len(w)
+    out = [0] * len(w)
+    for j, cj in enumerate(w):
+        if cj:
+            for k, ck in enumerate(reference_fuse(p, n, 1, j)):
+                if ck:
+                    out[k] += cj * ck
+    return tuple(out)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(CATEGORIES), st.data())
+def test_products_equal_the_memoised_reference(pn, data):
+    p, n = pn
+    size = p ** (n - 1) * (p - 1)
+    a, b = draw_labels(data, p, n, 2)
+    assert fuse_simples(p, n, a, b).coeffs == reference_fuse(p, n, a, b)
+    terms = st.dictionaries(st.integers(0, size - 1), st.integers(-4, 4), max_size=5)
+    x, y = data.draw(terms), data.draw(terms)
+    expected = [0] * size
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for c, cc in enumerate(reference_fuse(p, n, a, b)):
+                expected[c] += ca * cb * cc
+    ex, ey = (GrElement(p, n, [z.get(i, 0) for i in range(size)]) for z in (x, y))
+    assert (ex * ey).coeffs == tuple(expected)
+
+
+def test_products_retain_no_memory():
+    """200 fresh products at Ver_343 leave (almost) nothing allocated in grring."""
+    import gc
+    import tracemalloc
+
+    from verkit import grring
+
+    p, n = 7, 3
+    size = p ** (n - 1) * (p - 1)
+    pairs = random.Random(11).sample(range(size * size), 200)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.take_snapshot()
+        for ab in pairs:
+            fuse_simples(p, n, *divmod(ab, size))
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only_grring = [tracemalloc.Filter(True, grring.__file__)]
+    diff = after.filter_traces(only_grring).compare_to(
+        before.filter_traces(only_grring), "filename"
+    )
+    retained = sum(stat.size_diff for stat in diff)
+    assert retained < 64 * 1024, f"{retained} bytes retained"
