@@ -6,23 +6,29 @@ everything the rest of the package computes - decomposition
 and Cartan matrices by independent routes, blocks, Steinberg labels, exact
 and numeric Frobenius-Perron dimensions, Ext^1 adjacency and the stable
 Grothendieck ring - into a single record, and `verify_all` runs every
-consistency check as a named entry of a VerificationReport.  Checks collect
-failures instead of aborting so a regression produces a full differential
-report.
+consistency check as a named entry of a VerificationReport, with the
+seconds each took.  Checks collect failures instead of aborting so a
+regression produces a full differential report.
 
 The Cartan matrix is block diagonal, one block per block of the category,
-and the exact linear algebra runs block by block: definiteness, the total
-determinant (the product of the block determinants) and the Smith normal
-form, whose block certificates are placed into U and V by indexing.  The
-check `cartan_block_diagonal` licenses this: it runs first, and when it
-fails the same code runs on one block of all rows, which is the
-full-matrix computation.  `stable_snf_certificate` checks each block's
-certificate and the merged invariant factors.
+and the exact linear algebra runs block by block.  One unpivoted
+elimination per block gives its leading minors for definiteness and, when
+they are all positive, its determinant; the pivoted `det` runs only on a
+block where one is not.  The stable ring, the Cartan cokernel
+(Z/p)^(p^(n-1)-1), is read from each block's determinant and rank mod p:
+when |det C_b| = p^e and rank_p C_b = rows_b - e, the Smith form of C_b is
+diag(1, ..., 1, p, ..., p) with e copies of p.  `stable_rank_mod_p` checks
+that on every block, and that p^(n-1) - 1 factors are p in all; a block
+that fails it gets its factors from `smith_normal_form`.  The check
+`cartan_block_diagonal` licenses the per-block work: it runs first, and
+when it fails the same code runs on one block of all rows, which is the
+full-matrix computation.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -32,13 +38,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import digits
-from .errors import DEFAULT_BOUND, UnsupportedPrime, check_category, check_pn
+from .errors import DEFAULT_BOUND, PrecisionExceeded, UnsupportedPrime, check_category, check_pn
 from .errors import is_prime  # re-exported
 from .linalg import (
     check_int64_products,
     definiteness_witness,
     det,
     permutation_equivalent,
+    positive_leading_minors,
+    rank_mod_p,
     smith_normal_form,
 )
 
@@ -93,7 +101,7 @@ class CategoryContext:
 
     @cached_property
     def block_dets(self) -> Mapping[tuple[int, ...], int]:
-        return MappingProxyType({b: int(det(self.block_cartan(b))) for b in self.blocks})
+        return MappingProxyType({b: self._det(b) for b in self.blocks})
 
     @cached_property
     def block_diagonal_witness(self) -> str:
@@ -126,23 +134,48 @@ class CategoryContext:
         return self.blocks
 
     @cached_property
-    def solve_dets(self) -> tuple[int, ...]:
-        """Cartan determinant of each solve block, read from block_dets when
-        the solve blocks are the category's blocks."""
-        return tuple(
-            self.block_dets[b] if b in self.block_dets else int(det(self.block_cartan(b)))
-            for b in self.solve_blocks
+    def solve_minors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+        """`positive_leading_minors` of the Cartan submatrix on each solve
+        block: one unpivoted elimination, for definiteness and det alike."""
+        return MappingProxyType(
+            {b: tuple(positive_leading_minors(self.block_cartan(b))) for b in self.solve_blocks}
         )
 
+    def _det(self, block: tuple[int, ...]) -> int:
+        """Determinant of the Cartan submatrix on `block`: the last leading
+        minor of a solve block whose minors are all positive, else the
+        pivoted `det`."""
+        minors = self.solve_minors.get(block, ())
+        if minors and len(minors) == len(block) and minors[-1] > 0:
+            return int(minors[-1])
+        return int(det(self.block_cartan(block)))
+
     @cached_property
-    def block_smith(self) -> tuple[tuple[list[int], np.ndarray, np.ndarray], ...]:
-        """`smith_normal_form` of the Cartan submatrix on each solve block."""
-        forms = []
-        for block in self.solve_blocks:
-            factors, U, V = smith_normal_form(self.block_cartan(block))
-            U.flags.writeable = V.flags.writeable = False
-            forms.append((factors, U, V))
-        return tuple(forms)
+    def solve_dets(self) -> tuple[int, ...]:
+        """Cartan determinant of each solve block."""
+        return tuple(self._det(b) for b in self.solve_blocks)
+
+    @cached_property
+    def solve_ranks(self) -> tuple[int, ...]:
+        """Rank mod p of the Cartan submatrix on each solve block."""
+        return tuple(rank_mod_p(self.block_cartan(b), self.p) for b in self.solve_blocks)
+
+    @cached_property
+    def stable_exponents(self) -> tuple[int | None, ...]:
+        """Per solve block, the number e of its invariant factors equal to p
+        when its Smith form is diag(1, ..., 1, p, ..., p); None when the
+        determinant and the rank mod p do not show that.
+
+        rank_p C_b counts the invariant factors prime to p, so e = rows_b -
+        rank_p C_b of them are divisible by p (zeros included).  If also
+        |det C_b| = p^e, none is zero, every factor is a power of p, and the
+        e valuations sum to e: each of those factors is p and the rest are 1.
+        """
+        exponents = []
+        for block, r, d in zip(self.solve_blocks, self.solve_ranks, self.solve_dets):
+            e = len(block) - r
+            exponents.append(e if abs(d) == self.p**e else None)
+        return tuple(exponents)
 
     @cached_property
     def fpdim_simples(self) -> tuple[cyclo.CycloInt, ...]:
@@ -212,34 +245,24 @@ class CategoryContext:
 
     @cached_property
     def stable(self) -> Mapping[str, object]:
-        """Smith normal form of the Cartan matrix: order, invariant_factors, U, V.
+        """The Cartan cokernel: its order and invariant factors.
 
-        The direct sum of the solve blocks' forms: each block certificate is
-        placed by indexing, and the factors are sorted (zeros last) with the
-        rows of U and the columns of V permuted alike, so U C V is still
-        diag(factors).  On block-diagonal input whose block factors merge
-        into a divisibility chain these are the invariant factors of the
-        whole matrix; `verify_all` checks that they do.
+        The direct sum of the solve blocks' Smith forms, each read from
+        `stable_exponents`, or from `smith_normal_form` for a block where
+        that is None; the factors are sorted, zeros last.  On block-diagonal
+        input whose block factors merge into a divisibility chain these are
+        the invariant factors of the whole matrix; they do when every block
+        has the form diag(1, ..., 1, p, ..., p), which `verify_all` checks.
         """
-        k = len(self.rows)
-        U = np.zeros((k, k), dtype=object)
-        V = np.zeros((k, k), dtype=object)
-        merged: list[int] = []
-        for block, (factors, Ub, Vb) in zip(self.solve_blocks, self.block_smith):
-            idx = [self.rows.index(s) for s in block]
-            slots = range(len(merged), len(merged) + len(block))
-            U[np.ix_(slots, idx)] = Ub
-            V[np.ix_(idx, slots)] = Vb
-            merged += factors
-        perm = sorted(range(k), key=lambda t: (merged[t] == 0, merged[t]))
-        U, V = U[perm], V[:, perm]
-        factors = [merged[t] for t in perm]
-        order = 1
-        for f in factors:
-            order *= abs(f)
-        U.flags.writeable = V.flags.writeable = False
-        stable = {"order": order, "invariant_factors": tuple(factors), "U": U, "V": V}
-        return MappingProxyType(stable)
+        factors: list[int] = []
+        for block, e in zip(self.solve_blocks, self.stable_exponents):
+            if e is None:
+                factors += smith_normal_form(self.block_cartan(block))[0]
+            else:
+                factors += [1] * (len(block) - e) + [self.p] * e
+        factors.sort(key=lambda f: (f == 0, f))
+        order = math.prod(abs(f) for f in factors)
+        return MappingProxyType({"order": order, "invariant_factors": tuple(factors)})
 
 
 @lru_cache(maxsize=None)
@@ -254,17 +277,28 @@ def category(p: int, n: int) -> CategoryContext:
 
 @dataclass
 class Check:
+    """One named check.  `seconds` is the wall time it took; it takes no
+    part in equality and is not written to the cache payload."""
+
     name: str
     passed: bool
     witness: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
 class VerificationReport:
+    """Checks in the order they ran.  Each check's seconds run from the
+    previous `add` (or the report's creation) to its own, so they include
+    whatever context quantity it was the first to need."""
+
     checks: list[Check] = field(default_factory=list)
+    _mark: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
-        self.checks.append(Check(name, bool(passed), witness))
+        now = time.perf_counter()
+        self.checks.append(Check(name, bool(passed), witness, now - self._mark))
+        self._mark = now
 
     @property
     def all_passed(self) -> bool:
@@ -348,39 +382,26 @@ def _definiteness_witness(ctx: CategoryContext) -> str:
     """`definiteness_witness` on each solve block, naming full-matrix rows."""
     for block in ctx.solve_blocks:
         rows = [ctx.rows.index(s) for s in block]
-        why = definiteness_witness(ctx.block_cartan(block), rows)
+        why = definiteness_witness(ctx.block_cartan(block), rows, ctx.solve_minors[block])
         if why:
             return why
     return ""
 
 
-def _divides(a: int, b: int) -> bool:
-    return b == 0 if a == 0 else b % a == 0
-
-
 def _stable_witness(ctx: CategoryContext) -> str:
-    """Why the stored Smith normal form does not give the stable ring, or "".
+    """Why the determinants and ranks mod p do not give the stable ring
+    (Z/p)^(p^(n-1)-1), or "".
 
-    Per solve block: U_b C_b V_b = diag(f_b) with |det U_b| = |det V_b| = 1.
-    Given the first, det U_b * det C_b * det V_b = prod(f_b) for integer
-    U_b and V_b, so the second holds exactly when |prod(f_b)| = |det C_b|
-    is nonzero; det C_b is the solve block's determinant.
-    Merged: a divisibility chain whose non-unit part is p, p^(n-1)-1 times.
+    Each solve block must have the Smith form diag(1, ..., 1, p, ..., p) by
+    `stable_exponents`, and p^(n-1) - 1 factors must be p in all.
     """
     p, n = ctx.p, ctx.n
-    blocks = zip(ctx.solve_blocks, ctx.block_smith, ctx.solve_dets)
-    for block, (factors, U, V), block_det in blocks:
-        if not (U @ ctx.block_cartan(block) @ V == np.diag(np.array(factors, dtype=object))).all():
-            return f"U C V != diag(factors) on the block of T{block[0]}"
-        if block_det == 0 or abs(math.prod(factors)) != abs(block_det):
-            return f"certificate not unimodular on the block of T{block[0]}"
-    factors = ctx.stable["invariant_factors"]
-    chain = [(a, b) for a, b in zip(factors, factors[1:]) if not _divides(a, b)]
-    if chain:
-        return "{} does not divide {}".format(*chain[0])
-    nonunit = [f for f in factors if f != 1]
-    if nonunit != [p] * (p ** (n - 1) - 1):
-        return f"non-unit factors {nonunit}"
+    for block, e, d, r in zip(ctx.solve_blocks, ctx.stable_exponents, ctx.solve_dets, ctx.solve_ranks):
+        if e is None:
+            return f"block of T{block[0]}: det {d}, rank mod {p} {r} of {len(block)} rows"
+    count = sum(ctx.stable_exponents)
+    if count != p ** (n - 1) - 1:
+        return f"{count} invariant factors equal to {p}"
     return ""
 
 
@@ -479,7 +500,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     report.add("det_per_block", not bad_blocks, "" if not bad_blocks else f"block {bad_blocks[0]}")
 
     witness = _stable_witness(ctx)
-    report.add("stable_snf_certificate", not witness, witness)
+    report.add("stable_rank_mod_p", not witness, witness)
 
     ok, wit = cyclo.verify_cd_eq_p(p, n)
     report.add("cd_eq_p", ok, "" if ok else f"row {wit}")
@@ -493,10 +514,17 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     )
 
     if p**n > 2:
-        x = ctx.fpdim_simples[1]
-        at_level = cyclo.chebyshev_Q(p, n)(x)
-        below = cyclo.chebyshev_Q(p, n - 1)(x)
-        report.add("chebyshev_roots", (not at_level) and bool(below))
+        # S_(p^n - 1) and S_(p^(n-1) - 1) at FPdim L_1, by their recurrence.
+        try:
+            at_level, below = cyclo.chebyshev_at(ctx.fpdim_simples[1], p**n - 1, p ** (n - 1) - 1)
+        except PrecisionExceeded as exc:
+            witness = str(exc)
+        else:
+            if at_level:
+                witness = f"S_{p**n - 1}(FPdim L_1) != 0"
+            else:
+                witness = "" if below else f"S_{p ** (n - 1) - 1}(FPdim L_1) = 0"
+        report.add("chebyshev_roots", not witness, witness)
     else:
         report.add("chebyshev_roots", True, "no two-dimensional generator in Ver_2")
 
@@ -557,6 +585,9 @@ def build(
     grring.check_samples(samples)
     ctx = category(p, n)
     simples = list(ctx.simples)
+    # First, so that each check's seconds include the context quantities it
+    # is the first to need.
+    verification = verify_all(p, n, samples=samples, seed=seed)
     stable = stable_gr(p, n)
     return CategoryData(
         p=p,
@@ -575,5 +606,5 @@ def build(
         fpdim_numeric=ctx.fpdim_numeric,
         ext1_edges=ctx.ext1_edges,
         stable={"order": stable["order"], "invariant_factors": list(stable["invariant_factors"])},
-        verification=verify_all(p, n, samples=samples, seed=seed),
+        verification=verification,
     )

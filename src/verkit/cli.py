@@ -20,7 +20,7 @@ import functools
 import json
 import os
 import tempfile
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import click
@@ -28,19 +28,89 @@ import click
 from .errors import VerkitError, check_category
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Iterator
 
     from . import catalog, grring
 
 SCHEMA_VERSION = 1
 # Part of every cache file name; raised whenever the payload of a category
-# changes (new checks included), so files of an older payload are rebuilt.
-CACHE_VERSION = 2
+# changes (new or renamed checks included), so files of an older payload are
+# rebuilt.
+CACHE_VERSION = 3
 NUMERIC_DIGITS = 20
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's escaping
+
+
+def _json_chunks(obj, depth: int = 0) -> Iterator[str]:
+    """Chunks of json.dumps(obj, indent=2, sort_keys=True), in order.
+
+    For dicts with str keys, lists, tuples, str, int, bool and None (the
+    payloads hold no floats); anything else raises TypeError.  A list of plain ints is one chunk, so a
+    matrix row or a coefficient vector costs one join, where the standard
+    library's indenting encoder (pure Python) yields each number, comma and
+    newline apart.
+    """
+    if isinstance(obj, str):
+        yield _encode_str(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + "]"
+        if set(map(type, obj)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + close
+            return
+        sep = "[" + inner
+        for v in obj:
+            yield sep
+            yield from _json_chunks(v, depth + 1)
+            sep = "," + inner
+        yield close
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key, v in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield sep + _encode_str(key) + ": "
+            yield from _json_chunks(v, depth + 1)
+            sep = "," + inner
+        yield "\n" + "  " * depth + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _batches(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined into strings of about 2^18 characters (more only
+    where one chunk is longer)."""
+    batch: list[str] = []
+    length = 0
+    for chunk in chunks:
+        batch.append(chunk)
+        length += len(chunk)
+        if length >= 1 << 18:
+            yield "".join(batch)
+            batch, length = [], 0
+    if batch:
+        yield "".join(batch)
 
 
 def _nstr(x) -> str:
@@ -138,17 +208,16 @@ def _cache_path(cache_dir: str, p: int, n: int) -> str:
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the concatenated chunks to `path` through a temporary file.
 
-    They are joined 65536 at a time.  The indented JSON encoder yields
-    millions of small strings for a large category, and held all at once
-    they took about 800 MB at Ver_2187.
+    They are joined in batches of about 256 kB (`_batches`): a large
+    category's document is tens of megabytes, and the standard library's
+    encoder chunks of it, held all at once, took about 800 MB at Ver_2187.
     """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            chunks = iter(chunks)
-            while batch := list(islice(chunks, 1 << 16)):
-                handle.write("".join(batch))
+            for batch in _batches(chunks):
+                handle.write(batch)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -179,8 +248,7 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
 
     data = catalog.build(p, n, samples=samples, seed=seed)
     payload = category_payload(data, samples, seed)
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    _atomic_write(path, chain(encoder.iterencode(payload), ["\n"]))
+    _atomic_write(path, chain(_json_chunks(payload), ["\n"]))
     return payload
 
 
@@ -193,10 +261,18 @@ def _document(kind: str, payload: dict) -> dict:
 
 
 def _emit(doc: dict, fmt: str, output: str | None, text_renderer, check_roundtrip: bool) -> None:
+    """Write the document in `fmt` to `output` or stdout.
+
+    JSON is streamed in batches, never held whole, unless the round trip is
+    checked: that parses the whole text back first.
+    """
     if fmt == "json":
-        body = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if check_roundtrip and json.loads(body) != doc:
-            raise click.ClickException("JSON round-trip mismatch")
+        chunks = chain(_json_chunks(doc), ["\n"])
+        if check_roundtrip:
+            body = "".join(chunks)
+            if json.loads(body) != doc:
+                raise click.ClickException("JSON round-trip mismatch")
+            chunks = [body]
     elif fmt == "csv":
         payload = doc["payload"]
         if not (isinstance(payload, dict) and "entries" in payload):
@@ -204,15 +280,15 @@ def _emit(doc: dict, fmt: str, output: str | None, text_renderer, check_roundtri
         lines = ["," + ",".join(payload["cols"])]
         for label, row in zip(payload["rows"], payload["entries"]):
             lines.append(label + "," + ",".join(str(v) for v in row))
-        body = "\n".join(lines) + "\n"
+        chunks = ["\n".join(lines) + "\n"]
     else:
         body = text_renderer(doc["payload"])
-        if not body.endswith("\n"):
-            body += "\n"
+        chunks = [body if body.endswith("\n") else body + "\n"]
     if output:
-        _atomic_write(os.path.abspath(output), [body])
+        _atomic_write(os.path.abspath(output), chunks)
     else:
-        click.echo(body, nl=False)
+        for batch in _batches(chunks):
+            click.echo(batch, nl=False)
 
 
 def _grid(rows: list[list[str]]) -> str:

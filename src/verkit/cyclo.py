@@ -12,7 +12,15 @@ numerically at q.  Every element is formed by `CycloContext.element`, which
 folds each exponent into [0, p^n) by that relation and reduces the folded
 list modulo Phi once; products are reduced once by `CycloInt.__mul__`.  All
 Frobenius-Perron dimension identities are verified by substitution in this
-ring; nothing is ever solved for.  Quantum integers are
+ring; nothing is ever solved for.  Chebyshev polynomials are evaluated by
+their recurrence S_m = x S_(m-1) - S_(m-2) (`chebyshev_at`), each step
+reduced at once: multiplied by x's nonzero terms as shifts of an int64
+vector, folded by q^(p^n) = -1, and reduced modulo Phi by one pass over the
+top p^(n-1) coefficients.  The values stay small (at FPdim L_1 every
+coefficient stayed within 1 from Ver_9 to Ver_2187), and each step is
+guarded by `check_int64_products`; Horner's rule on the coefficients of
+`chebyshev_Q`, which grow like 2^(p^n), is the test suite's oracle.
+Quantum integers are
 
     [m]_(q^s) = sum_{k=0}^{m-1} q^(s(m-1-2k)),
 
@@ -40,6 +48,7 @@ import numpy as np
 
 from .digits import check_pn, descendants, simple_range, steinberg_label, to_digits
 from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
+from .linalg import check_int64_products
 from .tilting import chebyshev_s
 
 NUMERIC_DPS = 40
@@ -327,6 +336,48 @@ def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
 def chebyshev_Q(p: int, n: int) -> IntPoly:
     """Chebyshev polynomial whose roots include 2cos(pi/p^n): S at index p^n - 1."""
     return IntPoly(chebyshev_s(p**n - 1))
+
+
+def chebyshev_at(x: CycloInt, *indices: int) -> tuple[CycloInt, ...]:
+    """S_m(x) for each m in `indices` (m >= 0), in that order.
+
+    Runs S_0 = 1, S_1 = x, S_m = x S_(m-1) - S_(m-2) on int64 coefficient
+    vectors.  Each product by x is a sum of shifted copies, one per nonzero
+    term of x, folded by q^(p^n) = -1 and reduced modulo Phi in one pass
+    over the top p^(n-1) coefficients (for odd p, q^((p-1)p^(n-1) + t) is
+    the alternating sum of q^(t + k p^(n-1)), k < p - 1, all below the
+    degree).  So every S_m is the reduced element `CycloContext.element`
+    would give.  Before each step `check_int64_products` raises
+    PrecisionExceeded if a coefficient could overflow.
+    """
+    if any(m < 0 for m in indices):
+        raise OutOfRange(f"Chebyshev indices must be >= 0, got {indices}")
+    ctx = x.ctx
+    N, d = ctx.p**ctx.n, ctx.degree
+    top = N // ctx.p
+    low = np.array(ctx.modulus[: d : top], dtype=np.int64)  # Phi's terms below x^d
+    terms = [(e, c) for e, c in enumerate(x.coeffs) if c]
+    xmax = max((abs(c) for _, c in terms), default=0)
+    found = {m: ctx.one() for m in indices if m == 0}
+    older = np.zeros(d, dtype=np.int64)  # S_(m-2), from S_(-1) = 0
+    cur = np.zeros(d, dtype=np.int64)  # S_(m-1), from S_0 = 1
+    cur[0] = amax = 1
+    buf = np.zeros(2 * N, dtype=np.int64)
+    for m in range(1, max(indices, default=0) + 1):
+        # |x S - S'| <= 4 |terms| amax xmax + amax: the shifted sum, the fold
+        # and the reduction each at most double a coefficient's bound.
+        check_int64_products(amax, xmax, 4 * len(terms) + 1, f"Chebyshev S_{m}")
+        buf[:] = 0
+        for e, c in terms:
+            buf[e : e + d] += c * cur
+        v = buf[:N] - buf[N:]
+        if d < N:
+            v[:d].reshape(-1, top)[:] -= np.outer(low, v[d:])
+        older, cur = cur, v[:d] - older
+        amax = max(int(np.abs(cur).max()), int(np.abs(older).max()), 1)
+        if m in indices:
+            found[m] = CycloInt(ctx, cur.tolist())
+    return tuple(found[m] for m in indices)
 
 
 def fpdim_category(p: int, n: int) -> mpmath.mpf:

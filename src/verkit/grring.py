@@ -247,8 +247,9 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
 
     For sampled (i, j) the class of the truncated decomposition of
     T_i (x) T_j must equal [T_i] * [T_j] expanded through fuse_simples.
-    The left side is one integer combination of rows of the class table;
-    the right side is one product of two rows.
+    The left side is one integer combination of the rows of the class table
+    that the decomposition names; the right side is one product of two
+    rows.
     Exhaustive when the number of pairs is at most `samples`.
     """
     import numpy as np
@@ -271,11 +272,12 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
     entry_bound = int(np.abs(table).max())
     for i, j in pairs:
         dec = truncate(p, n, tensor_decompose(p, i, j))
-        counts = np.zeros(top, dtype=np.int64)
         if dec.mults:
-            check_int64_products(max(dec.mults.values()), entry_bound, len(dec.mults), "class sum")
-            counts[list(dec.mults)] = list(dec.mults.values())
-        left = GrElement(p, n, (counts @ table).tolist())
+            vals = list(dec.mults.values())
+            check_int64_products(max(map(abs, vals)), entry_bound, len(vals), "class sum")
+            left = GrElement(p, n, (np.array(vals, dtype=np.int64) @ table[list(dec.mults)]).tolist())
+        else:
+            left = GrElement.zero(p, n)
         right = tilting_class(p, n, i) * tilting_class(p, n, j)
         if left != right:
             return {"pairs_checked": len(pairs), "passed": False, "counterexample": (i, j)}

@@ -3,14 +3,20 @@
 Matrices are numpy arrays with dtype=object holding Python integers, so all
 results are exact regardless of entry growth.  Provided here: fraction-free
 (Bareiss) determinants, leading principal minors and the definiteness test,
-the Smith normal form with a transformation certificate, and equality of
-symmetric matrices up to a simultaneous row/column permutation.
+the rank modulo a prime, the Smith normal form with a transformation
+certificate, and equality of symmetric matrices up to a simultaneous
+row/column permutation.
 
 Determinants and minors share one elimination step, applied to the whole
 trailing block at once.  Without row exchanges the pivot reached after step
 s is the (s+1)-th leading principal minor (Sylvester's identity; Bareiss,
-Math. Comp. 22, 1968), so one O(k^3) pass yields every minor; `det` swaps
-rows past a zero pivot instead.
+Math. Comp. 22, 1968), so one O(k^3) pass yields every minor, and when all
+of them are positive the last one is the determinant; `det` swaps rows past
+a zero pivot instead.  `definiteness_witness` accepts minors already
+computed, so a caller that needs both runs the pass once.
+
+The rank modulo a prime is row elimination on residues in int64, one array
+step per pivot.
 
 The Smith normal form works on the trailing block in the same way: each
 pivot search (the first entry of least nonzero absolute value, row-major),
@@ -18,10 +24,13 @@ each elimination of the pivot's column and row, and each divisibility
 fix-up is one array operation, applied to U and V alongside.
 
 These routines work on whatever matrix they are given.  `catalog` runs
-definiteness, determinants and the Smith normal form on the diagonal blocks
-of the Cartan matrix, after checking that it is block diagonal; the test
-suite keeps the full-matrix calls as the oracles those per-block results
-must reproduce.
+definiteness, determinants and ranks mod p on the diagonal blocks of the
+Cartan matrix, after checking that it is block diagonal.  It reads the
+stable ring from each block's determinant and rank mod p, and calls
+`smith_normal_form` only as the fallback for a block where those do not
+determine the Smith form.  The test suite keeps the full-matrix calls, and
+`smith_normal_form` with its certificate, as the oracles those per-block
+results must reproduce.
 
 Callers that do integer work in int64 instead (tilting characters, the
 fusion check's class combinations, the character route to the Cartan
@@ -68,17 +77,17 @@ def _bareiss_step(A: np.ndarray, s: int, prev: int) -> None:
     ) // prev
 
 
-def _leading_minors(A: np.ndarray) -> Iterator[int]:
+def _leading_minors(A: np.ndarray, stop_at_nonpositive: bool = False) -> Iterator[int]:
     """Leading principal minors of square A, from one unpivoted pass.
 
     Eliminates in A; stops after the first zero minor, past which the pass
-    cannot go on.
+    cannot go on, or after the first non-positive one if asked to.
     """
     prev = 1
     for s in range(A.shape[0]):
         pivot = A[s, s]
         yield pivot
-        if pivot == 0:
+        if pivot == 0 or (stop_at_nonpositive and pivot < 0):
             return
         _bareiss_step(A, s, prev)
         prev = pivot
@@ -113,14 +122,26 @@ def leading_principal_minors(M: np.ndarray) -> list[int]:
     return minors + [det(A[:j, :j]) for j in range(len(minors) + 1, len(A) + 1)]
 
 
-def definiteness_witness(M: np.ndarray, rows=None) -> str:
+def positive_leading_minors(M: np.ndarray) -> list[int]:
+    """Leading principal minors of square M from one unpivoted pass, up to
+    and including the first one that is not positive.
+
+    All of them are positive exactly when the list has one minor per row
+    and its last is positive; that last minor is then det M.
+    """
+    return list(_leading_minors(_square_copy(M), stop_at_nonpositive=True))
+
+
+def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
     """Why M is not symmetric positive definite, or "" if it is.
 
     Names the first asymmetric entry or the first non-positive leading
-    minor (1-based); elimination stops there.  When M is the principal
-    submatrix of a larger matrix on the increasing row numbers `rows`, the
-    witness names those rows: a leading minor of M on rows other than the
-    larger matrix's first ones is named as a principal minor on its rows.
+    minor (1-based); elimination stops there.  `minors`, when given, is
+    `positive_leading_minors(M)`, computed by the caller.  When M is the
+    principal submatrix of a larger matrix on the increasing row numbers
+    `rows`, the witness names those rows: a leading minor of M on rows other
+    than the larger matrix's first ones is named as a principal minor on its
+    rows.
     """
     A = _square_copy(M)
     rows = range(len(A)) if rows is None else list(rows)
@@ -128,7 +149,9 @@ def definiteness_witness(M: np.ndarray, rows=None) -> str:
     if len(asymmetric):
         i, j = asymmetric[0]
         return f"not symmetric at ({rows[i]}, {rows[j]})"
-    for j, minor in enumerate(_leading_minors(A), 1):
+    if minors is None:
+        minors = _leading_minors(A, stop_at_nonpositive=True)
+    for j, minor in enumerate(minors, 1):
         if minor <= 0:
             if list(rows[:j]) == list(range(j)):
                 return f"leading minor {j} = {minor}"
@@ -143,13 +166,45 @@ def is_positive_definite(M: np.ndarray) -> bool:
     return definiteness_witness(M) == ""
 
 
+def rank_mod_p(M: np.ndarray, p: int) -> int:
+    """Rank of the integer matrix M over Z/p, p prime.
+
+    Row elimination on the residues in int64, one array step per pivot;
+    entries stay below p, so no sum of products can overflow for
+    p < 2^31 (`check_int64_products` refuses a larger p).  Anything but a
+    matrix raises ShapeMismatch.
+    """
+    check_int64_products(p - 1, p - 1, 2, "rank mod p")
+    A = np.array(M, dtype=object)
+    if A.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
+    A = (A % p).astype(np.int64)
+    rank = 0
+    for c in range(A.shape[1]):
+        if rank == A.shape[0]:
+            break
+        below = np.flatnonzero(A[rank:, c])
+        if not below.size:
+            continue
+        i = rank + below[0]
+        A[[rank, i]] = A[[i, rank]]
+        pivot = A[rank, c:] * pow(int(A[rank, c]), -1, p) % p
+        rest = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
+        A[rest, c:] = (A[rest, c:] - np.outer(A[rest, c], pivot)) % p
+        rank += 1
+    return rank
+
+
 def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Invariant factors d_1 | d_2 | ... and a certificate (U, V).
 
     U and V are unimodular with U @ M @ V diagonal; the test suite verifies
     the certificate rather than trusting this routine.  M may be
     rectangular; anything but a matrix raises ShapeMismatch.  Pivots are
-    chosen by minimal absolute value to limit entry growth.
+    chosen by minimal absolute value to limit entry growth.  `catalog` calls
+    it only for a solve block whose determinant and rank mod p do not
+    determine the Smith form; the test suite uses it as the oracle for the
+    factors read from those.
     """
     A = np.array(M, dtype=object)
     if A.ndim != 2:

@@ -192,7 +192,7 @@ def test_verify_all_passes_everywhere():
         "p2_nonsemisimple_block_is_brauer_line",
         "det_total",
         "det_per_block",
-        "stable_snf_certificate",
+        "stable_rank_mod_p",
         "cd_eq_p",
         "fpdim_category",
         "chebyshev_roots",
@@ -410,16 +410,15 @@ def test_per_block_linear_algebra_equals_full_matrix(drawn, rnd):
 
     assert (catalog._definiteness_witness(ctx) == "") == is_positive_definite(C)
     assert math.prod(ctx.solve_dets) == det(C)
+    assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in members)
 
-    full, _, _ = smith_normal_form(C)
-    stable = ctx.stable
-    merged = list(stable["invariant_factors"])
+    full, U, V = smith_normal_form(C)
+    assert (U @ C @ V == np.diag(np.array(full, dtype=object))).all()
+    assert abs(det(U)) == 1 and abs(det(V)) == 1
+    merged = list(ctx.stable["invariant_factors"])
     if chained:
         assert merged == full
     assert _elementary_divisors(merged) == _elementary_divisors(full)
-    U, V = stable["U"], stable["V"]
-    assert (U @ C @ V == np.diag(np.array(merged, dtype=object))).all()
-    assert abs(det(U)) == 1 and abs(det(V)) == 1
 
 
 def test_full_matrix_routines_are_the_oracles_on_acceptance_pairs():
@@ -429,11 +428,12 @@ def test_full_matrix_routines_are_the_oracles_on_acceptance_pairs():
         assert ctx.block_diagonal_witness == "" and ctx.solve_blocks == ctx.blocks
         assert is_positive_definite(C) and catalog._definiteness_witness(ctx) == "", (p, n)
         assert math.prod(ctx.solve_dets) == det(C) == p ** (p ** (n - 1) - 1), (p, n)
-        factors, _, _ = smith_normal_form(C)
-        assert list(ctx.stable["invariant_factors"]) == factors, (p, n)
-        U, V = ctx.stable["U"], ctx.stable["V"]
+        assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks), (p, n)
+        factors, U, V = smith_normal_form(C)
         assert (U @ C @ V == np.diag(np.array(factors, dtype=object))).all(), (p, n)
         assert abs(det(U)) == 1 and abs(det(V)) == 1, (p, n)
+        assert list(ctx.stable["invariant_factors"]) == factors, (p, n)
+        assert None not in ctx.stable_exponents, (p, n)
         assert catalog._stable_witness(ctx) == "", (p, n)
 
 
@@ -455,7 +455,7 @@ def test_off_block_entry_fails_the_block_diagonal_check(monkeypatch):
     # Everything that would run per block runs on the whole matrix instead,
     # and fails there; none of it passes on the untouched blocks.
     assert ctx.solve_blocks == (tuple(rows),)
-    for name in ("cartan_symmetric_posdef", "det_total", "stable_snf_certificate"):
+    for name in ("cartan_symmetric_posdef", "det_total", "stable_rank_mod_p"):
         assert not checks[name].passed, name
     assert math.prod(ctx.solve_dets) == det(C) != p ** (p ** (n - 1) - 1)
     assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
@@ -488,26 +488,108 @@ def test_posdef_witness_names_full_matrix_rows_inside_a_block(monkeypatch):
     assert checks["cartan_symmetric_posdef"].witness == f"principal minor on rows [{first}] = 0"
 
 
-def test_stable_check_reports_a_bad_certificate(monkeypatch):
-    p, n = 3, 2
-    good = catalog.category(p, n).block_smith
+@st.composite
+def prime_power_blocks(draw):
+    """A prime p and symmetric blocks G^T D G, G unimodular and D a diagonal
+    of signed powers of p: mostly 1 and p, sometimes p^2, sometimes 0."""
+    prime = draw(st.sampled_from([2, 3, 5]))
+    blocks = []
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)):
+        G = np.eye(size, dtype=object)
+        for _ in range(draw(st.integers(0, 8))):
+            i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            if i != j:
+                G[i] += draw(st.integers(-3, 3)) * G[j]
+        powers = st.sampled_from([1, 1, prime, prime, prime, prime**2, 0])
+        diagonal = [draw(st.sampled_from([1, -1])) * draw(powers) for _ in range(size)]
+        blocks.append(G.T @ np.diag(np.array(diagonal, dtype=object)) @ G)
+    return prime, blocks
 
-    def with_first_form(factors, U, V):
-        ctx = _fresh_context(p, n, cartan_descendant(p, n))
-        ctx.__dict__["block_smith"] = ((factors, U, V),) + good[1:]
-        return _checks_on(monkeypatch, ctx)["stable_snf_certificate"]
 
-    factors, U, V = good[0]
-    # Doubling a row of U and its factor keeps U C V diagonal but makes
-    # |det U| = 2.
-    U2 = U.copy()
-    U2[0] *= 2
-    check = with_first_form([2 * factors[0]] + factors[1:], U2, V)
-    assert not check.passed and check.witness.startswith("certificate not unimodular")
-    check = with_first_form(factors, U2, V)
-    assert not check.passed and check.witness.startswith("U C V != diag(factors)")
-    check = with_first_form(factors, U, V)
+@settings(deadline=None, max_examples=150)
+@given(prime_power_blocks())
+def test_stable_factors_from_det_and_rank_equal_smith_normal_form(drawn):
+    prime, blocks = drawn
+    k = sum(len(B) for B in blocks)
+    C = np.zeros((k, k), dtype=object)
+    members, start = [], 0
+    for B in blocks:
+        C[start : start + len(B), start : start + len(B)] = B
+        members.append(tuple(range(start, start + len(B))))
+        start += len(B)
+    ctx = _fresh_context(prime, 2, C, rows=range(k), blocks=tuple(members))
+    assert ctx.solve_blocks == tuple(members)
+    for block, e in zip(members, ctx.stable_exponents):
+        factors = smith_normal_form(ctx.block_cartan(block))[0]
+        # Det and rank mod p decide the block exactly when its Smith form is
+        # diag(1, ..., 1, p, ..., p); then e counts the p's.
+        assert (e is not None) == (set(factors) <= {1, prime})
+        if e is not None:
+            assert factors.count(prime) == e
+    assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
+
+
+def _stable_check_on_first_block(monkeypatch, block):
+    """stable_rank_mod_p on Ver_9 with the 2x2 block (T3, T7) replaced."""
+    C = cartan_descendant(3, 2)
+    idx = np.ix_([1, 5], [1, 5])  # rows T3 and T7 of T2..T7
+    C[idx] = np.array(block, dtype=object)
+    ctx = _fresh_context(3, 2, C)
+    assert ctx.blocks[0] == (3, 7)
+    return ctx, C, _checks_on(monkeypatch, ctx)["stable_rank_mod_p"]
+
+
+def test_stable_rank_check_names_the_failing_block(monkeypatch):
+    # diag(1, 9): det 3^2, but only one factor is divisible by 3.
+    # diag(2, 3): det 6 is no power of 3.
+    for block, det_text in (([[1, 0], [0, 9]], "det 9"), ([[2, 0], [0, 3]], "det 6")):
+        ctx, C, check = _stable_check_on_first_block(monkeypatch, block)
+        assert not check.passed
+        assert check.witness == f"block of T3: {det_text}, rank mod 3 1 of 2 rows"
+        # The payload still gets the true factors, from the Smith normal form.
+        assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
+    # The identity passes the block test, but then one factor 3 is missing.
+    ctx, C, check = _stable_check_on_first_block(monkeypatch, [[1, 0], [0, 1]])
+    assert not check.passed and check.witness == "1 invariant factors equal to 3"
+    assert ctx.stable["invariant_factors"] == (1, 1, 1, 1, 1, 3) == tuple(smith_normal_form(C)[0])
+    ctx, C, check = _stable_check_on_first_block(monkeypatch, [[2, 1], [1, 2]])
     assert check.passed and check.witness == ""
+
+
+def test_det_is_read_from_the_minors_and_pivoted_only_past_a_non_positive_one(monkeypatch):
+    pivoted = []
+    monkeypatch.setattr(catalog, "det", lambda M: pivoted.append(M.shape) or det(M))
+    ctx = _fresh_context(3, 3, cartan_descendant(3, 3))
+    assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
+    assert dict(ctx.block_dets) == {b: det(ctx.block_cartan(b)) for b in ctx.blocks}
+    assert pivoted == []
+    # A block with a zero leading minor and one with a negative one.
+    C = cartan_descendant(3, 2)
+    C[np.ix_([1, 5], [1, 5])] = np.array([[0, 1], [1, 0]], dtype=object)
+    C[np.ix_([2, 4], [2, 4])] = np.array([[-1, 1], [1, 2]], dtype=object)
+    ctx = _fresh_context(3, 2, C)
+    assert ctx.solve_dets == (-1, -3, 1, 1) == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
+    assert pivoted == [(2, 2), (2, 2)]
+
+
+def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
+    one = cyclo.context(3, 2).one()
+    for shift, witness in ((one, "S_8(FPdim L_1) != 0"), (2**40 * one, "could overflow int64")):
+        ctx = _fresh_context(3, 2, cartan_descendant(3, 2))
+        values = list(ctx.fpdim_simples)
+        values[1] = values[1] + shift
+        ctx.__dict__["fpdim_simples"] = tuple(values)
+        check = _checks_on(monkeypatch, ctx)["chebyshev_roots"]
+        assert not check.passed and witness in check.witness
+
+
+def test_check_seconds_are_filled_and_stay_out_of_equality_and_the_payload():
+    report = verify_all(3, 2)
+    assert all(c.seconds >= 0 for c in report.checks) and sum(c.seconds for c in report.checks) > 0
+    first = report.checks[0]
+    assert first == catalog.Check(first.name, first.passed, first.witness, seconds=-1.0)
+    payload = cli.category_payload(build(3, 2), 100, 0)
+    assert all(entry.keys() == {"name", "passed", "witness"} for entry in payload["verification"]["checks"])
 
 
 def test_cartan_character_refuses_int64_overflow(monkeypatch):

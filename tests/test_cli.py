@@ -2,7 +2,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from verkit import cli
 from verkit.cli import main
 
 
@@ -203,7 +206,7 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "fresh"))
     runner = CliRunner()
     cold = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
-    cache_file = tmp_path / "fresh" / "verpn_2_3_v2.json"
+    cache_file = tmp_path / "fresh" / "verpn_2_3_v3.json"
     assert cache_file.exists()
     warm = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
     assert cold == warm
@@ -215,12 +218,12 @@ def test_cache_file_is_indented_json_written_in_batches(tmp_path):
     from verkit.cli import _atomic_write, load_or_build
 
     payload = load_or_build(3, 3, str(tmp_path), 100, 0)
-    written = (tmp_path / "verpn_3_3_v2.json").read_text()
+    written = (tmp_path / "verpn_3_3_v3.json").read_text()
     assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     chunks = [f"{i}," for i in range(200_000)]  # more than three batches
     _atomic_write(str(tmp_path / "chunks.txt"), iter(chunks))
     assert (tmp_path / "chunks.txt").read_text() == "".join(chunks)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["chunks.txt", "verpn_3_3_v2.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["chunks.txt", "verpn_3_3_v3.json"]
 
 
 def test_cache_file_for_another_category_is_rebuilt(tmp_path):
@@ -229,8 +232,8 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
     cache = tmp_path / "cache"
     runner = CliRunner()
     assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
-    target = cache / "verpn_3_2_v2.json"
-    other = (cache / "verpn_5_2_v2.json").read_text()
+    target = cache / "verpn_3_2_v3.json"
+    other = (cache / "verpn_5_2_v3.json").read_text()
     mine = {**json.loads(other), "p": 3}
     stale = [
         other,
@@ -274,7 +277,7 @@ def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
         ["report", "-p", "2", "-n", "2", "--cache-dir", str(tmp_path / "flagdir"), "--format", "json"],
     )
     assert result.exit_code == 0
-    assert (tmp_path / "flagdir" / "verpn_2_2_v2.json").exists()
+    assert (tmp_path / "flagdir" / "verpn_2_2_v3.json").exists()
     assert not (tmp_path / "envdir").exists()
 
 
@@ -296,13 +299,58 @@ def test_cache_file_of_the_previous_payload_is_not_read(tmp_path):
     cache = tmp_path / "cache"
     runner = CliRunner()
     assert invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
-    current = cache / "verpn_3_2_v2.json"
+    current = cache / "verpn_3_2_v3.json"
     old = json.loads(current.read_text())
     old["simples"] = [0]
     current.unlink()
-    (cache / "verpn_3_2_v1.json").write_text(json.dumps(old))
+    (cache / "verpn_3_2_v2.json").write_text(json.dumps(old))
     result = invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache))
     assert result.exit_code == 0, result.output
     assert "6 simple objects" in result.output
     names = {c["name"] for c in json.loads(current.read_text())["verification"]["checks"]}
-    assert {"cartan_block_diagonal", "stable_snf_certificate"} <= names
+    assert {"cartan_block_diagonal", "stable_rank_mod_p"} <= names
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 5, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**63) + 5)
+    | st.text()
+    | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é", "Ver_{3^2}", "\u2028", "\U0001f600"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(JSON_VALUES)
+def test_json_writer_is_byte_identical_to_json_dumps(obj):
+    assert "".join(cli._json_chunks(obj)) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_keys_that_are_not_str_and_unknown_types():
+    for obj in ({1: 2}, {"a": {None: 1}}, [object()], {"a": {1, 2}}, [1.5]):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(obj))
+
+
+def test_json_stdout_is_streamed_in_batches(monkeypatch):
+    """--format json writes a large document a batch at a time, and the
+    batches join to json.dumps of it; --check-roundtrip still parses it."""
+    doc = {"kind": "matrix", "payload": {"entries": [[i] for i in range(40_000)]}}
+    writes = []
+    monkeypatch.setattr(cli.click, "echo", lambda text, nl=True: writes.append(text))
+    cli._emit(doc, "json", None, None, check_roundtrip=False)
+    assert len(writes) >= 2
+    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    writes.clear()
+    cli._emit(doc, "json", None, None, check_roundtrip=True)
+    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

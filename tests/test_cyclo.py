@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -11,6 +14,7 @@ from verkit.cyclo import (
     CycloInt,
     IntPoly,
     _poly_mod,
+    chebyshev_at,
     chebyshev_Q,
     context,
     dim_simple,
@@ -21,8 +25,10 @@ from verkit.cyclo import (
     qint,
     verify_cd_eq_p,
 )
+from verkit import cyclo
 from verkit.digits import descendants, simple_range, steinberg_label, to_digits
 from verkit.errors import InvalidCategory, NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
+from verkit.tilting import chebyshev_s
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
 SMALL = [
@@ -144,6 +150,75 @@ def test_chebyshev_roots():
         x = fpdim_simple(p, n, 1)
         assert not chebyshev_Q(p, n)(x), (p, n)
         assert chebyshev_Q(p, n - 1)(x), (p, n)
+
+
+# Horner on chebyshev_Q's coefficients, which grow like 2^(p^n), takes
+# 8.5 s at Ver_337 alone, so level one stops at the primes below 128.
+HORNER_PAIRS = [(p, n) for p, n in UP_TO_343 if (n >= 2 or p < 128) and p**n > 2]
+
+
+def test_chebyshev_recurrence_equals_horner():
+    for p, n in HORNER_PAIRS:
+        x = fpdim_simple(p, n, 1)
+        at_level, below = chebyshev_at(x, p**n - 1, p ** (n - 1) - 1)
+        assert at_level == chebyshev_Q(p, n)(x) and not at_level, (p, n)
+        assert below == chebyshev_Q(p, n - 1)(x) and below, (p, n)
+
+
+SMALL_TERMS = st.lists(st.tuples(st.integers(-100, 100), st.integers(-2, 2)), max_size=6)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(PAIRS), SMALL_TERMS, st.lists(st.integers(0, 40), max_size=4))
+def test_chebyshev_recurrence_equals_horner_at_any_element(pn, terms, indices):
+    """Equal to Horner, or refused exactly where the int64 guard must trip:
+    at the first step m whose inputs S_(m-1), S_(m-2) could overflow."""
+    ctx = context(*pn)
+    x = ctx.element(terms)
+    horner = [IntPoly(chebyshev_s(m))(x) for m in range(max(indices, default=0) + 1)]
+    nonzero = sum(1 for c in x.coeffs if c)
+    xmax = max(map(abs, x.coeffs))
+    tripped = [
+        m
+        for m in range(1, len(horner))
+        if max(map(abs, horner[m - 1].coeffs + (horner[m - 2].coeffs if m > 1 else ()) + (1,)))
+        * xmax
+        * (4 * nonzero + 1)
+        >= 2**63
+    ]
+    if tripped:
+        with pytest.raises(PrecisionExceeded, match=f"S_{tripped[0]}:"):
+            chebyshev_at(x, *indices)
+        return
+    got = chebyshev_at(x, *indices)
+    assert got == tuple(horner[m] for m in indices)
+    assert all(isinstance(v, CycloInt) and v.ctx is ctx for v in got)
+
+
+def test_chebyshev_recurrence_refuses_overflow_and_negative_indices():
+    x = context(3, 2).element([(1, 2**40)])
+    with pytest.raises(PrecisionExceeded):
+        chebyshev_at(x, 8)
+    assert chebyshev_at(x, 0, 1) == (context(3, 2).one(), x)
+    with pytest.raises(OutOfRange):
+        chebyshev_at(x, -1)
+
+
+def test_chebyshev_guard_raises_under_python_O():
+    code = (
+        "from verkit import cyclo\n"
+        "from verkit.errors import PrecisionExceeded\n"
+        "x = cyclo.context(3, 2).element([(1, 2**40)])\n"
+        "try:\n"
+        "    cyclo.chebyshev_at(x, 8)\n"
+        "except PrecisionExceeded:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no PrecisionExceeded')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cyclo.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr + done.stdout
 
 
 def test_fpdim_category():
