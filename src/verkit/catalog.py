@@ -13,8 +13,8 @@ regression produces a full differential report.
 The Cartan matrix is block diagonal, one block per block of the category,
 and the exact linear algebra runs block by block.  One unpivoted
 elimination per block gives its leading minors for definiteness and, when
-they are all positive, its determinant; the pivoted `det` runs only on a
-block where one is not.  The stable ring, the Cartan cokernel
+no minor before the last is zero, its determinant; the pivoted `det` runs
+only on a block where the pass stopped early.  The stable ring, the Cartan cokernel
 (Z/p)^(p^(n-1)-1), is read from each block's determinant and rank mod p:
 when |det C_b| = p^e and rank_p C_b = rows_b - e, the Smith form of C_b is
 diag(1, ..., 1, p, ..., p) with e copies of p.  `stable_rank_mod_p` checks
@@ -45,9 +45,9 @@ from .linalg import (
     definiteness_witness,
     det,
     permutation_equivalent,
-    positive_leading_minors,
     rank_mod_p,
     smith_normal_form,
+    unpivoted_leading_minors,
 )
 
 if TYPE_CHECKING:
@@ -126,8 +126,8 @@ class CategoryContext:
 
     @cached_property
     def solve_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The blocks that definiteness, det_total and the Smith normal form
-        run on: the category's blocks when the Cartan matrix is block
+        """The blocks that definiteness, det_total and the rank mod p run
+        on: the category's blocks when the Cartan matrix is block
         diagonal over them, else one block of all rows."""
         if self.block_diagonal_witness:
             return (tuple(self.rows),)
@@ -135,18 +135,18 @@ class CategoryContext:
 
     @cached_property
     def solve_minors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-        """`positive_leading_minors` of the Cartan submatrix on each solve
-        block: one unpivoted elimination, for definiteness and det alike."""
+        """`unpivoted_leading_minors` of the Cartan submatrix on each solve
+        block: one elimination, for definiteness and det alike."""
         return MappingProxyType(
-            {b: tuple(positive_leading_minors(self.block_cartan(b))) for b in self.solve_blocks}
+            {b: tuple(unpivoted_leading_minors(self.block_cartan(b))) for b in self.solve_blocks}
         )
 
     def _det(self, block: tuple[int, ...]) -> int:
         """Determinant of the Cartan submatrix on `block`: the last leading
-        minor of a solve block whose minors are all positive, else the
-        pivoted `det`."""
+        minor of a solve block whose unpivoted pass reached its last row,
+        else the pivoted `det`."""
         minors = self.solve_minors.get(block, ())
-        if minors and len(minors) == len(block) and minors[-1] > 0:
+        if minors and len(minors) == len(block):
             return int(minors[-1])
         return int(det(self.block_cartan(block)))
 

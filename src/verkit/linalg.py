@@ -77,17 +77,17 @@ def _bareiss_step(A: np.ndarray, s: int, prev: int) -> None:
     ) // prev
 
 
-def _leading_minors(A: np.ndarray, stop_at_nonpositive: bool = False) -> Iterator[int]:
+def _leading_minors(A: np.ndarray) -> Iterator[int]:
     """Leading principal minors of square A, from one unpivoted pass.
 
     Eliminates in A; stops after the first zero minor, past which the pass
-    cannot go on, or after the first non-positive one if asked to.
+    cannot go on.
     """
     prev = 1
     for s in range(A.shape[0]):
         pivot = A[s, s]
         yield pivot
-        if pivot == 0 or (stop_at_nonpositive and pivot < 0):
+        if pivot == 0:
             return
         _bareiss_step(A, s, prev)
         prev = pivot
@@ -115,21 +115,20 @@ def det(M: np.ndarray) -> int:
     return sign * A[k - 1, k - 1]
 
 
+def unpivoted_leading_minors(M: np.ndarray) -> list[int]:
+    """Leading principal minors of square M from one unpivoted pass, up to
+    and including the first zero one.
+
+    When the list has one minor per row, its last is det M.
+    """
+    return list(_leading_minors(_square_copy(M)))
+
+
 def leading_principal_minors(M: np.ndarray) -> list[int]:
     """Determinants of the leading j x j submatrices, j = 1..size."""
     A = _square_copy(M)
-    minors = list(_leading_minors(A.copy()))
+    minors = unpivoted_leading_minors(A)
     return minors + [det(A[:j, :j]) for j in range(len(minors) + 1, len(A) + 1)]
-
-
-def positive_leading_minors(M: np.ndarray) -> list[int]:
-    """Leading principal minors of square M from one unpivoted pass, up to
-    and including the first one that is not positive.
-
-    All of them are positive exactly when the list has one minor per row
-    and its last is positive; that last minor is then det M.
-    """
-    return list(_leading_minors(_square_copy(M), stop_at_nonpositive=True))
 
 
 def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
@@ -137,7 +136,7 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
 
     Names the first asymmetric entry or the first non-positive leading
     minor (1-based); elimination stops there.  `minors`, when given, is
-    `positive_leading_minors(M)`, computed by the caller.  When M is the
+    `unpivoted_leading_minors(M)`, computed by the caller.  When M is the
     principal submatrix of a larger matrix on the increasing row numbers
     `rows`, the witness names those rows: a leading minor of M on rows other
     than the larger matrix's first ones is named as a principal minor on its
@@ -150,7 +149,7 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
         i, j = asymmetric[0]
         return f"not symmetric at ({rows[i]}, {rows[j]})"
     if minors is None:
-        minors = _leading_minors(A, stop_at_nonpositive=True)
+        minors = _leading_minors(A)
     for j, minor in enumerate(minors, 1):
         if minor <= 0:
             if list(rows[:j]) == list(range(j)):

@@ -556,20 +556,22 @@ def test_stable_rank_check_names_the_failing_block(monkeypatch):
     assert check.passed and check.witness == ""
 
 
-def test_det_is_read_from_the_minors_and_pivoted_only_past_a_non_positive_one(monkeypatch):
+def test_det_is_read_from_the_minors_and_pivoted_only_past_an_early_zero_one(monkeypatch):
     pivoted = []
     monkeypatch.setattr(catalog, "det", lambda M: pivoted.append(M.shape) or det(M))
     ctx = _fresh_context(3, 3, cartan_descendant(3, 3))
     assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
     assert dict(ctx.block_dets) == {b: det(ctx.block_cartan(b)) for b in ctx.blocks}
     assert pivoted == []
-    # A block with a zero leading minor and one with a negative one.
+    # A block whose first leading minor is zero needs the pivoted det; one
+    # with negative minors -1, -3 reads det -3 from the pass.
     C = cartan_descendant(3, 2)
     C[np.ix_([1, 5], [1, 5])] = np.array([[0, 1], [1, 0]], dtype=object)
     C[np.ix_([2, 4], [2, 4])] = np.array([[-1, 1], [1, 2]], dtype=object)
     ctx = _fresh_context(3, 2, C)
     assert ctx.solve_dets == (-1, -3, 1, 1) == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
-    assert pivoted == [(2, 2), (2, 2)]
+    assert pivoted == [(2, 2)]
+    assert ctx.solve_minors[ctx.blocks[1]] == (-1, -3)
 
 
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verkit.errors import ShapeMismatch
+from verkit.errors import PrecisionExceeded, ShapeMismatch
 from verkit.linalg import (
     definiteness_witness,
     det,
     is_positive_definite,
     leading_principal_minors,
+    rank_mod_p,
     smith_normal_form,
 )
 
@@ -196,3 +197,45 @@ def test_snf_certificate_and_factors_match_minor_gcds(M):
 def test_snf_refuses_anything_but_a_matrix(M):
     with pytest.raises(ShapeMismatch):
         smith_normal_form(M)
+
+
+@settings(deadline=None)
+@given(integer_matrices(), st.sampled_from([2, 3, 5, 43, 2**31 - 1]), st.data())
+def test_rank_mod_p_counts_the_smith_factors_prime_to_p(M, p, data):
+    """Also on M + p E, whose rank mod p is M's but whose rank over Q is
+    usually full."""
+    r, c = M.shape
+    E = data.draw(st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c))
+    shifted = M + p * np.array(E, dtype=object).reshape(r, c)
+    expected = sum(f % p != 0 for f in smith_normal_form(M)[0])
+    assert rank_mod_p(M, p) == expected
+    assert rank_mod_p(shifted, p) == sum(f % p != 0 for f in smith_normal_form(shifted)[0]) == expected
+
+
+def test_explicit_ranks_mod_p():
+    D = np.array([[2, 0], [0, 3]], dtype=object)
+    assert [rank_mod_p(D, p) for p in (2, 3, 5)] == [1, 1, 2]
+    assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
+    assert rank_mod_p([[2, 1], [4, 2], [1, 3]], 5) == 1
+    assert rank_mod_p([[3, 6, 9]], 3) == 0
+    assert rank_mod_p([[0, 1, 0], [0, 0, 1]], 2) == 2
+    assert rank_mod_p(np.zeros((0, 3), dtype=object), 5) == 0
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([1, 2], dtype=object),
+        np.array(3, dtype=object),
+        np.zeros((2, 2, 2), dtype=object),
+    ],
+)
+def test_rank_mod_p_refuses_anything_but_a_matrix(M):
+    with pytest.raises(ShapeMismatch):
+        rank_mod_p(M, 3)
+
+
+def test_rank_mod_p_refuses_a_prime_whose_products_could_overflow():
+    assert rank_mod_p([[1, 1], [1, 2]], 2**31 - 1) == 2
+    with pytest.raises(PrecisionExceeded):
+        rank_mod_p([[1, 1], [1, 2]], 2147483659)

@@ -1,18 +1,20 @@
 """Cold frontier builds: build time, per-check seconds and peak RSS.
 
-    python tools/frontier.py --tree parent=/path/to/old/checkout \
-        --tree change=. --out BENCH.json [--rung 7 3 --rung 3 6 ...]
+    python tools/frontier.py --tree parent=../old --tree change=. --out BENCH.json
 
 Each (category, tree) pair runs `catalog.build(p, n)` once in a fresh
 Python process whose PYTHONPATH is the tree's src/.  The child imports
 verkit.catalog before the clock starts, so the build time excludes imports,
 and it reports its own peak RSS from getrusage.  Per-check seconds come from
-`Check.seconds` and are null for a tree whose checks do not record them;
-`outside_checks_s` is the rest of the build (what `build` computes before
-`verify_all`, such as the stable ring and the FP dimensions).
-The default rungs climb toward the 2000-simple bound: Ver_343, Ver_729,
-Ver_1024, Ver_1331, Ver_1849, Ver_2048 and Ver_2187.  Runs go one at a time,
-rungs in order, trees alternating.
+`Check.seconds` and are null for a tree whose checks do not record them.
+`verify_all` runs first in `build` and its checks compute the context
+quantities they need (the stable ring and the FP dimensions among them), so
+`outside_checks_s` is the rest: the context set-up before `verify_all` and
+the record's assembly after it (the decomposition matrix, the simples'
+dimensions, values the checks already cached).
+The rungs climb toward the 2000-simple bound: Ver_343, Ver_729, Ver_1024,
+Ver_1331, Ver_1849, Ver_2048 and Ver_2187.  Runs go one at a time, rungs in
+order, trees alternating.
 """
 
 from __future__ import annotations
@@ -60,12 +62,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tree", action="append", required=True, help="label=path of a checkout")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--rung", action="append", nargs=2, type=int, metavar=("P", "N"))
     args = parser.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree)
-    rungs = [tuple(r) for r in args.rung] if args.rung else RUNGS
     results = []
-    for p, n in rungs:
+    for p, n in RUNGS:
         row = {"category": f"Ver_{p**n}", "p": p, "n": n}
         for label, path in trees.items():
             row[label] = run_one(os.path.join(os.path.abspath(path), "src"), p, n)
