@@ -11,15 +11,14 @@ seconds each took.  Checks collect failures instead of aborting so a
 regression produces a full differential report.
 
 The Cartan matrix is block diagonal, one block per block of the category,
-and the exact linear algebra runs block by block.  One unpivoted
-elimination per block gives its leading minors for definiteness and, when
-no minor before the last is zero, its determinant; the pivoted `det` runs
-only on a block where the pass stopped early.  The stable ring, the Cartan cokernel
-(Z/p)^(p^(n-1)-1), is read from each block's determinant and rank mod p:
-when |det C_b| = p^e and rank_p C_b = rows_b - e, the Smith form of C_b is
-diag(1, ..., 1, p, ..., p) with e copies of p.  `stable_rank_mod_p` checks
-that on every block, and that p^(n-1) - 1 factors are p in all; a block
-that fails it gets its factors from `smith_normal_form`.  The check
+and the exact linear algebra runs block by block.  Each solve block has one
+record, `SolveBlock`: one fraction-free elimination gives its leading
+minors for definiteness and its determinant, and one elimination mod p its
+rank.  The stable ring, the Cartan cokernel (Z/p)^(p^(n-1)-1), is read from
+those: when |det C_b| = p^e and rank_p C_b = rows_b - e, the Smith form of
+C_b is diag(1, ..., 1, p, ..., p) with e copies of p.  `stable_rank_mod_p`
+checks that on every block, and that p^(n-1) - 1 factors are p in all; a
+block that fails it gets its factors from `smith_normal_form`.  The check
 `cartan_block_diagonal` licenses the per-block work: it runs first, and
 when it fails the same code runs on one block of all rows, which is the
 full-matrix computation.
@@ -38,16 +37,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import digits
-from .errors import DEFAULT_BOUND, PrecisionExceeded, UnsupportedPrime, check_category, check_pn
+from .errors import PrecisionExceeded, UnsupportedPrime, check_category, check_pn
 from .errors import is_prime  # re-exported
 from .linalg import (
     check_int64_products,
     definiteness_witness,
     det,
+    minors_and_det,
     permutation_equivalent,
     rank_mod_p,
     smith_normal_form,
-    unpivoted_leading_minors,
 )
 
 if TYPE_CHECKING:
@@ -59,6 +58,30 @@ INVARIANT_SERIES_DEPTH = 12
 # A float, so that loading this module needs no mpmath: mpmath compares an
 # mpf with it exactly, and it is the 53-bit value that mpf("1e-9") rounds to.
 FPDIM_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class SolveBlock:
+    """The exact linear algebra of the Cartan submatrix on one solve block:
+    its leading minors up to and including the first zero one and its
+    determinant, from one `minors_and_det`, and its rank mod p."""
+
+    block: tuple[int, ...]
+    minors: tuple[int, ...]
+    det: int
+    rank: int
+
+    def smith_exponent(self, p: int) -> int | None:
+        """The number e of invariant factors equal to p when the Smith form
+        is diag(1, ..., 1, p, ..., p); None when det and rank do not show it.
+
+        rank_p counts the invariant factors prime to p, so e = rows - rank
+        of them are divisible by p (zeros included).  If also |det| = p^e,
+        none is zero, every factor is a power of p, and the e valuations sum
+        to e: each of those factors is p and the rest are 1.
+        """
+        e = len(self.block) - self.rank
+        return e if abs(self.det) == p**e else None
 
 
 class CategoryContext:
@@ -101,7 +124,12 @@ class CategoryContext:
 
     @cached_property
     def block_dets(self) -> Mapping[tuple[int, ...], int]:
-        return MappingProxyType({b: self._det(b) for b in self.blocks})
+        """Each block's Cartan determinant: read from its record when it is
+        a solve block, else by `det`."""
+        solved = {r.block: r.det for r in self.solved}
+        return MappingProxyType(
+            {b: solved[b] if b in solved else det(self.block_cartan(b)) for b in self.blocks}
+        )
 
     @cached_property
     def block_diagonal_witness(self) -> str:
@@ -134,48 +162,14 @@ class CategoryContext:
         return self.blocks
 
     @cached_property
-    def solve_minors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-        """`unpivoted_leading_minors` of the Cartan submatrix on each solve
-        block: one elimination, for definiteness and det alike."""
-        return MappingProxyType(
-            {b: tuple(unpivoted_leading_minors(self.block_cartan(b))) for b in self.solve_blocks}
-        )
-
-    def _det(self, block: tuple[int, ...]) -> int:
-        """Determinant of the Cartan submatrix on `block`: the last leading
-        minor of a solve block whose unpivoted pass reached its last row,
-        else the pivoted `det`."""
-        minors = self.solve_minors.get(block, ())
-        if minors and len(minors) == len(block):
-            return int(minors[-1])
-        return int(det(self.block_cartan(block)))
-
-    @cached_property
-    def solve_dets(self) -> tuple[int, ...]:
-        """Cartan determinant of each solve block."""
-        return tuple(self._det(b) for b in self.solve_blocks)
-
-    @cached_property
-    def solve_ranks(self) -> tuple[int, ...]:
-        """Rank mod p of the Cartan submatrix on each solve block."""
-        return tuple(rank_mod_p(self.block_cartan(b), self.p) for b in self.solve_blocks)
-
-    @cached_property
-    def stable_exponents(self) -> tuple[int | None, ...]:
-        """Per solve block, the number e of its invariant factors equal to p
-        when its Smith form is diag(1, ..., 1, p, ..., p); None when the
-        determinant and the rank mod p do not show that.
-
-        rank_p C_b counts the invariant factors prime to p, so e = rows_b -
-        rank_p C_b of them are divisible by p (zeros included).  If also
-        |det C_b| = p^e, none is zero, every factor is a power of p, and the
-        e valuations sum to e: each of those factors is p and the rest are 1.
-        """
-        exponents = []
-        for block, r, d in zip(self.solve_blocks, self.solve_ranks, self.solve_dets):
-            e = len(block) - r
-            exponents.append(e if abs(d) == self.p**e else None)
-        return tuple(exponents)
+    def solved(self) -> tuple[SolveBlock, ...]:
+        """One record per solve block, each from one elimination."""
+        records = []
+        for b in self.solve_blocks:
+            C = self.block_cartan(b)
+            minors, d = minors_and_det(C)
+            records.append(SolveBlock(b, tuple(minors), d, rank_mod_p(C, self.p)))
+        return tuple(records)
 
     @cached_property
     def fpdim_simples(self) -> tuple[cyclo.CycloInt, ...]:
@@ -247,19 +241,21 @@ class CategoryContext:
     def stable(self) -> Mapping[str, object]:
         """The Cartan cokernel: its order and invariant factors.
 
-        The direct sum of the solve blocks' Smith forms, each read from
-        `stable_exponents`, or from `smith_normal_form` for a block where
-        that is None; the factors are sorted, zeros last.  On block-diagonal
-        input whose block factors merge into a divisibility chain these are
-        the invariant factors of the whole matrix; they do when every block
-        has the form diag(1, ..., 1, p, ..., p), which `verify_all` checks.
+        The direct sum of the solve blocks' Smith forms, each read from its
+        record's `smith_exponent`, or from `smith_normal_form` for a block
+        where that is None; the factors are sorted, zeros last.  On
+        block-diagonal input whose block factors merge into a divisibility
+        chain these are the invariant factors of the whole matrix; they do
+        when every block has the form diag(1, ..., 1, p, ..., p), which
+        `verify_all` checks.
         """
         factors: list[int] = []
-        for block, e in zip(self.solve_blocks, self.stable_exponents):
+        for r in self.solved:
+            e = r.smith_exponent(self.p)
             if e is None:
-                factors += smith_normal_form(self.block_cartan(block))[0]
+                factors += smith_normal_form(self.block_cartan(r.block))[0]
             else:
-                factors += [1] * (len(block) - e) + [self.p] * e
+                factors += [1] * (len(r.block) - e) + [self.p] * e
         factors.sort(key=lambda f: (f == 0, f))
         order = math.prod(abs(f) for f in factors)
         return MappingProxyType({"order": order, "invariant_factors": tuple(factors)})
@@ -380,9 +376,9 @@ def stable_gr(p: int, n: int) -> dict:
 
 def _definiteness_witness(ctx: CategoryContext) -> str:
     """`definiteness_witness` on each solve block, naming full-matrix rows."""
-    for block in ctx.solve_blocks:
-        rows = [ctx.rows.index(s) for s in block]
-        why = definiteness_witness(ctx.block_cartan(block), rows, ctx.solve_minors[block])
+    for r in ctx.solved:
+        rows = [ctx.rows.index(s) for s in r.block]
+        why = definiteness_witness(ctx.block_cartan(r.block), rows, r.minors)
         if why:
             return why
     return ""
@@ -393,13 +389,14 @@ def _stable_witness(ctx: CategoryContext) -> str:
     (Z/p)^(p^(n-1)-1), or "".
 
     Each solve block must have the Smith form diag(1, ..., 1, p, ..., p) by
-    `stable_exponents`, and p^(n-1) - 1 factors must be p in all.
+    its record's `smith_exponent`, and p^(n-1) - 1 factors must be p in all.
     """
     p, n = ctx.p, ctx.n
-    for block, e, d, r in zip(ctx.solve_blocks, ctx.stable_exponents, ctx.solve_dets, ctx.solve_ranks):
+    exponents = [r.smith_exponent(p) for r in ctx.solved]
+    for r, e in zip(ctx.solved, exponents):
         if e is None:
-            return f"block of T{block[0]}: det {d}, rank mod {p} {r} of {len(block)} rows"
-    count = sum(ctx.stable_exponents)
+            return f"block of T{r.block[0]}: det {r.det}, rank mod {p} {r.rank} of {len(r.block)} rows"
+    count = sum(exponents)
     if count != p ** (n - 1) - 1:
         return f"{count} invariant factors equal to {p}"
     return ""
@@ -493,10 +490,9 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     else:
         report.add("p2_nonsemisimple_block_is_brauer_line", True, "no such blocks at n=1")
 
-    report.add("det_total", math.prod(ctx.solve_dets) == p ** (p ** (n - 1) - 1))
+    report.add("det_total", math.prod(r.det for r in ctx.solved) == p ** (p ** (n - 1) - 1))
 
-    dets = block_cartan_dets(p, n)
-    bad_blocks = [b for b, d in dets.items() if d != expected_block_det(p, n, list(b))]
+    bad_blocks = [b for b, d in ctx.block_dets.items() if d != expected_block_det(p, n, list(b))]
     report.add("det_per_block", not bad_blocks, "" if not bad_blocks else f"block {bad_blocks[0]}")
 
     witness = _stable_witness(ctx)
@@ -571,24 +567,17 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     return report
 
 
-def build(
-    p: int,
-    n: int,
-    bound: int = DEFAULT_BOUND,
-    samples: int = 100,
-    seed: int = 0,
-) -> CategoryData:
+def build(p: int, n: int, samples: int = 100, seed: int = 0) -> CategoryData:
     """Assemble the full CategoryData record for Ver_{p^n}."""
     from . import cyclo, grring
 
-    check_category(p, n, bound)
+    check_category(p, n)
     grring.check_samples(samples)
     ctx = category(p, n)
     simples = list(ctx.simples)
     # First, so that each check's seconds include the context quantities it
     # is the first to need.
     verification = verify_all(p, n, samples=samples, seed=seed)
-    stable = stable_gr(p, n)
     return CategoryData(
         p=p,
         n=n,
@@ -599,12 +588,12 @@ def build(
         decomposition=digits.decomposition_matrix(p, n),
         cartan=ctx.cartan,
         blocks=ctx.blocks,
-        block_dets=block_cartan_dets(p, n),
+        block_dets=dict(ctx.block_dets),
         dims={i: cyclo.dim_simple(p, n, i)[0] for i in simples},
         fpdim_simples=ctx.fpdim_simples,
         fpdim_projectives=ctx.fpdim_projectives,
         fpdim_numeric=ctx.fpdim_numeric,
         ext1_edges=ctx.ext1_edges,
-        stable={"order": stable["order"], "invariant_factors": list(stable["invariant_factors"])},
+        stable={"order": ctx.stable["order"], "invariant_factors": list(ctx.stable["invariant_factors"])},
         verification=verification,
     )

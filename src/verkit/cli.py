@@ -3,7 +3,8 @@
 Every command computes (or loads from the JSON cache) the CategoryData of
 one Ver_{p^n} and emits a deterministic document in json, csv or text form.
 Text tables use the L_i / P_i / T_m notation of the printed tables so golden
-diffs stay readable; csv is restricted to matrix payloads.  Exit codes:
+diffs stay readable; only the matrix commands (`cartan`, `decomp`) offer
+csv, so any other command refuses it before any work.  Exit codes:
 0 success, 1 verification failure, 2 usage error.
 
 Import policy: this module imports only the standard library, click and
@@ -275,8 +276,6 @@ def _emit(doc: dict, fmt: str, output: str | None, text_renderer, check_roundtri
             chunks = [body]
     elif fmt == "csv":
         payload = doc["payload"]
-        if not (isinstance(payload, dict) and "entries" in payload):
-            raise click.UsageError("csv output is only defined for matrix payloads")
         lines = ["," + ",".join(payload["cols"])]
         for label, row in zip(payload["rows"], payload["entries"]):
             lines.append(label + "," + ",".join(str(v) for v in row))
@@ -315,28 +314,34 @@ def fold_text(p: int, n: int, v: grring.GrElement) -> str:
 # click plumbing
 
 
-def _common(command):
-    """Shared options, and the category guard: a refused (p, n) exits with 2."""
+def _options(formats: list[str]):
+    """Decorator adding the shared options, `--format` among `formats`, and
+    the category guard: a refused (p, n) or format exits with 2."""
 
-    @functools.wraps(command)
-    def f(prime, level, **kwargs):
-        try:
-            check_category(prime, level)
-            return command(prime, level, **kwargs)
-        except VerkitError as exc:
-            raise click.UsageError(str(exc)) from exc
+    def decorate(command):
+        @functools.wraps(command)
+        def f(prime, level, **kwargs):
+            try:
+                check_category(prime, level)
+                return command(prime, level, **kwargs)
+            except VerkitError as exc:
+                raise click.UsageError(str(exc)) from exc
 
-    f = click.option("-p", "prime", type=int, required=True, help="Prime p.")(f)
-    f = click.option("-n", "level", type=int, required=True, help="Level n >= 1.")(f)
-    f = click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text"
-    )(f)
-    f = click.option("--output", type=click.Path(), default=None)(f)
-    f = click.option("--cache-dir", type=click.Path(), default=None)(f)
-    f = click.option("--samples", type=int, default=100, show_default=True)(f)
-    f = click.option("--rng-seed", "seed", type=int, default=0, show_default=True)(f)
-    f = click.option("--check-roundtrip", is_flag=True, default=False)(f)
-    return f
+        f = click.option("-p", "prime", type=int, required=True, help="Prime p.")(f)
+        f = click.option("-n", "level", type=int, required=True, help="Level n >= 1.")(f)
+        f = click.option("--format", "fmt", type=click.Choice(formats), default="text")(f)
+        f = click.option("--output", type=click.Path(), default=None)(f)
+        f = click.option("--cache-dir", type=click.Path(), default=None)(f)
+        f = click.option("--samples", type=int, default=100, show_default=True)(f)
+        f = click.option("--rng-seed", "seed", type=int, default=0, show_default=True)(f)
+        f = click.option("--check-roundtrip", is_flag=True, default=False)(f)
+        return f
+
+    return decorate
+
+
+_common = _options(["json", "text"])
+_matrix = _options(["json", "csv", "text"])
 
 
 @click.group()
@@ -450,7 +455,7 @@ def _render_matrix(pl: dict) -> str:
 
 
 @main.command()
-@_common
+@_matrix
 @click.option("--even-only", is_flag=True, default=False)
 def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
@@ -473,7 +478,7 @@ def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip,
 
 
 @main.command()
-@_common
+@_matrix
 def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Decomposition matrix (tilting rows, Weyl columns)."""
     from . import digits

@@ -66,9 +66,23 @@ def check_pn(p: int, n: int) -> None:
         raise InvalidCategory(f"level must be >= 1, got {n}")
 
 
-def check_category(p: int, n: int, bound: int = DEFAULT_BOUND) -> None:
-    """Refuse a (p, n) that names no category, or one above the build bound."""
-    check_pn(p, n)
-    count = p ** (n - 1) * (p - 1)
-    if count > bound:
-        raise BoundExceeded(f"{count} simple objects exceeds the bound {bound}")
+def check_category(p: int, n: int) -> None:
+    """Refuse a (p, n) that names no category, or one with more than
+    DEFAULT_BOUND simple objects.
+
+    Quick on any integers: n is tested first, the p - 1 simples of level
+    one are compared with the bound before the primality test, and the
+    count (p - 1) p^(n - 1) grows by factors of p only while it stays
+    within the bound.  The message names the count when it fits in 64 bits.
+    """
+    if n < 1:
+        raise InvalidCategory(f"level must be >= 1, got {n}")
+    count, left = p - 1, n - 1
+    if count <= DEFAULT_BOUND:
+        check_pn(p, n)
+        while left and count <= DEFAULT_BOUND:
+            count, left = count * p, left - 1
+    if count > DEFAULT_BOUND:
+        small = count.bit_length() + left * p.bit_length() <= 64
+        amount = count * p**left if small else "more than 2^64"
+        raise BoundExceeded(f"{amount} simple objects exceeds the bound {DEFAULT_BOUND}")

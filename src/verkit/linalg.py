@@ -7,13 +7,15 @@ the rank modulo a prime, the Smith normal form with a transformation
 certificate, and equality of symmetric matrices up to a simultaneous
 row/column permutation.
 
-Determinants and minors share one elimination step, applied to the whole
-trailing block at once.  Without row exchanges the pivot reached after step
-s is the (s+1)-th leading principal minor (Sylvester's identity; Bareiss,
-Math. Comp. 22, 1968), so one O(k^3) pass yields every minor, and when all
-of them are positive the last one is the determinant; `det` swaps rows past
-a zero pivot instead.  `definiteness_witness` accepts minors already
-computed, so a caller that needs both runs the pass once.
+Determinants and minors come from one elimination, `minors_and_det`, each
+step applied to the whole trailing block at once.  Without row exchanges
+the pivot reached after step s is the (s+1)-th leading principal minor
+(Sylvester's identity; Bareiss, Math. Comp. 22, 1968), so one O(k^3) pass
+yields every minor up to the first zero one; only past that zero does the
+pass exchange rows, and it goes on to the determinant.  `det`,
+`leading_principal_minors` and `definiteness_witness` all read it, and the
+witness accepts minors already computed, so a caller that needs both runs
+the pass once.
 
 The rank modulo a prime is row elimination on residues in int64, one array
 step per pivot.
@@ -40,8 +42,6 @@ products could overflow.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from .errors import PrecisionExceeded, ShapeMismatch
@@ -67,67 +67,44 @@ def _square_copy(M: np.ndarray) -> np.ndarray:
     return A
 
 
-def _bareiss_step(A: np.ndarray, s: int, prev: int) -> None:
-    """Eliminate below pivot A[s, s] in place; prev is the previous pivot.
+def minors_and_det(M: np.ndarray) -> tuple[list[int], int]:
+    """Leading principal minors of square M up to and including the first
+    zero one, and det M, from one fraction-free (Bareiss) elimination.
 
-    The division is exact, so the entries stay Python ints.
+    Rows are exchanged only past the first zero pivot, so the pivots up to
+    and including it are leading principal minors; from there the same pass
+    exchanges rows and goes on to the determinant.  The divisions are exact,
+    so the entries stay Python ints.
     """
-    A[s + 1 :, s + 1 :] = (
-        A[s + 1 :, s + 1 :] * A[s, s] - np.outer(A[s + 1 :, s], A[s, s + 1 :])
-    ) // prev
-
-
-def _leading_minors(A: np.ndarray) -> Iterator[int]:
-    """Leading principal minors of square A, from one unpivoted pass.
-
-    Eliminates in A; stops after the first zero minor, past which the pass
-    cannot go on.
-    """
-    prev = 1
-    for s in range(A.shape[0]):
-        pivot = A[s, s]
-        yield pivot
-        if pivot == 0:
-            return
-        _bareiss_step(A, s, prev)
-        prev = pivot
+    A = _square_copy(M)
+    minors: list[int] = []
+    sign, prev = 1, 1
+    for s in range(len(A)):
+        if not minors or minors[-1]:
+            minors.append(A[s, s])
+        if A[s, s] == 0:
+            below = np.flatnonzero(A[s + 1 :, s])
+            if not below.size:
+                return minors, 0
+            i = s + 1 + below[0]
+            A[[s, i]] = A[[i, s]]
+            sign = -sign
+        A[s + 1 :, s + 1 :] = (
+            A[s + 1 :, s + 1 :] * A[s, s] - np.outer(A[s + 1 :, s], A[s, s + 1 :])
+        ) // prev
+        prev = A[s, s]
+    return minors, sign * prev
 
 
 def det(M: np.ndarray) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = _square_copy(M)
-    k = A.shape[0]
-    if k == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for s in range(k - 1):
-        if A[s, s] == 0:
-            for i in range(s + 1, k):
-                if A[i, s] != 0:
-                    A[[s, i]] = A[[i, s]]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        _bareiss_step(A, s, prev)
-        prev = A[s, s]
-    return sign * A[k - 1, k - 1]
-
-
-def unpivoted_leading_minors(M: np.ndarray) -> list[int]:
-    """Leading principal minors of square M from one unpivoted pass, up to
-    and including the first zero one.
-
-    When the list has one minor per row, its last is det M.
-    """
-    return list(_leading_minors(_square_copy(M)))
+    """Exact determinant, from `minors_and_det`."""
+    return minors_and_det(M)[1]
 
 
 def leading_principal_minors(M: np.ndarray) -> list[int]:
     """Determinants of the leading j x j submatrices, j = 1..size."""
     A = _square_copy(M)
-    minors = unpivoted_leading_minors(A)
+    minors = minors_and_det(A)[0]
     return minors + [det(A[:j, :j]) for j in range(len(minors) + 1, len(A) + 1)]
 
 
@@ -135,12 +112,11 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
     """Why M is not symmetric positive definite, or "" if it is.
 
     Names the first asymmetric entry or the first non-positive leading
-    minor (1-based); elimination stops there.  `minors`, when given, is
-    `unpivoted_leading_minors(M)`, computed by the caller.  When M is the
-    principal submatrix of a larger matrix on the increasing row numbers
-    `rows`, the witness names those rows: a leading minor of M on rows other
-    than the larger matrix's first ones is named as a principal minor on its
-    rows.
+    minor (1-based).  `minors`, when given, is `minors_and_det(M)[0]`,
+    computed by the caller.  When M is the principal submatrix of a larger
+    matrix on the increasing row numbers `rows`, the witness names those
+    rows: a leading minor of M on rows other than the larger matrix's first
+    ones is named as a principal minor on its rows.
     """
     A = _square_copy(M)
     rows = range(len(A)) if rows is None else list(rows)
@@ -149,7 +125,7 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
         i, j = asymmetric[0]
         return f"not symmetric at ({rows[i]}, {rows[j]})"
     if minors is None:
-        minors = _leading_minors(A)
+        minors = minors_and_det(A)[0]
     for j, minor in enumerate(minors, 1):
         if minor <= 0:
             if list(rows[:j]) == list(range(j)):
@@ -160,8 +136,7 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
 
 def is_positive_definite(M: np.ndarray) -> bool:
     """Sylvester criterion on an integer matrix: symmetric, with every
-    leading principal minor positive (one pass, stopping at the first
-    non-positive one)."""
+    leading principal minor positive."""
     return definiteness_witness(M) == ""
 
 

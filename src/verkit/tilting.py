@@ -26,14 +26,14 @@ overflow.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .charring import SymChar, inner, mul, weyl_char
 from .digits import is_prime
 from .errors import InvalidCategory, NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded
 from .linalg import check_int64_products
-
-_tilting_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 class TiltingSum:
@@ -66,17 +66,14 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)
 
 
+@lru_cache(maxsize=None)
 def _tilting_vec(p: int, m: int) -> np.ndarray:
     """Dense chi(T_m), memoized: entry k is the multiplicity of weight m-2k.
 
-    The memo is only ever filled with the same value for a given key, so
-    concurrent fills are idempotent.  A miss for a p that is not a prime
-    raises InvalidCategory.
+    The memo is only ever filled with the same read-only value for a given
+    key, so concurrent fills are idempotent.  A miss for a p that is not a
+    prime raises InvalidCategory.
     """
-    key = (p, m)
-    got = _tilting_cache.get(key)
-    if got is not None:
-        return got
     if not is_prime(p):
         raise InvalidCategory(f"{p} is not a prime")
     if m <= p - 1:
@@ -92,7 +89,6 @@ def _tilting_vec(p: int, m: int) -> np.ndarray:
         twisted[::p] = _tilting_vec(p, b)
         out = _convolve(_tilting_vec(p, a), twisted)
     out.flags.writeable = False
-    _tilting_cache[key] = out
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verkit import catalog, cli, cyclo, digits, grring
+from verkit import catalog, cli, cyclo, digits, errors, grring
 from verkit.catalog import (
     block_cartan_dets,
     build,
@@ -234,7 +234,7 @@ def test_build_p2_has_no_ext_data():
     assert data.verification.all_passed
 
 
-def test_build_guards():
+def test_build_guards(monkeypatch):
     with pytest.raises(ValueError):
         build(99, 1)
     with pytest.raises(ValueError):
@@ -243,8 +243,9 @@ def test_build_guards():
         build(3, 0)
     with pytest.raises(BoundExceeded):
         build(3, 9)
+    monkeypatch.setattr(errors, "DEFAULT_BOUND", 10)
     with pytest.raises(BoundExceeded):
-        build(5, 2, bound=10)
+        build(5, 2)
     for samples in (-1, 0):
         with pytest.raises(OutOfRange):
             build(3, 2, samples=samples)
@@ -407,10 +408,12 @@ def test_per_block_linear_algebra_equals_full_matrix(drawn, rnd):
     ctx = _fresh_context(3, 2, C, rows=labels, blocks=tuple(members))
     assert ctx.block_diagonal_witness == ""
     assert ctx.solve_blocks == tuple(members)
+    assert tuple(r.block for r in ctx.solved) == tuple(members)
 
     assert (catalog._definiteness_witness(ctx) == "") == is_positive_definite(C)
-    assert math.prod(ctx.solve_dets) == det(C)
-    assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in members)
+    dets = tuple(r.det for r in ctx.solved)
+    assert math.prod(dets) == det(C)
+    assert dets == tuple(det(ctx.block_cartan(b)) for b in members)
 
     full, U, V = smith_normal_form(C)
     assert (U @ C @ V == np.diag(np.array(full, dtype=object))).all()
@@ -427,13 +430,14 @@ def test_full_matrix_routines_are_the_oracles_on_acceptance_pairs():
         C = ctx.cartan
         assert ctx.block_diagonal_witness == "" and ctx.solve_blocks == ctx.blocks
         assert is_positive_definite(C) and catalog._definiteness_witness(ctx) == "", (p, n)
-        assert math.prod(ctx.solve_dets) == det(C) == p ** (p ** (n - 1) - 1), (p, n)
-        assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks), (p, n)
+        dets = tuple(r.det for r in ctx.solved)
+        assert math.prod(dets) == det(C) == p ** (p ** (n - 1) - 1), (p, n)
+        assert dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks), (p, n)
         factors, U, V = smith_normal_form(C)
         assert (U @ C @ V == np.diag(np.array(factors, dtype=object))).all(), (p, n)
         assert abs(det(U)) == 1 and abs(det(V)) == 1, (p, n)
         assert list(ctx.stable["invariant_factors"]) == factors, (p, n)
-        assert None not in ctx.stable_exponents, (p, n)
+        assert None not in [r.smith_exponent(p) for r in ctx.solved], (p, n)
         assert catalog._stable_witness(ctx) == "", (p, n)
 
 
@@ -457,7 +461,7 @@ def test_off_block_entry_fails_the_block_diagonal_check(monkeypatch):
     assert ctx.solve_blocks == (tuple(rows),)
     for name in ("cartan_symmetric_posdef", "det_total", "stable_rank_mod_p"):
         assert not checks[name].passed, name
-    assert math.prod(ctx.solve_dets) == det(C) != p ** (p ** (n - 1) - 1)
+    assert math.prod(r.det for r in ctx.solved) == det(C) != p ** (p ** (n - 1) - 1)
     assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
 
 
@@ -518,9 +522,10 @@ def test_stable_factors_from_det_and_rank_equal_smith_normal_form(drawn):
         members.append(tuple(range(start, start + len(B))))
         start += len(B)
     ctx = _fresh_context(prime, 2, C, rows=range(k), blocks=tuple(members))
-    assert ctx.solve_blocks == tuple(members)
-    for block, e in zip(members, ctx.stable_exponents):
-        factors = smith_normal_form(ctx.block_cartan(block))[0]
+    assert tuple(r.block for r in ctx.solved) == tuple(members)
+    for r in ctx.solved:
+        e = r.smith_exponent(prime)
+        factors = smith_normal_form(ctx.block_cartan(r.block))[0]
         # Det and rank mod p decide the block exactly when its Smith form is
         # diag(1, ..., 1, p, ..., p); then e counts the p's.
         assert (e is not None) == (set(factors) <= {1, prime})
@@ -560,18 +565,50 @@ def test_det_is_read_from_the_minors_and_pivoted_only_past_an_early_zero_one(mon
     pivoted = []
     monkeypatch.setattr(catalog, "det", lambda M: pivoted.append(M.shape) or det(M))
     ctx = _fresh_context(3, 3, cartan_descendant(3, 3))
-    assert ctx.solve_dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
+    assert tuple(r.det for r in ctx.solved) == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
     assert dict(ctx.block_dets) == {b: det(ctx.block_cartan(b)) for b in ctx.blocks}
+    # A block whose first leading minor is zero gets its det from the same
+    # pass, which exchanges rows past that zero; one with negative minors
+    # -1, -3 reads det -3.  Neither runs a separate `det`.
+    ctx = _fresh_context(3, 2, _zero_and_negative_minor_blocks())
+    dets = tuple(r.det for r in ctx.solved)
+    assert dets == (-1, -3, 1, 1) == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
+    assert dict(ctx.block_dets) == dict(zip(ctx.blocks, dets))
+    assert [r.minors for r in ctx.solved[:2]] == [(0,), (-1, -3)]
     assert pivoted == []
-    # A block whose first leading minor is zero needs the pivoted det; one
-    # with negative minors -1, -3 reads det -3 from the pass.
+
+
+def _zero_and_negative_minor_blocks():
+    """Ver_9's Cartan matrix with the block (T3, T7) replaced by one whose
+    first leading minor is zero, and (T4, T6) by one with minors -1, -3."""
     C = cartan_descendant(3, 2)
     C[np.ix_([1, 5], [1, 5])] = np.array([[0, 1], [1, 0]], dtype=object)
     C[np.ix_([2, 4], [2, 4])] = np.array([[-1, 1], [1, 2]], dtype=object)
-    ctx = _fresh_context(3, 2, C)
-    assert ctx.solve_dets == (-1, -3, 1, 1) == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks)
-    assert pivoted == [(2, 2)]
-    assert ctx.solve_minors[ctx.blocks[1]] == (-1, -3)
+    return C
+
+
+def test_every_solve_block_is_eliminated_exactly_once(monkeypatch):
+    from verkit import linalg
+
+    passes = Counter()
+    real = linalg.minors_and_det
+
+    def counted(M):
+        passes[str(np.array(M, dtype=object).tolist())] += 1
+        return real(M)
+
+    # Both names: `det` reads linalg's, the context reads catalog's.
+    monkeypatch.setattr(linalg, "minors_and_det", counted)
+    monkeypatch.setattr(catalog, "minors_and_det", counted)
+    for p, n, C in ((3, 3, cartan_descendant(3, 3)), (3, 2, _zero_and_negative_minor_blocks())):
+        passes.clear()
+        ctx = _fresh_context(p, n, C)
+        checks = _checks_on(monkeypatch, ctx)
+        assert len(ctx.block_dets) == len(ctx.blocks) and ctx.stable["order"]
+        assert ctx.solve_blocks == ctx.blocks
+        blocks = [str(ctx.block_cartan(b).tolist()) for b in ctx.blocks]
+        assert sorted(passes.elements()) == sorted(blocks), (p, n)
+        assert checks["cartan_symmetric_posdef"].passed == ((p, n) == (3, 3))
 
 
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -55,6 +58,28 @@ def test_every_command_refuses_a_category_above_the_bound(runner):
     result = invoke(runner, "fuse", "-p", "3", "-n", "9", "-a", "0", "-b", "0")
     assert result.exit_code == 2
     assert "13122 simple objects exceeds the bound 2000" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "-p", "3", "-n", "3000000"], "more than 2^64 simple objects exceeds the bound 2000"),
+        (["fuse", "-p", "3", "-n", "100000000", "-a", "0", "-b", "0"], "more than 2^64 simple objects"),
+        (["verify", "-p", "1000000000000000003", "-n", "1"], "1000000000000000002 simple objects"),
+    ],
+    ids=["verify_huge_level", "fuse_huge_level", "verify_huge_prime"],
+)
+def test_huge_categories_are_refused_at_once(tmp_path, args, message):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "VERKIT_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "verkit.cli", *args], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 2, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_report_correspondence_table(runner):
@@ -194,6 +219,14 @@ def test_verify_refuses_fewer_than_one_sample(runner):
 
 def test_csv_rejected_for_non_matrix(runner):
     assert invoke(runner, "fuse", "-p", "3", "-n", "2", "-a", "1", "-b", "1", "--format", "csv").exit_code == 2
+
+
+def test_csv_report_is_refused_before_any_work(tmp_path, monkeypatch):
+    monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "cache"))
+    for command in ("report", "verify"):
+        result = invoke(CliRunner(), command, "-p", "3", "-n", "2", "--format", "csv")
+        assert result.exit_code == 2 and "csv" in result.output
+    assert not (tmp_path / "cache").exists()
 
 
 def test_deterministic_output(runner):

@@ -13,6 +13,7 @@ from verkit.linalg import (
     det,
     is_positive_definite,
     leading_principal_minors,
+    minors_and_det,
     rank_mod_p,
     smith_normal_form,
 )
@@ -86,6 +87,42 @@ def test_minors_and_det_match_fraction_oracle(M):
 @given(square_matrices)
 def test_det_matches_fraction_oracle_on_any_square_matrix(M):
     assert det(M) == fraction_det(M)
+
+
+@st.composite
+def eliminated_matrices(draw) -> np.ndarray:
+    """Square integer matrices, arbitrary or symmetric, often with a zero
+    leading minor: a zero top-left entry, or the first j + 1 entries of row
+    j a multiple of another row's, which leaves the rest free."""
+    M = draw(square_matrices | symmetric_matrices())
+    k = len(M)
+    if k and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        if j == 0:
+            M[0, 0] = 0
+        else:
+            i = draw(st.integers(0, j - 1))
+            M[j, : j + 1] = draw(st.integers(-2, 2)) * M[i, : j + 1]
+    return M
+
+
+@settings(deadline=None, max_examples=300)
+@given(eliminated_matrices())
+def test_one_elimination_gives_det_minors_and_definiteness(M):
+    k = len(M)
+    leading = [fraction_det(M[:j, :j]) for j in range(1, k + 1)]
+    cut = next((j + 1 for j, minor in enumerate(leading) if minor == 0), k)
+    minors, d = minors_and_det(M)
+    assert d == fraction_det(M) == det(M)
+    assert minors == leading[:cut]
+    assert leading_principal_minors(M) == leading
+    symmetric = bool((M == M.T).all())
+    witness = definiteness_witness(M)
+    assert (witness == "") == (symmetric and all(minor > 0 for minor in leading))
+    if symmetric and witness:
+        j = next(j for j, minor in enumerate(leading) if minor <= 0)
+        assert witness == f"leading minor {j + 1} = {leading[j]}"
+    assert definiteness_witness(M, minors=minors) == witness
 
 
 @settings(deadline=None)
