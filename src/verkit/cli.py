@@ -1,7 +1,14 @@
 """Command-line front end.
 
-Every command computes (or loads from the JSON cache) the CategoryData of
-one Ver_{p^n} and emits a deterministic document in json, csv or text form.
+Most commands are views of one verified record per Ver_{p^n}: the payload
+of its CategoryData, read from the JSON cache (`load_or_build`) or, on a
+miss, built, verified and written there first.  `report`, `verify`,
+`cartan`, `decomp`, `blocks` and `ext1` print parts of the record; `fuse`
+and `table` multiply simples themselves and fold the products with the
+projective classes read from the record's Cartan matrix.  `--cache-dir`,
+`--samples` and `--rng-seed` select the record.  `tilting` and
+`invariants` print quantities the record does not hold and compute them.
+Each emits a deterministic document in json, csv or text form.
 Text tables use the L_i / P_i / T_m notation of the printed tables so golden
 diffs stay readable; only the matrix commands (`cartan`, `decomp`) offer
 csv, so any other command refuses it before any work.  Exit codes:
@@ -10,9 +17,11 @@ csv, so any other command refuses it before any work.  Exit codes:
 Import policy: this module imports only the standard library, click and
 `errors` at the top.  Each command imports the modules it uses in its body,
 and `load_or_build` imports `catalog` only on a cache miss, so a warm
-`report` or `verify` loads neither numpy nor mpmath.  `catalog.build` and
-`catalog.category` are read as module attributes at call time, so a
-replacement of either (a test double, a tracing wrapper) is what runs.
+record view loads neither numpy nor mpmath nor `catalog`; `fuse` and
+`table` load `grring` and `digits`, which import numpy only inside the
+functions that return arrays.  Only a build, `tilting` and `invariants`
+load numpy.  `catalog.build` is read as a module attribute at call time,
+so a replacement (a test double, a tracing wrapper) is what runs.
 """
 
 from __future__ import annotations
@@ -128,19 +137,6 @@ def _matrix_payload(rows: list[str], cols: list[str], M) -> dict:
     }
 
 
-def _block_entries(cat) -> list[dict]:
-    """Blocks of a CategoryData or a category context, with their determinants."""
-    return [
-        {
-            "projectives": list(block),
-            "simples": [cat.simple_of_proj[s] for s in block],
-            "size": len(block),
-            "det": cat.block_dets[block],
-        }
-        for block in cat.blocks
-    ]
-
-
 def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dict:
     p, n = data.p, data.n
     fpdim = []
@@ -172,7 +168,15 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
             [f"T{i}" for i in data.projectives],
             data.cartan,
         ),
-        "blocks": _block_entries(data),
+        "blocks": [
+            {
+                "projectives": list(block),
+                "simples": [data.simple_of_proj[s] for s in block],
+                "size": len(block),
+                "det": data.block_dets[block],
+            }
+            for block in data.blocks
+        ],
         "fpdim": fpdim,
         "stable": data.stable,
         "ext1": None if data.ext1_edges is None else [list(e) for e in data.ext1_edges],
@@ -226,8 +230,86 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _ints(value) -> bool:
+    """A list of ints (bools, which json reads from true and false, are not)."""
+    return isinstance(value, list) and set(map(type, value)) <= {int}
+
+
+def _pairs(value) -> bool:
+    return isinstance(value, list) and all(len(v) == 2 and _ints(v) for v in value)
+
+
+def _dicts_with(value, **fields) -> bool:
+    """A list of dicts, each holding every named field with a value of its type."""
+    return _list_of(value, dict) and all(
+        all(isinstance(d.get(k), kind) for k, kind in fields.items()) for d in value
+    )
+
+
+def _matrix_fits(m) -> bool:
+    return (
+        isinstance(m, dict)
+        and _list_of(m.get("rows"), str)
+        and _list_of(m.get("cols"), str)
+        and _list_of(m.get("entries"), list)
+        and len(m["entries"]) == len(m["rows"])
+        and all(len(row) == len(m["cols"]) and _ints(row) for row in m["entries"])
+    )
+
+
+def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool:
+    """Whether a cached payload is the record of this request and holds
+    every key a command reads, with the type the command reads it as.
+
+    The views look labels up across keys, so the simples must be the
+    category's labels in order, the steinberg pairs must name them in that
+    order and the Cartan rows and columns by their covers, and every block
+    must list some of them.
+    """
+    verification = payload.get("verification")
+    if not (
+        isinstance(verification, dict)
+        and payload.get("schema_version") == SCHEMA_VERSION
+        and payload.get("p") == p
+        and payload.get("n") == n
+        and verification.get("samples") == samples
+        and verification.get("seed") == seed
+        and type(verification.get("all_passed")) is bool
+        and _dicts_with(verification.get("checks"), name=str, passed=bool, witness=str)
+    ):
+        return False
+    simples, steinberg, blocks = (payload.get(k) for k in ("simples", "steinberg", "blocks"))
+    ext1, stable = payload.get("ext1"), payload.get("stable")
+    if not (
+        _ints(simples)
+        and _pairs(steinberg)
+        and _matrix_fits(payload.get("cartan"))
+        and _matrix_fits(payload.get("decomposition"))
+        and _dicts_with(blocks, projectives=list, simples=list, size=int, det=int)
+        and _dicts_with(payload.get("fpdim"), label=int, simple_numeric=str)
+        and isinstance(stable, dict)
+        and isinstance(stable.get("order"), int)
+        and (ext1 is None if p == 2 else _pairs(ext1))
+    ):
+        return False
+    known = set(simples)
+    cartan = payload["cartan"]
+    return (
+        simples == list(range((p - 1) * p ** (n - 1)))
+        and [i for i, _ in steinberg] == simples
+        and cartan["rows"] == cartan["cols"]
+        and set(cartan["rows"]) == {f"T{s}" for _, s in steinberg}
+        and all(b["simples"] and _ints(b["simples"]) and known >= set(b["simples"]) for b in blocks)
+    )
+
+
 def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int) -> dict:
-    """Cached category payload; rebuilt unless it is for this (p, n) and these knobs."""
+    """Cached category payload; rebuilt unless it is for this (p, n) and
+    these knobs and holds what the commands read (`_record_fits`)."""
     path = _cache_path(_cache_dir(cache_dir), p, n)
     if os.path.exists(path):
         try:
@@ -235,15 +317,7 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
                 payload = json.load(handle)
         except (OSError, json.JSONDecodeError):
             payload = None
-        verification = payload.get("verification") if isinstance(payload, dict) else None
-        if (
-            isinstance(verification, dict)
-            and payload.get("schema_version") == SCHEMA_VERSION
-            and payload.get("p") == p
-            and payload.get("n") == n
-            and verification.get("samples") == samples
-            and verification.get("seed") == seed
-        ):
+        if isinstance(payload, dict) and _record_fits(payload, p, n, samples, seed):
             return payload
     from . import catalog
 
@@ -295,19 +369,39 @@ def _grid(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
-def _folded(p: int, n: int, v: grring.GrElement) -> tuple[dict[int, int], dict[int, int], str]:
-    """One `fold_projectives` of v: its simples, its projectives and their text."""
-    from . import grring
-
-    simples, projectives, _ = grring.fold_projectives(p, n, v)
+def _fold_text(simples: dict[int, int], projectives: dict[int, int]) -> str:
     parts = [f"{c if c > 1 else ''}L{i}" for i, c in sorted(simples.items())]
     parts += [f"{c if c > 1 else ''}P{i}" for i, c in sorted(projectives.items())]
-    return simples, projectives, " + ".join(parts) if parts else "0"
+    return " + ".join(parts) if parts else "0"
 
 
 def fold_text(p: int, n: int, v: grring.GrElement) -> str:
     """Render a class the way the worked tables do: simples then projectives."""
-    return _folded(p, n, v)[2]
+    from . import grring
+
+    simples, projectives, _ = grring.fold_projectives(p, n, v)
+    return _fold_text(simples, projectives)
+
+
+def _fold_classes(p: int, n: int, record: dict) -> list[tuple[int, list[int]]]:
+    """The classes `grring.fold_projectives` peels, in its order, read from
+    the record: [P_i] is the Cartan column of the cover T_s of L_i, with
+    row T_t counted at the simple whose cover T_t is."""
+    from . import grring
+
+    cartan = record["cartan"]
+    cover = dict(record["steinberg"])
+    simple_at = {f"T{s}": i for i, s in cover.items()}
+    row_simples = [simple_at[label] for label in cartan["rows"]]
+    column = {label: c for c, label in enumerate(cartan["cols"])}
+    classes = []
+    for i in grring.fold_order(p, n):
+        c = column[f"T{cover[i]}"]
+        cls = [0] * len(cover)
+        for t, row in zip(row_simples, cartan["entries"]):
+            cls[t] += row[c]
+        classes.append((i, cls))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +491,8 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
     from . import grring
 
     v = grring.fuse_simples(prime, level, label_a, label_b)
-    simples, projectives, text = _folded(prime, level, v)
+    record = load_or_build(prime, level, cache_dir, samples, seed)
+    simples, projectives = grring.peel_projectives(v, _fold_classes(prime, level, record))
     payload = {
         "p": prime,
         "n": level,
@@ -407,7 +502,7 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
         "folded": {
             "simples": [list(kv) for kv in sorted(simples.items())],
             "projectives": [list(kv) for kv in sorted(projectives.items())],
-            "text": text,
+            "text": _fold_text(simples, projectives),
         },
     }
 
@@ -425,15 +520,18 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
 @click.option("--even-only", is_flag=True, default=False)
 def table(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
     """Full tensor table of simple objects."""
-    from . import digits, grring
+    from . import grring
 
-    labels = [i for i in digits.simple_range(prime, level) if not even_only or i % 2 == 0]
+    record = load_or_build(prime, level, cache_dir, samples, seed)
+    classes = _fold_classes(prime, level, record)
+    labels = [i for i in record["simples"] if not even_only or i % 2 == 0]
     cells = []
     for a in labels:
         row = []
         for b in labels:
             v = grring.fuse_simples(prime, level, a, b)
-            row.append({"vector": list(v.coeffs), "text": fold_text(prime, level, v)})
+            simples, projectives = grring.peel_projectives(v, classes)
+            row.append({"vector": list(v.coeffs), "text": _fold_text(simples, projectives)})
         cells.append(row)
     payload = {"p": prime, "n": level, "labels": labels, "cells": cells}
 
@@ -459,21 +557,23 @@ def _render_matrix(pl: dict) -> str:
 @click.option("--even-only", is_flag=True, default=False)
 def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
-    from . import catalog
-
-    cat = catalog.category(prime, level)
+    record = load_or_build(prime, level, cache_dir, samples, seed)
+    payload = record["cartan"]
     if even_only:
-        order: list[int] = []
-        for block in cat.blocks:
-            members = [cat.simple_of_proj[s] for s in block]
-            if members[0] % 2 == 0:
-                order.extend(sorted(members))
+        # The blocks whose first simple is even, each in label order.
+        order = [
+            i for b in record["blocks"] if b["simples"][0] % 2 == 0 for i in sorted(b["simples"])
+        ]
+        cover = dict(record["steinberg"])
+        row = {label: r for r, label in enumerate(payload["rows"])}
+        idx = [row[f"T{cover[i]}"] for i in order]
         labels = [f"L{i}" for i in order]
-        sub = cat.block_cartan([cat.proj_of_simple[i] for i in order])
-        payload = _matrix_payload(labels, labels, sub)
-    else:
-        labels = [f"T{i}" for i in cat.rows]
-        payload = _matrix_payload(labels, labels, cat.cartan)
+        entries = payload["entries"]
+        payload = {
+            "rows": labels,
+            "cols": labels,
+            "entries": [[entries[r][c] for c in idx] for r in idx],
+        }
     _emit(_document("matrix", payload), fmt, output, _render_matrix, check_roundtrip)
 
 
@@ -481,13 +581,7 @@ def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip,
 @_matrix
 def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Decomposition matrix (tilting rows, Weyl columns)."""
-    from . import digits
-
-    payload = _matrix_payload(
-        [f"T{i}" for i in digits.projective_range(prime, level)],
-        [f"W{j}" for j in range(prime**level - 1)],
-        digits.decomposition_matrix(prime, level),
-    )
+    payload = load_or_build(prime, level, cache_dir, samples, seed)["decomposition"]
     _emit(_document("matrix", payload), fmt, output, _render_matrix, check_roundtrip)
 
 
@@ -495,9 +589,8 @@ def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip)
 @_common
 def blocks(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Block partition with sizes and Cartan determinants."""
-    from . import catalog
-
-    payload = {"p": prime, "n": level, "blocks": _block_entries(catalog.category(prime, level))}
+    record = load_or_build(prime, level, cache_dir, samples, seed)
+    payload = {"p": prime, "n": level, "blocks": record["blocks"]}
 
     def render(pl: dict) -> str:
         lines = []
@@ -517,9 +610,7 @@ def ext1(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
     """Ext^1 adjacency between simples (odd p only)."""
     if prime == 2:
         raise click.UsageError("Ext^1 adjacency is only computed for odd p")
-    from . import catalog
-
-    edges = [list(e) for e in catalog.category(prime, level).ext1_edges]
+    edges = load_or_build(prime, level, cache_dir, samples, seed)["ext1"]
     payload = {"p": prime, "n": level, "edges": edges}
 
     def render(pl: dict) -> str:

@@ -13,14 +13,20 @@ Descendants drive everything here:
 A second, independent construction of the Cartan matrix peels the least
 significant digit and takes Kronecker products of fixed p x p matrices; the
 two (plus the character route in `tilting`) must agree exactly.
+
+numpy is imported only inside the functions that return arrays, so the
+digit rules themselves load without it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRange, UnsupportedPrime
 from .errors import check_pn, is_prime  # re-exported
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def to_digits(a: int, p: int, n: int) -> list[int]:
@@ -63,6 +69,8 @@ def simple_range(p: int, n: int) -> range:
 
 def decomposition_matrix(p: int, n: int) -> np.ndarray:
     """0/1 matrix over rows i in projective_range, columns j in [0, p^n-2]."""
+    import numpy as np
+
     rows = projective_range(p, n)
     cols = p**n - 1
     mat = np.zeros((len(rows), cols), dtype=object)
@@ -87,6 +95,8 @@ def extended_decomposition_row(p: int, n: int, i: int) -> dict[int, int]:
 
 def cartan_descendant(p: int, n: int) -> np.ndarray:
     """Cartan matrix: entry (i, j) counts common descendants of i+1, j+1."""
+    import numpy as np
+
     rows = projective_range(p, n)
     desc = [descendants(i + 1, p, n) for i in rows]
     size = len(rows)
@@ -100,6 +110,8 @@ def cartan_descendant(p: int, n: int) -> np.ndarray:
 
 
 def _kron_base_matrices(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     A = np.zeros((p, p), dtype=object)
     B = np.zeros((p, p), dtype=object)
     S = np.zeros((p, p), dtype=object)
@@ -128,6 +140,8 @@ def cartan_kronecker(p: int, n: int) -> np.ndarray:
     is directly comparable with cartan_descendant.  The same base matrices
     work at p=2, where X and Z collapse to the 1x1 blocks (1) and (0).
     """
+    import numpy as np
+
     A, B, S, D = _kron_base_matrices(p)
     X = np.eye(p - 1, dtype=object)
     Z = A[1:, 1:].copy()
@@ -222,6 +236,8 @@ def ext1_matrix(p: int, n: int) -> np.ndarray:
     narrowest signed dtype that fits 2p, and each step compares one digit
     position across all pairs, so at most a few k x k arrays are alive.
     """
+    import numpy as np
+
     if p == 2:
         raise UnsupportedPrime("Ext^1 digit rule is only defined for odd p")
     k = p ** (n - 1) * (p - 1)

@@ -298,31 +298,46 @@ def simple_projective_labels(p: int, n: int) -> set[int]:
     }
 
 
-def fold_projectives(p: int, n: int, v: GrElement):
-    """Display split of an effective class: simples plus projective classes.
+def fold_order(p: int, n: int) -> list[int]:
+    """The simples whose projective classes a fold peels, in peeling order:
+    every simple that is not projective, largest projective cover first."""
+    singles = simple_projective_labels(p, n)
+    return sorted(
+        (i for i in simple_range(p, n) if i not in singles),
+        key=lambda i: -steinberg_label(p, n, i),
+    )
 
-    Peels classes of non-simple projectives greedily, largest highest weight
-    first; what remains is reported through the simple-object slot (for
-    products of simples in Ver_{p^2} this leftover is an actual direct sum of
-    simples).  Simple projectives are never peeled; they print as L_i, which
-    is how the worked tables write them.  The remainder slot reports any
-    non-effective leftover and stays empty for effective inputs.
+
+def peel_projectives(v: GrElement, classes) -> tuple[dict[int, int], dict[int, int]]:
+    """The greedy loop of `fold_projectives` over (label, coefficients) pairs.
+
+    Peels each class in the order given as often as it fits below what is
+    left; returns the leftover simples and the peeled multiplicities.
     """
     if not v.is_effective():
         raise NegativeLeadingCoefficient("fold_projectives expects an effective class")
     leftover = list(v.coeffs)
     peeled: dict[int, int] = {}
-    singles = simple_projective_labels(p, n)
-    order = sorted(
-        (i for i in simple_range(p, n) if i not in singles),
-        key=lambda i: -steinberg_label(p, n, i),
-    )
-    for i in order:
-        cls = projective_class(p, n, i)
-        while all(l >= c for l, c in zip(leftover, cls.coeffs)):
-            leftover = [l - c for l, c in zip(leftover, cls.coeffs)]
+    for i, cls in classes:
+        while all(l >= c for l, c in zip(leftover, cls)):
+            leftover = [l - c for l, c in zip(leftover, cls)]
             peeled[i] = peeled.get(i, 0) + 1
             if not any(leftover):
                 break
-    simples = {i: c for i, c in enumerate(leftover) if c}
+    return {i: c for i, c in enumerate(leftover) if c}, peeled
+
+
+def fold_projectives(p: int, n: int, v: GrElement):
+    """Display split of an effective class: simples plus projective classes.
+
+    Peels classes of non-simple projectives greedily, largest highest weight
+    first (`fold_order`, `peel_projectives`); what remains is reported
+    through the simple-object slot (for products of simples in Ver_{p^2}
+    this leftover is an actual direct sum of simples).  Simple projectives
+    are never peeled; they print as L_i, which is how the worked tables
+    write them.  The remainder slot reports any non-effective leftover and
+    stays empty for effective inputs.
+    """
+    classes = ((i, projective_class(p, n, i).coeffs) for i in fold_order(p, n))
+    simples, peeled = peel_projectives(v, classes)
     return simples, peeled, GrElement.zero(p, n)

@@ -37,6 +37,48 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+def _prime_by_trial_division(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(p) == _prime_by_trial_division(p) for p in range(-3, 200_000))
+
+
+@pytest.mark.parametrize(
+    # The last is a strong pseudoprime to every prime base up to 37.
+    "composite", [3215031751, 3825123056546413051, 318665857834031151167461]
+)
+def test_is_prime_rejects_strong_pseudoprimes(composite):
+    assert not is_prime(composite)
+
+
+def test_large_primes_are_recognised_at_once():
+    """Library calls that skip the category bound test primality of a large
+    p; each returns within a second.  The child's timeout turns a hang into
+    a failure."""
+    code = """
+import time
+from verkit import catalog, tilting
+from verkit.errors import is_prime
+p = 10**18 + 3
+for call in (lambda: catalog.category(p, 1), lambda: tilting.tilting_char(p, 0)):
+    start = time.perf_counter()
+    call()
+    print(time.perf_counter() - start)
+print(is_prime(p), is_prime((10**9 + 7) * (10**9 + 9)))
+"""
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    *seconds, verdicts = done.stdout.split("\n")[:-1]
+    assert all(float(s) < 1.0 for s in seconds), seconds
+    assert verdicts == "True False"
+
+
 def test_det_examples():
     assert det(np.eye(4, dtype=object)) == 1
     assert det(np.array([[2, 1], [1, 2]], dtype=object)) == 3

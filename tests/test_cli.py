@@ -107,11 +107,11 @@ def test_fuse_folds_its_product_once(runner, monkeypatch):
 
     folds = []
 
-    def counted(p, n, v, _orig=grring.fold_projectives):
-        folds.append((p, n))
-        return _orig(p, n, v)
+    def counted(v, classes, _orig=grring.peel_projectives):
+        folds.append((v.p, v.n))
+        return _orig(v, classes)
 
-    monkeypatch.setattr(grring, "fold_projectives", counted)
+    monkeypatch.setattr(grring, "peel_projectives", counted)
     for fmt in ("json", "text"):
         folds.clear()
         result = invoke(runner, "fuse", "-p", "3", "-n", "3", "-a", "4", "-b", "7", "--format", fmt)
@@ -286,19 +286,74 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
             assert rebuilt["p"] == 3 and isinstance(rebuilt["verification"], dict)
 
 
+def _drop(key):
+    def mutate(record):
+        del record[key]
+
+    return mutate
+
+
+def _set(path, value):
+    def mutate(record):
+        *head, last = path
+        for k in head:
+            record = record[k]
+        record[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "command, mutate",
+    [
+        ("cartan", _drop("cartan")),
+        ("blocks", _drop("blocks")),
+        ("cartan", _set(["cartan", "entries"], 7)),
+        ("cartan", _set(["cartan", "rows", 0], "T0")),
+        ("blocks", _set(["blocks", 0], {"size": 2})),
+        ("fuse", _set(["steinberg", 1], [1])),
+        ("ext1", _set(["ext1"], None)),
+        ("decomp", _set(["decomposition", "entries", 0, 0], "1")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mutate):
+    """A file that matches the request but lacks a key a command reads, or
+    holds it with the wrong type, is a miss: the command prints its cold
+    output and rewrites the file."""
+    runner = CliRunner()
+    args = [command, "-p", "3", "-n", "3", "--cache-dir", str(tmp_path)]
+    if command == "fuse":
+        args += ["-a", "4", "-b", "7"]
+    cold = invoke(runner, *args)
+    assert cold.exit_code == 0, cold.output
+    target = tmp_path / "verpn_3_3_v3.json"
+    written = target.read_text()
+    record = json.loads(written)
+    mutate(record)
+    target.write_text(json.dumps(record))
+    warm = invoke(runner, *args)
+    assert warm.exit_code == 0, warm.output
+    assert warm.output == cold.output
+    assert target.read_text() == written
+
+
 def test_warm_report_computes_nothing(tmp_path, monkeypatch):
+    """Nor does any other warm record view."""
     from verkit import catalog
 
     runner = CliRunner()
     args = ["-p", "3", "-n", "3", "--cache-dir", str(tmp_path / "cache")]
-    cold = [invoke(runner, cmd, *args).output for cmd in ("report", "verify")]
+    commands = [["report"], ["verify"], ["cartan"], ["cartan", "--even-only"], ["decomp"],
+                ["blocks"], ["ext1"], ["fuse", "-a", "4", "-b", "7"], ["table", "--even-only"]]
+    cold = [invoke(runner, *cmd, *args).output for cmd in commands]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a warm run computed a category quantity")
 
     monkeypatch.setattr(catalog, "build", refuse)
     monkeypatch.setattr(catalog, "category", refuse)
-    warm = [invoke(runner, cmd, *args).output for cmd in ("report", "verify")]
+    warm = [invoke(runner, *cmd, *args).output for cmd in commands]
     assert warm == cold
 
 

@@ -71,6 +71,36 @@ def test_a_small_command_loads_neither_mpmath_nor_cyclo(primed, args):
     assert not loaded & {"mpmath", "verkit.cyclo"}, loaded
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cartan", "--even-only"],
+        ["decomp"],
+        ["blocks"],
+        ["ext1"],
+        ["fuse", "-a", "3", "-b", "5"],
+        ["table"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_warm_record_view_loads_neither_numpy_nor_mpmath(primed, args):
+    loaded = _loaded(args + ["-p", "3", "-n", "3", "--format", "json", "--cache-dir", primed])
+    assert not loaded & {"numpy", "mpmath", "verkit.catalog"}, loaded
+
+
+def test_fuse_refuses_a_label_before_any_build(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["fuse", "-p", "3", "-n", "3", "-a", "0", "-b", "18", "--cache-dir", str(cache)]
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 2, done.stdout
+    assert "verkit.catalog" not in result["loaded"]
+    assert not cache.exists()
+
+
 def test_package_exports_load_their_module_on_first_access():
     code = """
 import sys
