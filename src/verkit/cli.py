@@ -46,7 +46,7 @@ SCHEMA_VERSION = 1
 # Part of every cache file name; raised whenever the payload of a category
 # changes (new or renamed checks included), so files of an older payload are
 # rebuilt.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 NUMERIC_DIGITS = 20
 
 

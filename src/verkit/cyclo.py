@@ -101,8 +101,6 @@ class CycloContext:
             modulus = [0] * (self.degree + 1)
             for k in range(p):
                 modulus[k * p ** (n - 1)] = (-1) ** k
-            if modulus[self.degree] != 1:
-                modulus = [-c for c in modulus]
         self.modulus = tuple(modulus)
         self._table = None
         self._self_check()
@@ -307,13 +305,13 @@ def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:
 def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
     """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
 
-    One integer matrix product per solve block of the context (the
+    One int64 matrix product per solve block of the context (the
     category's blocks when the Cartan matrix is block diagonal over them,
     else one block of all rows): the Cartan block times the coefficient
     vectors of the FP dimensions of its rows' simples, stacked in row order.
-    The product is int64 when no sum can overflow, else it runs on Python
-    ints.  No linear solve.  Returns (True, None) or (False, the offending
-    projective of the first offending Cartan row).
+    `check_int64_products` raises PrecisionExceeded before a sum could
+    overflow.  No linear solve.  Returns (True, None) or (False, the
+    offending projective of the first offending Cartan row).
     """
     from .catalog import category
 
@@ -322,10 +320,10 @@ def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
     offending = []
     for block in cat.solve_blocks:
         C = cat.block_cartan(block)
-        d = np.array([cat.fpdim_simples[simple[s]].coeffs for s in block], dtype=object)
-        if int(np.abs(C).max()) * int(np.abs(d).max()) * len(block) < 2**63:
-            C, d = C.astype(np.int64), d.astype(np.int64)
-        for s, row in zip(block, (C @ d).tolist()):
+        dims = [cat.fpdim_simples[simple[s]].coeffs for s in block]
+        dmax = max(abs(c) for row in dims for c in row)
+        check_int64_products(np.abs(C).max(), dmax, len(block), "C d = p product")
+        for s, row in zip(block, (C.astype(np.int64) @ np.array(dims, dtype=np.int64)).tolist()):
             if tuple(row) != cat.fpdim_projectives[simple[s]].coeffs:
                 offending.append(cat.rows.index(s))
     if offending:

@@ -156,6 +156,14 @@ def cartan_kronecker(p: int, n: int) -> np.ndarray:
     return X[np.ix_(order, order)]
 
 
+def donkin_split(p: int, m: int) -> tuple[int, int]:
+    """(a, b) with m = a + p*b and a in [p-1, 2p-2], for m >= 2p-1: the
+    split of Donkin's formula chi(T_m) = chi(T_a) * chi(T_b)(x^p)."""
+    r = m % p
+    a = p - 1 if r == p - 1 else p + r
+    return a, (m - a) // p
+
+
 def block_key(p: int, n: int, i: int) -> tuple[int, int, int]:
     """Invariant separating the blocks: (parity, trailing zeros, digit class).
 

@@ -54,20 +54,18 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below _MR_EXACT_BELOW,
-    trial division above it."""
+    """Exact primality: deterministic Miller-Rabin below _MR_EXACT_BELOW.
+
+    At or above it only a factor among the bases is decided; any other p
+    raises OutOfRange, since no exact answer is available there.
+    """
     if p < 2:
         return False
     for b in _MR_BASES:
         if p % b == 0:
             return p == b
     if p >= _MR_EXACT_BELOW:
-        d = 43
-        while d * d <= p:
-            if p % d == 0:
-                return False
-            d += 2
-        return True
+        raise OutOfRange(f"no exact primality test for p >= {_MR_EXACT_BELOW}")
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd, twos = odd // 2, twos + 1
@@ -85,7 +83,8 @@ def is_prime(p: int) -> bool:
 
 
 def check_pn(p: int, n: int) -> None:
-    """Refuse a (p, n) that names no category Ver_{p^n}."""
+    """Refuse a (p, n) that names no category Ver_{p^n}; `is_prime` refuses
+    a p whose primality it cannot decide."""
     if not is_prime(p):
         raise InvalidCategory(f"{p} is not a prime")
     if n < 1:

@@ -271,13 +271,10 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
     table = category(p, n).tilting_classes
     entry_bound = int(np.abs(table).max())
     for i, j in pairs:
-        dec = truncate(p, n, tensor_decompose(p, i, j))
-        if dec.mults:
-            vals = list(dec.mults.values())
-            check_int64_products(max(map(abs, vals)), entry_bound, len(vals), "class sum")
-            left = GrElement(p, n, (np.array(vals, dtype=np.int64) @ table[list(dec.mults)]).tolist())
-        else:
-            left = GrElement.zero(p, n)
+        mults = truncate(p, n, tensor_decompose(p, i, j)).mults
+        vals = np.array(list(mults.values()), dtype=np.int64)
+        check_int64_products(np.abs(vals).max(initial=0), entry_bound, len(vals), "class sum")
+        left = GrElement(p, n, (vals @ table[list(mults)]).tolist())
         right = tilting_class(p, n, i) * tilting_class(p, n, j)
         if left != right:
             return {"pairs_checked": len(pairs), "passed": False, "counterexample": (i, j)}

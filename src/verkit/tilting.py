@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charring import SymChar, inner, mul, weyl_char
-from .digits import is_prime
+from .digits import donkin_split, is_prime
 from .errors import InvalidCategory, NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded
 from .linalg import check_int64_products
 
@@ -82,9 +82,7 @@ def _tilting_vec(p: int, m: int) -> np.ndarray:
         out = np.ones(m + 1, dtype=np.int64)
         out[m - p + 1 : p] += 1
     else:
-        r = m % p
-        a = p - 1 if r == p - 1 else p + r
-        b = (m - a) // p
+        a, b = donkin_split(p, m)
         twisted = np.zeros(p * b + 1, dtype=np.int64)
         twisted[::p] = _tilting_vec(p, b)
         out = _convolve(_tilting_vec(p, a), twisted)

@@ -53,10 +53,21 @@ def test_is_prime_rejects_strong_pseudoprimes(composite):
     assert not is_prime(composite)
 
 
+def _child_lines(code: str) -> list[str]:
+    """The stdout lines of `code` run in a child process with this package
+    on its path.  The child's timeout turns a hang into a failure."""
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split("\n")[:-1]
+
+
 def test_large_primes_are_recognised_at_once():
     """Library calls that skip the category bound test primality of a large
-    p; each returns within a second.  The child's timeout turns a hang into
-    a failure."""
+    p; each returns within a second."""
     code = """
 import time
 from verkit import catalog, tilting
@@ -68,15 +79,29 @@ for call in (lambda: catalog.category(p, 1), lambda: tilting.tilting_char(p, 0))
     print(time.perf_counter() - start)
 print(is_prime(p), is_prime((10**9 + 7) * (10**9 + 9)))
 """
-    src = os.path.dirname(os.path.dirname(catalog.__file__))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    *seconds, verdicts = done.stdout.split("\n")[:-1]
+    *seconds, verdicts = _child_lines(code)
     assert all(float(s) < 1.0 for s in seconds), seconds
     assert verdicts == "True False"
+
+
+def test_primality_past_the_exact_bound_is_refused_at_once():
+    """Past the bound of deterministic Miller-Rabin no exact answer is
+    available, so a p with no small factor is refused within a second (trial
+    division up to sqrt(p) ran for longer than 20 s at 2^89 - 1)."""
+    code = """
+import time
+from verkit import catalog, tilting
+from verkit.errors import OutOfRange, is_prime
+p = 2**89 - 1
+for call in (lambda: is_prime(p), lambda: tilting.tilting_char(p, 0), lambda: catalog.category(p, 1)):
+    start = time.perf_counter()
+    try:
+        call()
+    except OutOfRange:
+        print(time.perf_counter() - start)
+"""
+    seconds = _child_lines(code)
+    assert len(seconds) == 3 and all(float(s) < 1.0 for s in seconds), seconds
 
 
 def test_det_examples():
@@ -245,10 +270,13 @@ def test_verify_all_passes_everywhere():
         "covers_compat",
         "fusion_consistency",
     }
+    # The Ext^1 digit rule and the tilting-route check need odd p.
+    odd_only = {"ext1_symmetric", "ext1_within_blocks", "fusion_consistency"}
     for p, n in [(2, 2), (3, 2), (3, 3), (5, 2), (2, 4)]:
         report = verify_all(p, n, samples=60, seed=0)
         names = [c.name for c in report.checks]
-        assert set(names) == expected_names and len(names) == len(expected_names)
+        expected = expected_names - odd_only if p == 2 else expected_names
+        assert set(names) == expected and len(names) == (19 if p == 2 else 22)
         assert report.all_passed, (p, n, [(c.name, c.witness) for c in report.failed()])
 
 
@@ -731,8 +759,8 @@ def _cd_witness_by_rows(ctx):
         # block order meets T25 (or T9, its block's first row) first.
         (3, 3, "fpdim_simples", [25, 8]),
         (3, 3, "fpdim_projectives", [25, 8]),
-        # A Cartan entry beyond int64 inside the block (T3, T7): the Python-int product.
-        (3, 2, "cartan", [(1, 5, 2**70)]),
+        # A wrong Cartan entry inside the block (T3, T7).
+        (3, 2, "cartan", [(1, 5, 2)]),
         # An entry between the blocks of T2 and T3: one block of all rows.
         (3, 2, "cartan", [(0, 1, 1)]),
     ],
@@ -759,6 +787,27 @@ def test_cd_eq_p_names_the_first_offending_row_in_row_order(monkeypatch, p, n, f
         assert expected == 8 and ctx.solve_blocks[0][-1] == 25
     elif corrupt[0][2] == 1:
         assert ctx.solve_blocks == (tuple(ctx.rows),)
+
+
+def test_cd_eq_p_records_an_int64_refusal_as_its_witness(monkeypatch):
+    """The product runs in int64 only; a refusal by its overflow guard fails
+    the check with the refusal as witness, and verify_all still returns."""
+
+    def refuse(amax, bmax, terms, what):
+        raise PrecisionExceeded(f"{what}: refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclo, "check_int64_products", refuse)
+        check = {c.name: c for c in verify_all(3, 2).checks}["cd_eq_p"]
+    assert not check.passed and check.witness == "C d = p product: refused"
+    # A Cartan entry beyond int64 inside the block (T3, T7) trips the real guard.
+    C = cartan_descendant(3, 2)
+    C[1, 5] = C[5, 1] = 2**70
+    checks = _checks_on(monkeypatch, _fresh_context(3, 2, C))
+    with pytest.raises(PrecisionExceeded):
+        cyclo.verify_cd_eq_p(3, 2)
+    assert not checks["cd_eq_p"].passed
+    assert checks["cd_eq_p"].witness.startswith("C d = p product: 1180591620717411303424 * 1 * 2")
 
 
 @pytest.mark.parametrize("entry", [3, 2**70])

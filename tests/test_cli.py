@@ -239,7 +239,7 @@ def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "fresh"))
     runner = CliRunner()
     cold = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
-    cache_file = tmp_path / "fresh" / "verpn_2_3_v3.json"
+    cache_file = tmp_path / "fresh" / f"verpn_2_3_v{cli.CACHE_VERSION}.json"
     assert cache_file.exists()
     warm = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
     assert cold == warm
@@ -251,12 +251,12 @@ def test_cache_file_is_indented_json_written_in_batches(tmp_path):
     from verkit.cli import _atomic_write, load_or_build
 
     payload = load_or_build(3, 3, str(tmp_path), 100, 0)
-    written = (tmp_path / "verpn_3_3_v3.json").read_text()
+    written = (tmp_path / f"verpn_3_3_v{cli.CACHE_VERSION}.json").read_text()
     assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     chunks = [f"{i}," for i in range(200_000)]  # more than three batches
     _atomic_write(str(tmp_path / "chunks.txt"), iter(chunks))
     assert (tmp_path / "chunks.txt").read_text() == "".join(chunks)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["chunks.txt", "verpn_3_3_v3.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["chunks.txt", f"verpn_3_3_v{cli.CACHE_VERSION}.json"]
 
 
 def test_cache_file_for_another_category_is_rebuilt(tmp_path):
@@ -265,8 +265,8 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
     cache = tmp_path / "cache"
     runner = CliRunner()
     assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
-    target = cache / "verpn_3_2_v3.json"
-    other = (cache / "verpn_5_2_v3.json").read_text()
+    target = cache / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
+    other = (cache / f"verpn_5_2_v{cli.CACHE_VERSION}.json").read_text()
     mine = {**json.loads(other), "p": 3}
     stale = [
         other,
@@ -327,7 +327,7 @@ def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mut
         args += ["-a", "4", "-b", "7"]
     cold = invoke(runner, *args)
     assert cold.exit_code == 0, cold.output
-    target = tmp_path / "verpn_3_3_v3.json"
+    target = tmp_path / f"verpn_3_3_v{cli.CACHE_VERSION}.json"
     written = target.read_text()
     record = json.loads(written)
     mutate(record)
@@ -365,7 +365,7 @@ def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
         ["report", "-p", "2", "-n", "2", "--cache-dir", str(tmp_path / "flagdir"), "--format", "json"],
     )
     assert result.exit_code == 0
-    assert (tmp_path / "flagdir" / "verpn_2_2_v3.json").exists()
+    assert (tmp_path / "flagdir" / f"verpn_2_2_v{cli.CACHE_VERSION}.json").exists()
     assert not (tmp_path / "envdir").exists()
 
 
@@ -387,11 +387,11 @@ def test_cache_file_of_the_previous_payload_is_not_read(tmp_path):
     cache = tmp_path / "cache"
     runner = CliRunner()
     assert invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
-    current = cache / "verpn_3_2_v3.json"
+    current = cache / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
     old = json.loads(current.read_text())
     old["simples"] = [0]
     current.unlink()
-    (cache / "verpn_3_2_v2.json").write_text(json.dumps(old))
+    (cache / f"verpn_3_2_v{cli.CACHE_VERSION - 1}.json").write_text(json.dumps(old))
     result = invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache))
     assert result.exit_code == 0, result.output
     assert "6 simple objects" in result.output
