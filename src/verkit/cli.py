@@ -8,7 +8,8 @@ and `table` multiply simples themselves and fold the products with the
 projective classes read from the record's Cartan matrix.  `--cache-dir`,
 `--samples` and `--rng-seed` select the record.  `tilting` and
 `invariants` print quantities the record does not hold and compute them.
-Each emits a deterministic document in json, csv or text form.
+Each command returns a deterministic document, and the shared decorator
+(`_options`) streams it in json, csv or text form and sets the exit code.
 Text tables use the L_i / P_i / T_m notation of the printed tables so golden
 diffs stay readable; only the matrix commands (`cartan`, `decomp`) offer
 csv, so any other command refuses it before any work.  Exit codes:
@@ -46,7 +47,7 @@ SCHEMA_VERSION = 1
 # Part of every cache file name; raised whenever the payload of a category
 # changes (new or renamed checks included), so files of an older payload are
 # rebuilt.
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 NUMERIC_DIGITS = 20
 
 
@@ -331,32 +332,21 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
 # output
 
 
-def _document(kind: str, payload: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
+def _csv_lines(matrix: dict) -> Iterator[str]:
+    yield "," + ",".join(matrix["cols"])
+    for label, row in zip(matrix["rows"], matrix["entries"]):
+        yield label + "," + ",".join(map(str, row))
 
 
-def _emit(doc: dict, fmt: str, output: str | None, text_renderer, check_roundtrip: bool) -> None:
-    """Write the document in `fmt` to `output` or stdout.
-
-    JSON is streamed in batches, never held whole, unless the round trip is
-    checked: that parses the whole text back first.
-    """
+def _emit(doc: dict, fmt: str, output: str | None, render) -> None:
+    """Stream the document in `fmt` to `output` or stdout, in batches
+    (`_batches`): json from the writer, csv and text a line at a time,
+    the text lines from `render(payload)`."""
     if fmt == "json":
         chunks = chain(_json_chunks(doc), ["\n"])
-        if check_roundtrip:
-            body = "".join(chunks)
-            if json.loads(body) != doc:
-                raise click.ClickException("JSON round-trip mismatch")
-            chunks = [body]
-    elif fmt == "csv":
-        payload = doc["payload"]
-        lines = ["," + ",".join(payload["cols"])]
-        for label, row in zip(payload["rows"], payload["entries"]):
-            lines.append(label + "," + ",".join(str(v) for v in row))
-        chunks = ["\n".join(lines) + "\n"]
     else:
-        body = text_renderer(doc["payload"])
-        chunks = [body if body.endswith("\n") else body + "\n"]
+        lines = _csv_lines(doc["payload"]) if fmt == "csv" else render(doc["payload"])
+        chunks = (line + "\n" for line in lines)
     if output:
         _atomic_write(os.path.abspath(output), chunks)
     else:
@@ -364,9 +354,14 @@ def _emit(doc: dict, fmt: str, output: str | None, text_renderer, check_roundtri
             click.echo(batch, nl=False)
 
 
-def _grid(rows: list[list[str]]) -> str:
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
+def _aligned(rows: Iterable[list[str]], widths: list[int]) -> Iterator[str]:
+    for row in rows:
+        yield "  ".join(map(str.rjust, row, widths))
+
+
+def _grid(rows: list[list[str]]) -> Iterator[str]:
+    """The rows right-aligned in columns as wide as their widest cell."""
+    return _aligned(rows, [max(map(len, column)) for column in zip(*rows)])
 
 
 def _fold_text(simples: dict[int, int], projectives: dict[int, int]) -> str:
@@ -409,17 +404,27 @@ def _fold_classes(p: int, n: int, record: dict) -> list[tuple[int, list[int]]]:
 
 
 def _options(formats: list[str]):
-    """Decorator adding the shared options, `--format` among `formats`, and
-    the category guard: a refused (p, n) or format exits with 2."""
+    """Decorator adding the shared options, `--format` among `formats`, the
+    category guard and the output.
+
+    The command returns (kind, payload, render, passed).  The decorator
+    writes the document of that kind in the chosen format (`_emit`; `render`
+    yields the text lines), then exits with 1 unless it passed.  A refused
+    (p, n) or format exits with 2.
+    """
 
     def decorate(command):
         @functools.wraps(command)
-        def f(prime, level, **kwargs):
+        def f(prime, level, fmt, output, **kwargs):
             try:
                 check_category(prime, level)
-                return command(prime, level, **kwargs)
+                kind, payload, render, passed = command(prime, level, **kwargs)
+                doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
+                _emit(doc, fmt, output, render)
             except VerkitError as exc:
                 raise click.UsageError(str(exc)) from exc
+            if not passed:
+                raise SystemExit(1)
 
         f = click.option("-p", "prime", type=int, required=True, help="Prime p.")(f)
         f = click.option("-n", "level", type=int, required=True, help="Level n >= 1.")(f)
@@ -428,7 +433,6 @@ def _options(formats: list[str]):
         f = click.option("--cache-dir", type=click.Path(), default=None)(f)
         f = click.option("--samples", type=int, default=100, show_default=True)(f)
         f = click.option("--rng-seed", "seed", type=int, default=0, show_default=True)(f)
-        f = click.option("--check-roundtrip", is_flag=True, default=False)(f)
         return f
 
     return decorate
@@ -443,50 +447,50 @@ def main() -> None:
     """Exact invariants of the symmetric tensor categories Ver_{p^n}."""
 
 
+def _check_lines(checks: list[dict]) -> Iterator[str]:
+    for c in checks:
+        yield f"{c['name']}: " + ("pass" if c["passed"] else f"FAIL ({c['witness']})")
+
+
 @main.command()
 @_common
-def report(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
+def report(prime, level, cache_dir, samples, seed):
     """Full category report; exit 1 when a verification check fails."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)
 
-    def render(pl: dict) -> str:
-        lines = [f"Ver_{{{prime}^{level}}}: {len(pl['simples'])} simple objects"]
-        lines.append("")
-        lines.append("correspondence (simple <-> projective cover):")
-        pairs = [[f"L{i}" for i, _ in pl["steinberg"]], [f"T{s}" for _, s in pl["steinberg"]]]
-        lines.append(_grid(pairs))
-        lines.append("")
-        lines.append("cartan matrix:")
-        lines.append(_render_matrix(pl["cartan"]))
-        lines.append("")
-        lines.append("blocks:")
+    def render(pl: dict) -> Iterator[str]:
+        yield f"Ver_{{{prime}^{level}}}: {len(pl['simples'])} simple objects"
+        yield ""
+        yield "correspondence (simple <-> projective cover):"
+        steinberg = pl["steinberg"]
+        yield from _grid([[f"L{i}" for i, _ in steinberg], [f"T{s}" for _, s in steinberg]])
+        yield ""
+        yield "cartan matrix:"
+        yield from _render_matrix(pl["cartan"])
+        yield ""
+        yield "blocks:"
         for b in pl["blocks"]:
             members = ", ".join(f"T{s}" for s in b["projectives"])
-            lines.append(f"  size {b['size']}, det {b['det']}: {members}")
-        lines.append("")
-        lines.append("fpdims of simples:")
+            yield f"  size {b['size']}, det {b['det']}: {members}"
+        yield ""
+        yield "fpdims of simples:"
         for entry in pl["fpdim"]:
-            lines.append(f"  L{entry['label']}: {entry['simple_numeric']}")
-        lines.append("")
-        order = pl["stable"]["order"]
-        lines.append(f"stable Grothendieck ring: order {order}")
-        lines.append("")
-        lines.append("verification:")
-        for c in pl["verification"]["checks"]:
-            status = "pass" if c["passed"] else f"FAIL ({c['witness']})"
-            lines.append(f"  {c['name']}: {status}")
-        return "\n".join(lines)
+            yield f"  L{entry['label']}: {entry['simple_numeric']}"
+        yield ""
+        yield f"stable Grothendieck ring: order {pl['stable']['order']}"
+        yield ""
+        yield "verification:"
+        for line in _check_lines(pl["verification"]["checks"]):
+            yield "  " + line
 
-    _emit(_document("category_report", payload), fmt, output, render, check_roundtrip)
-    if not payload["verification"]["all_passed"]:
-        raise SystemExit(1)
+    return "category_report", payload, render, payload["verification"]["all_passed"]
 
 
 @main.command()
 @_common
 @click.option("-a", "label_a", type=int, required=True)
 @click.option("-b", "label_b", type=int, required=True)
-def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, label_a, label_b):
+def fuse(prime, level, cache_dir, samples, seed, label_a, label_b):
     """Tensor product of two simples, raw vector plus folded presentation."""
     from . import grring
 
@@ -506,19 +510,17 @@ def fuse(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, l
         },
     }
 
-    def render(pl: dict) -> str:
-        return (
-            f"L{label_a} (x) L{label_b} = {pl['folded']['text']}\n"
-            f"vector {tuple(pl['vector'])}"
-        )
+    def render(pl: dict) -> Iterator[str]:
+        yield f"L{label_a} (x) L{label_b} = {pl['folded']['text']}"
+        yield f"vector {tuple(pl['vector'])}"
 
-    _emit(_document("fusion_product", payload), fmt, output, render, check_roundtrip)
+    return "fusion_product", payload, render, True
 
 
 @main.command()
 @_common
 @click.option("--even-only", is_flag=True, default=False)
-def table(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
+def table(prime, level, cache_dir, samples, seed, even_only):
     """Full tensor table of simple objects."""
     from . import grring
 
@@ -535,27 +537,31 @@ def table(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, 
         cells.append(row)
     payload = {"p": prime, "n": level, "labels": labels, "cells": cells}
 
-    def render(pl: dict) -> str:
-        head = [""] + [f"L{b}" for b in pl["labels"]]
-        rows = [head]
-        for a, row in zip(pl["labels"], pl["cells"]):
-            rows.append([f"L{a}"] + [cell["text"] for cell in row])
+    def render(pl: dict) -> Iterator[str]:
+        rows = [["", *(f"L{b}" for b in pl["labels"])]]
+        rows += [[f"L{a}", *(c["text"] for c in row)] for a, row in zip(pl["labels"], pl["cells"])]
         return _grid(rows)
 
-    _emit(_document("fusion_table", payload), fmt, output, render, check_roundtrip)
+    return "fusion_table", payload, render, True
 
 
-def _render_matrix(pl: dict) -> str:
-    return _grid(
-        [[""] + pl["cols"]]
-        + [[r] + [str(v) for v in row] for r, row in zip(pl["rows"], pl["entries"])]
-    )
+def _render_matrix(pl: dict) -> Iterator[str]:
+    """The matrix as a grid, a row at a time: a column is as wide as its
+    label or its longest entry, which is its largest or its smallest."""
+    entries = pl["entries"]
+    widths = [max(map(len, pl["rows"]))]
+    widths += [
+        max(len(label), len(str(max(column))), len(str(min(column))))
+        for label, column in zip(pl["cols"], zip(*entries))
+    ]
+    yield from _aligned([["", *pl["cols"]]], widths)
+    yield from _aligned(([r, *map(str, row)] for r, row in zip(pl["rows"], entries)), widths)
 
 
 @main.command()
 @_matrix
 @click.option("--even-only", is_flag=True, default=False)
-def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, even_only):
+def cartan(prime, level, cache_dir, samples, seed, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
     payload = record["cartan"]
@@ -574,57 +580,54 @@ def cartan(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip,
             "cols": labels,
             "entries": [[entries[r][c] for c in idx] for r in idx],
         }
-    _emit(_document("matrix", payload), fmt, output, _render_matrix, check_roundtrip)
+    return "matrix", payload, _render_matrix, True
 
 
 @main.command()
 @_matrix
-def decomp(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
+def decomp(prime, level, cache_dir, samples, seed):
     """Decomposition matrix (tilting rows, Weyl columns)."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)["decomposition"]
-    _emit(_document("matrix", payload), fmt, output, _render_matrix, check_roundtrip)
+    return "matrix", payload, _render_matrix, True
 
 
 @main.command()
 @_common
-def blocks(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
+def blocks(prime, level, cache_dir, samples, seed):
     """Block partition with sizes and Cartan determinants."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
     payload = {"p": prime, "n": level, "blocks": record["blocks"]}
 
-    def render(pl: dict) -> str:
-        lines = []
+    def render(pl: dict) -> Iterator[str]:
         for b in pl["blocks"]:
-            members = ", ".join(
-                f"T{s} (L{i})" for s, i in zip(b["projectives"], b["simples"])
-            )
-            lines.append(f"size {b['size']}, det {b['det']}: {members}")
-        return "\n".join(lines)
+            members = ", ".join(f"T{s} (L{i})" for s, i in zip(b["projectives"], b["simples"]))
+            yield f"size {b['size']}, det {b['det']}: {members}"
 
-    _emit(_document("block_report", payload), fmt, output, render, check_roundtrip)
+    return "block_report", payload, render, True
 
 
 @main.command()
 @_common
-def ext1(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
+def ext1(prime, level, cache_dir, samples, seed):
     """Ext^1 adjacency between simples (odd p only)."""
     if prime == 2:
         raise click.UsageError("Ext^1 adjacency is only computed for odd p")
     edges = load_or_build(prime, level, cache_dir, samples, seed)["ext1"]
     payload = {"p": prime, "n": level, "edges": edges}
 
-    def render(pl: dict) -> str:
+    def render(pl: dict) -> Iterator[str]:
         if not pl["edges"]:
-            return "no extensions"
-        return "\n".join(f"L{a} -- L{b}" for a, b in pl["edges"])
+            yield "no extensions"
+        for a, b in pl["edges"]:
+            yield f"L{a} -- L{b}"
 
-    _emit(_document("ext1", payload), fmt, output, render, check_roundtrip)
+    return "ext1", payload, render, True
 
 
 @main.command()
 @_common
 @click.option("-M", "depth", type=int, default=12, show_default=True)
-def invariants(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, depth):
+def invariants(prime, level, cache_dir, samples, seed, depth):
     """Invariant dimensions in tensor powers, by both routes."""
     if depth < 0:
         raise click.UsageError("M must be >= 0")
@@ -641,22 +644,18 @@ def invariants(prime, level, fmt, output, cache_dir, samples, seed, check_roundt
         "equal": tensor_route == series_route,
     }
 
-    def render(pl: dict) -> str:
-        return (
-            f"tensor route: {pl['tensor_route']}\n"
-            f"series route: {pl['series_route']}\n"
-            f"equal: {pl['equal']}"
-        )
+    def render(pl: dict) -> Iterator[str]:
+        yield f"tensor route: {pl['tensor_route']}"
+        yield f"series route: {pl['series_route']}"
+        yield f"equal: {pl['equal']}"
 
-    _emit(_document("series", payload), fmt, output, render, check_roundtrip)
-    if not payload["equal"]:
-        raise SystemExit(1)
+    return "series", payload, render, payload["equal"]
 
 
 @main.command(name="tilting")
 @_common
 @click.option("-m", "index", type=int, required=True)
-def tilting_cmd(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip, index):
+def tilting_cmd(prime, level, cache_dir, samples, seed, index):
     """Weyl factors, dimension and character of one tilting module."""
     if not 0 <= index <= prime**level - 2:
         raise click.UsageError(f"tilting index must lie in [0, {prime**level - 2}]")
@@ -675,31 +674,25 @@ def tilting_cmd(prime, level, fmt, output, cache_dir, samples, seed, check_round
         "character": [list(kv) for kv in sorted(char.coeffs.items())],
     }
 
-    def render(pl: dict) -> str:
+    def render(pl: dict) -> Iterator[str]:
         factors = " + ".join(f"{c if c > 1 else ''}W{j}" for j, c in pl["weyl_factors"])
         status = "projective" if pl["projective"] else "not projective"
-        return f"T{pl['m']} = {factors}, dim {pl['dim']}, {status} in Ver_{{{prime}^{level}}}"
+        yield f"T{pl['m']} = {factors}, dim {pl['dim']}, {status} in Ver_{{{prime}^{level}}}"
 
-    _emit(_document("tilting_module", payload), fmt, output, render, check_roundtrip)
+    return "tilting_module", payload, render, True
 
 
 @main.command()
 @_common
-def verify(prime, level, fmt, output, cache_dir, samples, seed, check_roundtrip):
+def verify(prime, level, cache_dir, samples, seed):
     """Run the verification suite; exit 1 on any failure."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)["verification"]
 
-    def render(pl: dict) -> str:
-        lines = []
-        for c in pl["checks"]:
-            status = "pass" if c["passed"] else f"FAIL ({c['witness']})"
-            lines.append(f"{c['name']}: {status}")
-        lines.append("all passed" if pl["all_passed"] else "FAILURES PRESENT")
-        return "\n".join(lines)
+    def render(pl: dict) -> Iterator[str]:
+        yield from _check_lines(pl["checks"])
+        yield "all passed" if pl["all_passed"] else "FAILURES PRESENT"
 
-    _emit(_document("verification", payload), fmt, output, render, check_roundtrip)
-    if not payload["all_passed"]:
-        raise SystemExit(1)
+    return "verification", payload, render, payload["all_passed"]
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from operator import mul
 import mpmath
 import numpy as np
 
-from .digits import check_pn, descendants, simple_range, steinberg_label, to_digits
+from .digits import check_pn, check_simple, descendants, steinberg_label, to_digits
 from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 from .linalg import check_int64_products
 from .tilting import chebyshev_s
@@ -276,8 +276,7 @@ def qint(p: int, n: int, m: int, t: int = 0) -> CycloInt:
 def fpdim_simple(p: int, n: int, i: int) -> CycloInt:
     """FPdim(L_i) = product over digits of [i_k + 1] at q^(p^(n-k)), formed as
     the sum of q^e over e = sum_k p^(n-k) (i_k - 2 j_k), 0 <= j_k <= i_k."""
-    if i not in simple_range(p, n):
-        raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
+    check_simple(p, n, i)
     weights = [0]
     for k, d in enumerate(to_digits(i, p, n), start=1):
         weights = [w + p ** (n - k) * (d - 2 * j) for w in weights for j in range(d + 1)]
@@ -294,8 +293,7 @@ def fpdim_projective(p: int, n: int, i: int) -> CycloInt:
 
 def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:
     """Categorical dimension of L_i: product of (digit+1), with its residue mod p."""
-    if i not in simple_range(p, n):
-        raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
+    check_simple(p, n, i)
     d = 1
     for digit in to_digits(i, p, n):
         d *= digit + 1

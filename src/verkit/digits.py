@@ -67,6 +67,12 @@ def simple_range(p: int, n: int) -> range:
     return range(p ** (n - 1) * (p - 1))
 
 
+def check_simple(p: int, n: int, i: int) -> None:
+    """Refuse a label i that names no simple object of Ver_{p^n}."""
+    if i not in simple_range(p, n):
+        raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
+
+
 def decomposition_matrix(p: int, n: int) -> np.ndarray:
     """0/1 matrix over rows i in projective_range, columns j in [0, p^n-2]."""
     import numpy as np
@@ -199,8 +205,7 @@ def steinberg_label(p: int, n: int, i: int) -> int:
     The digit rule: keep the leading digit, complement the rest with
     d -> p-1-d, and shift by p^(n-1)-1.
     """
-    if i not in simple_range(p, n):
-        raise OutOfRange(f"simple label {i} outside [0, {p**(n-1)*(p-1)-1}]")
+    check_simple(p, n, i)
     digits = to_digits(i, p, n)
     starred = [digits[0]] + [p - 1 - d for d in digits[1:]]
     return p ** (n - 1) - 1 + from_digits(starred, p)
@@ -223,9 +228,8 @@ def ext1(p: int, n: int, a: int, b: int) -> int:
     """
     if p == 2:
         raise UnsupportedPrime("Ext^1 digit rule is only defined for odd p")
-    for label in (a, b):
-        if label not in simple_range(p, n):
-            raise OutOfRange(f"simple label {label} outside range for p={p}, n={n}")
+    check_simple(p, n, a)
+    check_simple(p, n, b)
     da = to_digits(a, p, n)
     db = to_digits(b, p, n)
     diff = [k for k in range(n) if da[k] != db[k]]
@@ -277,8 +281,7 @@ def frobenius_on_simple(p: int, n: int, i: int):
     """
     if p == 2:
         raise UnsupportedPrime("Frobenius digit rule is only defined for odd p")
-    if i not in simple_range(p, n):
-        raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
+    check_simple(p, n, i)
     if n == 1:
         raise OutOfRange("the digit rule for the Frobenius image needs n >= 2")
     r, b = divmod(i, p ** (n - 1))

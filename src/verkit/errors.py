@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the category guard.
 
-The guard (`is_prime`, `check_pn`, `check_category`) lives here because it
-needs nothing but integers: the command line runs it on every call, and
-this module imports neither numpy nor mpmath.
+The guard (`is_prime`, `check_prime`, `check_pn`, `check_category`) lives
+here because it needs nothing but integers: the command line runs it on
+every call, and this module imports neither numpy nor mpmath.  Its
+messages name an integer too long to print in decimal by its size.
 """
 
 # Largest number of simple objects `catalog.build` and the command line accept.
@@ -82,13 +83,30 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_pn(p: int, n: int) -> None:
-    """Refuse a (p, n) that names no category Ver_{p^n}; `is_prime` refuses
-    a p whose primality it cannot decide."""
+def _decimal(x: int) -> str:
+    """x in decimal, or its size in bits where the decimal would be long
+    enough for Python to refuse the conversion (4300 digits by default)."""
+    if x.bit_length() <= 14_000:  # at most 4215 decimal digits
+        return str(x)
+    return f"a {'negative ' if x < 0 else ''}{x.bit_length()}-bit integer"
+
+
+def check_prime(p: int) -> None:
+    """Refuse a p that is not a prime; `is_prime` refuses a p whose
+    primality it cannot decide."""
     if not is_prime(p):
-        raise InvalidCategory(f"{p} is not a prime")
+        raise InvalidCategory(f"{_decimal(p)} is not a prime")
+
+
+def _check_level(n: int) -> None:
     if n < 1:
-        raise InvalidCategory(f"level must be >= 1, got {n}")
+        raise InvalidCategory(f"level must be >= 1, got {_decimal(n)}")
+
+
+def check_pn(p: int, n: int) -> None:
+    """Refuse a (p, n) that names no category Ver_{p^n}."""
+    check_prime(p)
+    _check_level(n)
 
 
 def check_category(p: int, n: int) -> None:
@@ -100,8 +118,7 @@ def check_category(p: int, n: int) -> None:
     count (p - 1) p^(n - 1) grows by factors of p only while it stays
     within the bound.  The message names the count when it fits in 64 bits.
     """
-    if n < 1:
-        raise InvalidCategory(f"level must be >= 1, got {n}")
+    _check_level(n)
     count, left = p - 1, n - 1
     if count <= DEFAULT_BOUND:
         check_pn(p, n)

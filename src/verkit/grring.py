@@ -42,6 +42,7 @@ from itertools import compress
 
 from .digits import (
     check_pn,
+    check_simple,
     projective_range,
     simple_of_projective,
     simple_range,
@@ -73,8 +74,7 @@ class GrElement:
 
     @classmethod
     def basis(cls, p: int, n: int, i: int) -> "GrElement":
-        if i not in simple_range(p, n):
-            raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
+        check_simple(p, n, i)
         c = [0] * (p ** (n - 1) * (p - 1))
         c[i] = 1
         return cls(p, n, c)

@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .charring import SymChar, inner, mul, weyl_char
-from .digits import donkin_split, is_prime
-from .errors import InvalidCategory, NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded
+from .digits import donkin_split
+from .errors import NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded, check_prime
 from .linalg import check_int64_products
 
 
@@ -74,8 +74,7 @@ def _tilting_vec(p: int, m: int) -> np.ndarray:
     key, so concurrent fills are idempotent.  A miss for a p that is not a
     prime raises InvalidCategory.
     """
-    if not is_prime(p):
-        raise InvalidCategory(f"{p} is not a prime")
+    check_prime(p)
     if m <= p - 1:
         out = np.ones(m + 1, dtype=np.int64)
     elif m <= 2 * p - 2:

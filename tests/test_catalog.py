@@ -104,6 +104,23 @@ for call in (lambda: is_prime(p), lambda: tilting.tilting_char(p, 0), lambda: ca
     assert len(seconds) == 3 and all(float(s) < 1.0 for s in seconds), seconds
 
 
+def test_guard_messages_survive_integers_too_long_for_decimal():
+    """A p or n of more than 4300 decimal digits is refused with
+    InvalidCategory, named by its size, not by Python's conversion limit."""
+    from verkit import tilting
+
+    calls = [
+        (lambda: catalog.category(2**20000, 1), "a 20001-bit integer is not a prime"),
+        (lambda: tilting.tilting_char(2**20000, 0), "a 20001-bit integer is not a prime"),
+        (lambda: errors.check_category(3, -(10**5000)), "got a negative 16610-bit integer"),
+    ]
+    for call, message in calls:
+        with pytest.raises(InvalidCategory, match=message):
+            call()
+    with pytest.raises(InvalidCategory, match="^4 is not a prime$"):
+        catalog.category(4, 1)
+
+
 def test_det_examples():
     assert det(np.eye(4, dtype=object)) == 1
     assert det(np.array([[2, 1], [1, 2]], dtype=object)) == 3
@@ -281,9 +298,16 @@ def test_verify_all_passes_everywhere():
 
 
 def test_verify_all_level_one():
-    for p in (2, 3, 5):
+    """Level one lists only the checks it runs: it has no Brauer-line block
+    and no smaller category, and Ver_2 has no simple L_1 for the Chebyshev
+    check."""
+    skipped = {"p2_nonsemisimple_block_is_brauer_line", "covers_compat"}
+    for p, count in ((2, 16), (3, 20), (5, 20)):
         report = verify_all(p, 1)
         assert report.all_passed, (p, [(c.name, c.witness) for c in report.failed()])
+        names = {c.name for c in report.checks}
+        assert len(report.checks) == count and not names & skipped, (p, names)
+        assert ("chebyshev_roots" in names) == (p > 2)
 
 
 def test_build_record():

@@ -200,14 +200,91 @@ def test_verify_exit_code(runner):
 
 
 def test_json_roundtrip_flag(runner):
+    """Every command's JSON parses back to its document; the former
+    `--check-roundtrip` flag is refused as an unknown option."""
     extra = {"fuse": ["-a", "1", "-b", "1"], "tilting": ["-m", "2"], "invariants": ["-M", "4"]}
+    kinds = {
+        "report": "category_report",
+        "verify": "verification",
+        "cartan": "matrix",
+        "decomp": "matrix",
+        "blocks": "block_report",
+        "ext1": "ext1",
+        "fuse": "fusion_product",
+        "table": "fusion_table",
+        "invariants": "series",
+        "tilting": "tilting_module",
+    }
+    assert set(main.commands) == set(kinds)
     for command in main.commands:
         for p in ("2", "3"):
             if command == "ext1" and p == "2":
                 continue
-            args = [command, "-p", p, "-n", "2", "--format", "json", "--check-roundtrip"]
+            args = [command, "-p", p, "-n", "2", "--format", "json"]
             result = invoke(runner, *args, *extra.get(command, []))
             assert result.exit_code == 0, (command, p, result.output)
+            doc = json.loads(result.output)
+            assert doc["schema_version"] == cli.SCHEMA_VERSION and doc["kind"] == kinds[command]
+            refused = invoke(runner, *args, "--check-roundtrip", *extra.get(command, []))
+            assert refused.exit_code == 2 and "--check-roundtrip" in refused.output
+
+
+def test_a_failed_check_in_a_valid_record_is_printed_and_exits_1(tmp_path):
+    """`report` and `verify` print a record whose check failed, in every
+    format they offer, and exit with 1."""
+    from verkit.cli import _record_fits
+
+    cache = str(tmp_path)
+    runner = CliRunner()
+    assert invoke(runner, "verify", "-p", "3", "-n", "2", "--cache-dir", cache).exit_code == 0
+    target = tmp_path / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
+    record = json.loads(target.read_text())
+    check = record["verification"]["checks"][3]
+    check.update(passed=False, witness="planted witness")
+    record["verification"]["all_passed"] = False
+    assert _record_fits(record, 3, 2, 100, 0)
+    planted = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    target.write_text(planted)
+    status = f"{check['name']}: FAIL (planted witness)"
+    views = [
+        ("report", "category_report", record, "  " + status),
+        ("verify", "verification", record["verification"], status),
+    ]
+    for command, kind, payload, line in views:
+        args = [command, "-p", "3", "-n", "2", "--cache-dir", cache]
+        text = invoke(runner, *args)
+        assert text.exit_code == 1, text.output
+        assert line in text.output.splitlines()
+        doc = invoke(runner, *args, "--format", "json")
+        assert doc.exit_code == 1, doc.output
+        assert json.loads(doc.output) == {"schema_version": 1, "kind": kind, "payload": payload}
+    assert "FAILURES PRESENT" in text.output
+    assert target.read_text() == planted
+
+
+def test_invariants_exits_1_when_the_routes_disagree(runner, monkeypatch):
+    from verkit import tilting
+
+    monkeypatch.setattr(tilting, "series_fn", lambda p, n, depth: [0] * (depth + 1))
+    text = invoke(runner, "invariants", "-p", "3", "-n", "2", "-M", "4")
+    assert text.exit_code == 1 and text.output.endswith("equal: False\n"), text.output
+    doc = invoke(runner, "invariants", "-p", "3", "-n", "2", "-M", "4", "--format", "json")
+    assert doc.exit_code == 1 and json.loads(doc.output)["payload"]["equal"] is False
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("cartan", "json"), ("cartan", "csv"), ("cartan", "text"), ("report", "json"),
+     ("report", "text")],
+)
+def test_output_file_holds_the_stdout_bytes(runner, tmp_path, command, fmt):
+    args = [command, "-p", "5", "-n", "2", "--format", fmt]
+    shown = invoke(runner, *args)
+    assert shown.exit_code == 0, shown.output
+    target = tmp_path / "out" / "doc.txt"
+    written = invoke(runner, *args, "--output", str(target))
+    assert written.exit_code == 0 and written.output == ""
+    assert target.read_bytes() == shown.stdout_bytes
 
 
 def test_verify_refuses_fewer_than_one_sample(runner):
@@ -432,13 +509,30 @@ def test_json_writer_refuses_keys_that_are_not_str_and_unknown_types():
 
 def test_json_stdout_is_streamed_in_batches(monkeypatch):
     """--format json writes a large document a batch at a time, and the
-    batches join to json.dumps of it; --check-roundtrip still parses it."""
+    batches join to json.dumps of it."""
     doc = {"kind": "matrix", "payload": {"entries": [[i] for i in range(40_000)]}}
     writes = []
     monkeypatch.setattr(cli.click, "echo", lambda text, nl=True: writes.append(text))
-    cli._emit(doc, "json", None, None, check_roundtrip=False)
+    cli._emit(doc, "json", None, None)
     assert len(writes) >= 2
     assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    writes.clear()
-    cli._emit(doc, "json", None, None, check_roundtrip=True)
-    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_text_and_csv_stdout_are_streamed_in_batches(monkeypatch):
+    """A large matrix leaves a batch at a time in text and csv as well, and
+    the streamed text grid equals the grid of every cell's string."""
+    labels = [f"T{i}" for i in range(300)]
+    entries = [[i * j - 500 for j in range(300)] for i in range(300)]
+    matrix = {"rows": labels, "cols": labels, "entries": entries}
+    cells = [["", *labels]] + [[r, *map(str, row)] for r, row in zip(labels, entries)]
+    writes = []
+    monkeypatch.setattr(cli.click, "echo", lambda text, nl=True: writes.append(text))
+    for fmt, sep in (("text", None), ("csv", ",")):
+        writes.clear()
+        cli._emit({"payload": matrix}, fmt, None, cli._render_matrix)
+        assert len(writes) >= 2
+        lines = "".join(writes).split("\n")
+        assert lines.pop() == "" and len(lines) == 301
+        assert [[int(v) for v in line.split(sep)[1:]] for line in lines[1:]] == entries
+    assert lines[0] == "," + ",".join(labels)
+    assert list(cli._render_matrix(matrix)) == list(cli._grid(cells))

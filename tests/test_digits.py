@@ -52,6 +52,27 @@ def test_descendants_count_and_range():
             assert a in ds
 
 
+@pytest.mark.parametrize("label", [-1, 6, 10**6])
+def test_every_simple_label_guard_refuses_alike(label):
+    """The six functions that take a simple label share one guard and one
+    message (`check_simple`)."""
+    from verkit import cyclo
+    from verkit.grring import GrElement
+
+    calls = [
+        lambda: steinberg_label(3, 2, label),
+        lambda: ext1(3, 2, label, 0),
+        lambda: ext1(3, 2, 0, label),
+        lambda: frobenius_on_simple(3, 2, label),
+        lambda: cyclo.fpdim_simple(3, 2, label),
+        lambda: cyclo.dim_simple(3, 2, label),
+        lambda: GrElement.basis(3, 2, label),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRange, match=f"^simple label {label} outside range for p=3, n=2$"):
+            call()
+
+
 def test_descendants_rejects_leading_zero():
     with pytest.raises(OutOfRange):
         descendants(2, 3, 2)

@@ -61,14 +61,14 @@ def _expected(p, n, args):
     command = args[0]
     if command == "cartan":
         payload = _cartan(p, n, "--even-only" in args)
-        return "matrix", payload, cli._render_matrix(payload)
+        return "matrix", payload, "\n".join(cli._render_matrix(payload))
     if command == "decomp":
         payload = _matrix(
             [f"T{i}" for i in digits.projective_range(p, n)],
             [f"W{j}" for j in range(p**n - 1)],
             digits.decomposition_matrix(p, n),
         )
-        return "matrix", payload, cli._render_matrix(payload)
+        return "matrix", payload, "\n".join(cli._render_matrix(payload))
     cat = catalog.category(p, n)
     if command == "blocks":
         blocks = [
@@ -119,7 +119,8 @@ def _expected(p, n, args):
     ]
     grid = [[""] + [f"L{b}" for b in labels]]
     grid += [[f"L{a}"] + [cell["text"] for cell in row] for a, row in zip(labels, cells)]
-    return "fusion_table", {"p": p, "n": n, "labels": labels, "cells": cells}, cli._grid(grid)
+    text = "\n".join(cli._grid(grid))
+    return "fusion_table", {"p": p, "n": n, "labels": labels, "cells": cells}, text
 
 
 def _commands(p, n):
