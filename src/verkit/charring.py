@@ -14,7 +14,7 @@ decomposition matrices and Hom-dimension inner products.
 
 from __future__ import annotations
 
-from .errors import NegativeLeadingCoefficient, OutOfRange
+from .errors import NegativeLeadingCoefficient, OutOfRange, _decimal
 
 
 class SymChar:
@@ -69,7 +69,7 @@ class SymChar:
 def weyl_char(m: int) -> SymChar:
     """Character of the Weyl module of highest weight m >= 0."""
     if m < 0:
-        raise OutOfRange(f"Weyl highest weight must be >= 0, got {m}")
+        raise OutOfRange(f"Weyl highest weight must be >= 0, got {_decimal(m)}")
     return SymChar({w: 1 for w in range(-m, m + 1, 2)})
 
 

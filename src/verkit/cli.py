@@ -20,9 +20,10 @@ Import policy: this module imports only the standard library, click and
 and `load_or_build` imports `catalog` only on a cache miss, so a warm
 record view loads neither numpy nor mpmath nor `catalog`; `fuse` and
 `table` load `grring` and `digits`, which import numpy only inside the
-functions that return arrays.  Only a build, `tilting` and `invariants`
-load numpy.  `catalog.build` is read as a module attribute at call time,
-so a replacement (a test double, a tracing wrapper) is what runs.
+functions that return arrays.  `tilting` and `invariants` compute on
+Python integers, so only a build loads numpy.  `catalog.build` is read as
+a module attribute at call time, so a replacement (a test double, a
+tracing wrapper) is what runs.
 """
 
 from __future__ import annotations

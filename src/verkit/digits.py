@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import OutOfRange, UnsupportedPrime
+from .errors import OutOfRange, UnsupportedPrime, _decimal
 from .errors import check_pn, is_prime  # re-exported
 
 if TYPE_CHECKING:
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 def to_digits(a: int, p: int, n: int) -> list[int]:
     """n base-p digits of a, most significant first."""
     if not 0 <= a < p**n:
-        raise OutOfRange(f"{a} does not fit in {n} base-{p} digits")
+        raise OutOfRange(f"{_decimal(a)} does not fit in {n} base-{p} digits")
     digits = []
     for _ in range(n):
         digits.append(a % p)
@@ -50,7 +50,7 @@ def from_digits(digits: list[int], p: int) -> int:
 def descendants(a: int, p: int, n: int) -> set[int]:
     """All sign choices a_1 p^(n-1) +- a_2 p^(n-2) +- ... +- a_n."""
     if not p ** (n - 1) <= a <= p**n - 1:
-        raise OutOfRange(f"{a} is not an n-digit number for p={p}, n={n}")
+        raise OutOfRange(f"{_decimal(a)} is not an n-digit number for p={p}, n={n}")
     digits = to_digits(a, p, n)
     values = {digits[0] * p ** (n - 1)}
     for k, d in enumerate(digits[1:], start=2):
@@ -70,7 +70,7 @@ def simple_range(p: int, n: int) -> range:
 def check_simple(p: int, n: int, i: int) -> None:
     """Refuse a label i that names no simple object of Ver_{p^n}."""
     if i not in simple_range(p, n):
-        raise OutOfRange(f"simple label {i} outside range for p={p}, n={n}")
+        raise OutOfRange(f"simple label {_decimal(i)} outside range for p={p}, n={n}")
 
 
 def decomposition_matrix(p: int, n: int) -> np.ndarray:
@@ -89,14 +89,14 @@ def decomposition_matrix(p: int, n: int) -> np.ndarray:
 def extended_decomposition_row(p: int, n: int, i: int) -> dict[int, int]:
     """Weyl multiplicities of chi(T_i), valid for any i in [0, p^n-2].
 
-    Independent of the descendant rule: computed from the character recursion.
+    Independent of the descendant rule: read from the memoized Weyl row of
+    the character recursion (`tilting._weyl_row`).
     """
-    from .charring import weyl_expand
-    from .tilting import tilting_char
+    from .tilting import _weyl_row
 
     if not 0 <= i <= p**n - 2:
-        raise OutOfRange(f"tilting index {i} outside [0, {p**n - 2}]")
-    return weyl_expand(tilting_char(p, i))
+        raise OutOfRange(f"tilting index {_decimal(i)} outside [0, {p**n - 2}]")
+    return {i - 2 * k: c for k, c in _weyl_row(p, i)}
 
 
 def cartan_descendant(p: int, n: int) -> np.ndarray:
@@ -214,7 +214,7 @@ def steinberg_label(p: int, n: int, i: int) -> int:
 def simple_of_projective(p: int, n: int, s: int) -> int:
     """Inverse of steinberg_label: the simple whose projective cover is T_s."""
     if s not in projective_range(p, n):
-        raise OutOfRange(f"projective index {s} outside [{p**(n-1)-1}, {p**n-2}]")
+        raise OutOfRange(f"projective index {_decimal(s)} outside [{p**(n-1)-1}, {p**n-2}]")
     digits = to_digits(s - (p ** (n - 1) - 1), p, n)
     return from_digits([digits[0]] + [p - 1 - d for d in digits[1:]], p)
 

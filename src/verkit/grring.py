@@ -53,6 +53,7 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
     UnsupportedPrime,
+    _decimal,
 )
 
 
@@ -143,7 +144,7 @@ def base_fusion(p: int, i: int, j: int) -> list[int]:
     """Constituents of L_i L_j in the semisimple base category Ver_p."""
     for label in (i, j):
         if not 0 <= label <= p - 2:
-            raise OutOfRange(f"label {label} outside [0, {p - 2}]")
+            raise OutOfRange(f"label {_decimal(label)} outside [0, {p - 2}]")
     top = min(i + j, 2 * (p - 2) - i - j)
     return list(range(abs(i - j), top + 1, 2))
 
@@ -223,7 +224,7 @@ def tilting_class(p: int, n: int, m: int) -> GrElement:
     if p == 2:
         raise UnsupportedPrime("tilting classes in the simple basis need odd p")
     if not 0 <= m <= p**n - 2:
-        raise OutOfRange(f"tilting index {m} outside [0, {p**n - 2}]")
+        raise OutOfRange(f"tilting index {_decimal(m)} outside [0, {p**n - 2}]")
     return GrElement(p, n, category(p, n).tilting_classes[m].tolist())
 
 

@@ -8,32 +8,34 @@ The character of the tilting module T_m is produced by Donkin's recursion:
                         chi(T_m) = chi(T_a) * chi(T_b)(x^p).
 
 Every weight of T_m has the parity of m, so the memo holds chi(T_m) densely:
-an int64 vector of length m+1 whose entry k is the multiplicity of the
-weight m-2k.  Products are `np.convolve` of such vectors and the Frobenius
-twist spreads a vector p entries apart; `tilting_char` returns the same
-character as a SymChar.
+a tuple of Python integers of length m+1 whose entry k is the multiplicity
+of the weight m-2k.  The Frobenius twist spreads chi(T_b) p entries apart,
+so Donkin's product adds T_a's entry i times chi(T_b) into one strided
+slice per entry; `tilting_char` returns the same character as a SymChar.
+A second memo holds the nonzero Weyl coefficients of chi(T_m), the first
+differences of that dense character.
 
 On top of this the module provides the decomposition of an effective tilting
-character into indecomposables (greedy from the top weight, which is valid
-because the tilting-to-Weyl transition matrix is unitriangular), run on a
-dense vector per weight parity and shared by every caller, truncation
-to the quotient where T_m vanishes for m >= p^n - 1, Hom dimensions, and the
-dimensions of invariants in tensor powers of the two-dimensional module,
-together with the generating-series route that must reproduce them.  All
-int64 work is guarded: it raises PrecisionExceeded before a product could
-overflow.
+character into indecomposables, truncation to the quotient where T_m
+vanishes for m >= p^n - 1, Hom dimensions, and the dimensions of invariants
+in tensor powers of the two-dimensional module, together with the
+generating-series route that must reproduce them.  The decomposition runs
+in the Weyl basis: greedy from the top, which is valid because the
+tilting-to-Weyl transition matrix is unitriangular, and the top Weyl
+coefficient of a symmetric character is its top multiplicity.  The Weyl
+coefficients of T_i (x) T_j come from the Clebsch-Gordan rule applied to the
+two Weyl rows.  All arithmetic is on Python integers, so it is exact at any
+size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-import numpy as np
-
-from .charring import SymChar, inner, mul, weyl_char
+from .charring import SymChar, inner, mul, weyl_char, weyl_expand
 from .digits import donkin_split
-from .errors import NegativeLeadingCoefficient, OutOfRange, PrecisionExceeded, check_prime
-from .linalg import check_int64_products
+from .errors import NegativeLeadingCoefficient, OutOfRange, _decimal, check_prime
 
 
 class TiltingSum:
@@ -60,110 +62,118 @@ class TiltingSum:
         return out
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two dense characters of one parity each."""
-    check_int64_products(np.abs(a).max(), np.abs(b).max(), min(len(a), len(b)), "character product")
-    return np.convolve(a, b)
+def _check_index(m: int) -> None:
+    if m < 0:
+        raise OutOfRange(f"tilting index must be >= 0, got {_decimal(m)}")
 
 
 @lru_cache(maxsize=None)
-def _tilting_vec(p: int, m: int) -> np.ndarray:
+def _tilting_vec(p: int, m: int) -> tuple[int, ...]:
     """Dense chi(T_m), memoized: entry k is the multiplicity of weight m-2k.
 
-    The memo is only ever filled with the same read-only value for a given
+    The memo is only ever filled with the same immutable value for a given
     key, so concurrent fills are idempotent.  A miss for a p that is not a
     prime raises InvalidCategory.
     """
     check_prime(p)
     if m <= p - 1:
-        out = np.ones(m + 1, dtype=np.int64)
-    elif m <= 2 * p - 2:
-        out = np.ones(m + 1, dtype=np.int64)
-        out[m - p + 1 : p] += 1
-    else:
-        a, b = donkin_split(p, m)
-        twisted = np.zeros(p * b + 1, dtype=np.int64)
-        twisted[::p] = _tilting_vec(p, b)
-        out = _convolve(_tilting_vec(p, a), twisted)
-    out.flags.writeable = False
-    return out
+        return (1,) * (m + 1)
+    if m <= 2 * p - 2:
+        out = [1] * (m + 1)
+        out[m - p + 1 : p] = [2] * (2 * p - 1 - m)
+        return tuple(out)
+    a, b = donkin_split(p, m)
+    twisted = _tilting_vec(p, b)
+    out = [0] * (m + 1)
+    span = p * b + 1
+    for i, c in enumerate(_tilting_vec(p, a)):
+        out[i : i + span : p] = [x + c * y for x, y in zip(out[i : i + span : p], twisted)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _weyl_row(p: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero Weyl coefficients of chi(T_m), memoized, as pairs (k, c):
+    c is the coefficient of the Weyl character of highest weight m-2k.
+
+    They are the first differences of the dense character, top first; the
+    first pair is (0, 1).
+    """
+    vec = _tilting_vec(p, m)
+    pairs = enumerate(zip((0,) + vec, vec[: m // 2 + 1]))
+    return tuple((k, c - prev) for k, (prev, c) in pairs if c != prev)
 
 
 def tilting_char(p: int, m: int) -> SymChar:
     """Character of the indecomposable tilting module T_m."""
-    if m < 0:
-        raise OutOfRange(f"tilting index must be >= 0, got {m}")
-    return SymChar(dict(zip(range(m, -m - 1, -2), _tilting_vec(p, m).tolist())))
+    _check_index(m)
+    return SymChar(dict(zip(range(m, -m - 1, -2), _tilting_vec(p, m))))
 
 
-def _peel(p: int, top: int, rest: np.ndarray, mults: dict[int, int]) -> None:
-    """Greedy decomposition of one dense parity class, in place.
+def _peel(p: int, top: int, weyl: list[int], mults: dict[int, int]) -> None:
+    """Greedy decomposition of one parity class in the Weyl basis, in place.
 
-    Entry k of `rest` is the multiplicity of weight top-2k.  Each step reads
-    the highest nonzero entry of nonnegative weight m and subtracts that
-    multiple of chi(T_m); a symmetric tilting character leaves nothing.
-    Entries only decrease, and the largest entry of chi(T_m) is its middle
-    one (a sum of Weyl characters peaks at weight 0 or 1), so tracking a
-    lower bound of `rest` refuses any step that could overflow int64.
+    Entry k of `weyl` is the coefficient of the Weyl character of highest
+    weight top-2k, for every k <= top // 2.  Each step reads the highest
+    nonzero coefficient, of weight m, and subtracts that multiple of the
+    Weyl row of T_m, whose leading coefficient is 1; nothing is left after
+    the last step.
     """
-    low = min(int(rest.min()), 0)
-    k = 0
-    half = top // 2 + 1
-    while k < half:
-        nz = rest[k:half].nonzero()[0]
-        if not nz.size:
-            break
-        k += int(nz[0])
+    for k, c in enumerate(weyl):
+        if not c:
+            continue
         m = top - 2 * k
-        c = int(rest[k])
         if c < 0:
             raise NegativeLeadingCoefficient(
                 f"coefficient {c} at top weight {m}: not a tilting character"
             )
-        t = _tilting_vec(p, m)
-        low -= c * int(t[m // 2])
-        if low <= -(2**63):
-            raise PrecisionExceeded(f"peeling {c} * T_{m} could overflow int64")
-        rest[k : k + m + 1] -= c * t
+        for kr, cr in _weyl_row(p, m):
+            weyl[k + kr] -= c * cr
         mults[m] = c
-    if rest.any():
-        raise NegativeLeadingCoefficient(
-            "nonzero remainder at negative weights: the character is not symmetric"
-        )
 
 
 def decompose_tilting(p: int, a: SymChar) -> TiltingSum:
     """Write an effective tilting character as a sum of indecomposables.
 
-    Greedy from the top weight, one dense int64 vector per weight parity.
-    Raises NegativeLeadingCoefficient if some stage exposes a negative top
-    coefficient or leaves a remainder, i.e. the input was not the character
-    of a tilting module, and PrecisionExceeded if a coefficient does not fit
-    the int64 work.
+    Greedy from the top weight on the Weyl coefficients of `a`, one dense
+    list per weight parity.  Raises NegativeLeadingCoefficient if `a` is not
+    symmetric or some stage exposes a negative top coefficient, i.e. the
+    input was not the character of a tilting module.
     """
+    coeffs = weyl_expand(a)
     mults: dict[int, int] = {}
     for parity in (0, 1):
-        part = {w: c for w, c in a.coeffs.items() if w % 2 == parity}
+        part = {m: c for m, c in coeffs.items() if m % 2 == parity}
         if not part:
             continue
-        if max(abs(c) for c in part.values()) >= 2**63:
-            raise PrecisionExceeded("a character coefficient does not fit in int64")
         top = max(part)
-        bottom = min(min(part), -top)
-        rest = np.zeros((top - bottom) // 2 + 1, dtype=np.int64)
-        for w, c in part.items():
-            rest[(top - w) // 2] = c
-        _peel(p, top, rest, mults)
+        weyl = [0] * (top // 2 + 1)
+        for m, c in part.items():
+            weyl[(top - m) // 2] = c
+        _peel(p, top, weyl, mults)
     return TiltingSum(mults)
 
 
 def tensor_decompose(p: int, i: int, j: int) -> TiltingSum:
-    """Decomposition of T_i (x) T_j into indecomposable tilting summands."""
-    for m in (i, j):
-        if m < 0:
-            raise OutOfRange(f"tilting index must be >= 0, got {m}")
+    """Decomposition of T_i (x) T_j into indecomposable tilting summands.
+
+    By Clebsch-Gordan each pair of Weyl factors W_a, W_b of T_i and T_j
+    contributes W_(a+b), W_(a+b-2), ..., W_|a-b|: one range of the Weyl
+    coefficients of the product, summed in a difference array.
+    """
+    _check_index(i)
+    _check_index(j)
+    top = i + j
+    diff = [0] * (top // 2 + 2)
+    row_j = [(kb, cb, j - 2 * kb) for kb, cb in _weyl_row(p, j)]
+    for ka, ca in _weyl_row(p, i):
+        a = i - 2 * ka
+        for kb, cb, b in row_j:
+            c = ca * cb
+            diff[ka + kb] += c
+            diff[(top - abs(a - b)) // 2 + 1] -= c
     mults: dict[int, int] = {}
-    _peel(p, i + j, _convolve(_tilting_vec(p, i), _tilting_vec(p, j)), mults)
+    _peel(p, top, list(accumulate(diff[:-1])), mults)
     return TiltingSum(mults)
 
 
@@ -196,7 +206,7 @@ def invariant_dims(p: int, n: int, M: int) -> list[int]:
     inflates intermediate characters.  M < 0 raises OutOfRange.
     """
     if M < 0:
-        raise OutOfRange(f"series depth must be >= 0, got {M}")
+        raise OutOfRange(f"series depth must be >= 0, got {_decimal(M)}")
     v = TiltingSum({0: 1})
     chi_v = weyl_char(1)
     out = [_invariant_count(p, n, v)]
@@ -230,7 +240,7 @@ def series_fn(p: int, n: int, M: int) -> list[int]:
     M < 0 raises OutOfRange.
     """
     if M < 0:
-        raise OutOfRange(f"series depth must be >= 0, got {M}")
+        raise OutOfRange(f"series depth must be >= 0, got {_decimal(M)}")
     num = [0] + chebyshev_s(p**n - 2)
     den = chebyshev_s(p**n - 1)
     # Reverse into power series in v = 1/u; den has constant term 1 after

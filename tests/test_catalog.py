@@ -121,6 +121,30 @@ def test_guard_messages_survive_integers_too_long_for_decimal():
         catalog.category(4, 1)
 
 
+def test_index_guards_survive_integers_too_long_for_decimal():
+    """A label or index of more than 4300 decimal digits is refused with
+    OutOfRange, named by its size; formatting it in decimal raised
+    Python's ValueError instead."""
+    from verkit import charring, tilting
+
+    calls = [
+        (lambda: grring.GrElement.basis(3, 2, 10**5000), "simple label a 16610-bit integer"),
+        (lambda: digits.extended_decomposition_row(3, 2, 10**5000), "index a 16610-bit integer"),
+        (lambda: digits.simple_of_projective(3, 2, 10**5000), "index a 16610-bit integer"),
+        (lambda: tilting.tilting_char(3, -(10**5000)), "got a negative 16610-bit integer"),
+        (lambda: tilting.tensor_decompose(3, -(10**5000), 1), "got a negative 16610-bit integer"),
+        (lambda: tilting.invariant_dims(3, 2, -(10**5000)), "got a negative 16610-bit integer"),
+        (lambda: grring.tilting_class(3, 2, 10**5000), "index a 16610-bit integer"),
+        (lambda: grring.base_fusion(3, 10**5000, 0), "label a 16610-bit integer"),
+        (lambda: digits.to_digits(10**5000, 3, 2), "^a 16610-bit integer does not fit"),
+        (lambda: digits.descendants(10**5000, 3, 2), "^a 16610-bit integer is not"),
+        (lambda: charring.weyl_char(-(10**5000)), "got a negative 16610-bit integer"),
+    ]
+    for call, message in calls:
+        with pytest.raises(OutOfRange, match=message):
+            call()
+
+
 def test_det_examples():
     assert det(np.eye(4, dtype=object)) == 1
     assert det(np.array([[2, 1], [1, 2]], dtype=object)) == 3

@@ -72,6 +72,22 @@ def test_a_small_command_loads_neither_mpmath_nor_cyclo(primed, args):
 
 
 @pytest.mark.parametrize(
+    "args", [["tilting", "-m", "7"], ["invariants", "-M", "12"]], ids=lambda args: args[0]
+)
+def test_the_computing_commands_load_neither_numpy_nor_mpmath(primed, args):
+    # Tilting characters are Python integers; only a build loads numpy.
+    loaded = _loaded(args + ["-p", "3", "-n", "3", "--format", "json", "--cache-dir", primed])
+    assert not loaded & {"numpy", "mpmath"}, loaded
+
+
+def test_importing_tilting_loads_no_numpy():
+    code = "import sys, verkit.tilting\nif 'numpy' in sys.modules:\n    raise SystemExit('numpy loaded')\n"
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["cartan", "--even-only"],

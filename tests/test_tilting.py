@@ -21,6 +21,7 @@ from verkit.errors import (
 from verkit.linalg import check_int64_products
 from verkit.tilting import (
     TiltingSum,
+    _weyl_row,
     decompose_tilting,
     hom_dim,
     invariant_dims,
@@ -204,6 +205,28 @@ def test_dense_decompose_tilting_matches_dict_oracle(p, mults):
     assert got.mults == oracle_decompose(p, char) == mults
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+def test_weyl_row_matches_the_weyl_expansion_of_the_dict_oracle(p, data):
+    m = data.draw(st.integers(0, 2 * p**3 - 1))
+    row = _weyl_row(p, m)
+    assert row[0] == (0, 1)
+    assert {m - 2 * k: c for k, c in row} == weyl_expand(oracle_tilting_char(p, m))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([pt for pt in TOPS if pt[1] >= 2]), st.data())
+def test_tensor_decompose_matches_dict_oracle_past_the_truncation(ptop, data):
+    # i + j >= p^n - 1: the product has summands T_m with m >= p^n - 1,
+    # the ones `truncate` drops.
+    p, top = ptop
+    i = data.draw(st.integers(1, top - 1))
+    j = data.draw(st.integers(top - i, top - 1))
+    want = oracle_decompose(p, mul(oracle_tilting_char(p, i), oracle_tilting_char(p, j)))
+    assert max(want) >= top
+    assert tensor_decompose(p, i, j).mults == want
+
+
 def test_decompose_rejects_asymmetric_character():
     with pytest.raises(NegativeLeadingCoefficient):
         decompose_tilting(3, SymChar({1: 1}))
@@ -212,30 +235,40 @@ def test_decompose_rejects_asymmetric_character():
 
 
 def test_int64_guard_raises_before_overflow():
+    # linalg's guard still refuses int64 sums that could overflow; the
+    # tilting decomposition works on Python integers and is exact past 2^63.
     with pytest.raises(PrecisionExceeded):
         check_int64_products(2**32, 2**31, 2, "test")
     check_int64_products(2**32, 2**30, 1, "test")
-    # A coefficient that does not fit int64 at all.
-    with pytest.raises(PrecisionExceeded):
-        decompose_tilting(3, SymChar({0: 2**63}))
-    # Peeling 2^62 copies of T_3 = W_3 + W_1 would subtract 2^63 from the
-    # middle weights.
-    with pytest.raises(PrecisionExceeded):
-        decompose_tilting(3, 2**62 * weyl_char(3))
+    assert decompose_tilting(3, SymChar({0: 2**63})).mults == {0: 2**63}
     assert decompose_tilting(3, 2**62 * tilting_char(3, 2)).mults == {2: 2**62}
+    # T_3 = W_3 + W_1 at p = 3, so 2^62 W_3 leaves -2^62 W_1.
+    with pytest.raises(NegativeLeadingCoefficient):
+        decompose_tilting(3, 2**62 * weyl_char(3))
 
 
 def test_int64_guard_raises_under_python_O():
     code = (
         "from verkit.charring import SymChar, weyl_char\n"
-        "from verkit.errors import PrecisionExceeded\n"
-        "from verkit.tilting import decompose_tilting\n"
-        "for char in (SymChar({0: 2**63}), 2**62 * weyl_char(3)):\n"
-        "    try:\n"
-        "        decompose_tilting(3, char)\n"
-        "    except PrecisionExceeded:\n"
-        "        continue\n"
+        "from verkit.errors import NegativeLeadingCoefficient, PrecisionExceeded\n"
+        "from verkit.linalg import check_int64_products\n"
+        "from verkit.tilting import decompose_tilting, tilting_char\n"
+        "try:\n"
+        "    check_int64_products(2**32, 2**31, 2, 'test')\n"
+        "except PrecisionExceeded:\n"
+        "    pass\n"
+        "else:\n"
         "    raise SystemExit('no PrecisionExceeded')\n"
+        "if decompose_tilting(3, SymChar({0: 2**63})).mults != {0: 2**63}:\n"
+        "    raise SystemExit('2^63 T_0 not recovered')\n"
+        "if decompose_tilting(3, 2**62 * tilting_char(3, 2)).mults != {2: 2**62}:\n"
+        "    raise SystemExit('2^62 T_2 not recovered')\n"
+        "try:\n"
+        "    decompose_tilting(3, 2**62 * weyl_char(3))\n"
+        "except NegativeLeadingCoefficient:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no NegativeLeadingCoefficient')\n"
     )
     src = os.path.dirname(os.path.dirname(verkit.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
