@@ -213,8 +213,9 @@ class CategoryContext:
         """[T_m] in the simple basis as row m, m < p^n - 1, for odd p.
 
         Filled bottom-up: rows m <= 2p-2 are L_m and 2 L_{2p-2-m} + L_m;
-        each later row m = a + p*b (a in [p-1, 2p-2]) is one GrElement
-        product of row a and the lift of row b of the table one level down.
+        each later row m = a + p*b (a in [p-1, 2p-2]) is one sparse product
+        (`grring._product`) of row a and the lift of row b of the table one
+        level down.
         """
         from . import grring
 
@@ -222,16 +223,16 @@ class CategoryContext:
         if p == 2:
             raise UnsupportedPrime("tilting classes in the simple basis need odd p")
         table = np.zeros((p**n - 1, len(self.simples)), dtype=np.int64)
-        for m in range(min(2 * p - 1, p**n - 1)):
-            table[m, m] = 1
-            if m >= p:
-                table[m, 2 * p - 2 - m] = 2
+        head = [{m: 1, 2 * p - 2 - m: 2} if m >= p else {m: 1} for m in range(2 * p - 1)]
+        for m, row in enumerate(head[: p**n - 1]):
+            table[m, list(row)] = list(row.values())
         if n >= 2:
-            below = category(p, n - 1).tilting_classes
+            below = grring.sparse_rows(category(p, n - 1).tilting_classes)
             for m in range(2 * p - 1, p**n - 1):
                 a, b = digits.donkin_split(p, m)
-                low = grring.lift(grring.GrElement(p, n - 1, below[b].tolist()))
-                table[m] = (grring.GrElement(p, n, table[a].tolist()) * low).coeffs
+                lifted = {j * p: c for j, c in below[b].items()}
+                row = grring._product(p, n, head[a], lifted)
+                table[m, list(row)] = list(row.values())
         table.flags.writeable = False
         return table
 

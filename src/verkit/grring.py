@@ -21,8 +21,15 @@ exact Frobenius-Perron character on the ring is an isomorphism onto a ring
 of cyclotomic integers, so the fusion here is completely pinned down by the
 cyclotomic identities checked in the test suite.
 
-Every product (`*`, `fuse_simples`, the class-table fill) applies this rule
-bilinearly to sparse {label: coeff} dicts, one level at a time, with no memo.
+Every product (`*`, `fuse_simples`, the class-table fill, the fusion check)
+applies this rule bilinearly to sparse {label: coeff} dicts, one level at a
+time, with no memo of products.  Level two adds its level-one products
+inline, one base range per pair of terms.  Multiplication by V is a linear
+map (`_times_v`), the same rule with x = L_1: a term of lowest digit
+m < p-1 moves to m-1 and m+1, and m = p-1 gives 2 L_{p-2} plus V carried
+one level down.  The low digits of each digit pair are read from a table
+built once per p (`_digit_rule`, p^2 short tuples); the category bound
+keeps p <= 45 wherever n >= 2.
 
 Elements of different rings never mix: `+`, `-` and `*` refuse an operand of
 another Ver_{p^n} with ShapeMismatch, and one that is no GrElement with
@@ -31,13 +38,15 @@ are read from a per-category table (`CategoryContext.tilting_classes`),
 filled bottom-up once.  The tilting-route check compares two independent
 sides of the ring map: the truncated tensor decomposition of T_i (x) T_j from
 tilting characters, summed as one integer combination of table rows, against
-[T_i] * [T_j] multiplied out by the fusion rule above.
+[T_i] * [T_j] multiplied out by the fusion rule above, both on sparse rows of
+Python integers.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from functools import lru_cache
 from itertools import compress
 
 from .digits import (
@@ -149,43 +158,115 @@ def base_fusion(p: int, i: int, j: int) -> list[int]:
     return list(range(abs(i - j), top + 1, 2))
 
 
-def _product(p: int, n: int, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-    """x * y on sparse {label: coeff} dicts, x = sum lift(X_m) L_m by lowest digit.
+@lru_cache(maxsize=None)
+def _digit_rule(p: int) -> tuple[tuple[tuple[tuple[tuple[int, int], ...], int], ...], ...]:
+    """The rule's low digits per digit pair, built once per p: entry [m][r]
+    is ((k, coefficient) pairs of the first term of L_m L_r, m + r).
 
-    Each digit pair (m, r) places X_m Y_r, one level down, by the rule above;
-    those of one digit sum m + r >= p are summed first and multiplied by V once.
+    Read only for n >= 2, where the category bound keeps p <= 45, so the
+    table holds at most p^2 short tuples.
+    """
+    rule = []
+    for m in range(p):
+        row = []
+        for r in range(p):
+            s = m + r
+            terms = [(k, 1) for k in range(abs(m - r), (s if s < p else 2 * (p - 2) - s) + 1, 2)]
+            if s >= p:
+                terms += [(k, 2 - (k == p - 1)) for k in range(2 * (p - 1) - s, p, 2)]
+            row.append((tuple(terms), s))
+        rule.append(tuple(row))
+    return tuple(rule)
+
+
+def _times_v(p: int, n: int, w: dict[int, int]) -> dict[int, int]:
+    """w * V on a sparse {label: coeff} dict: the rule above with x = L_1.
+
+    A term of lowest digit m < p-1 moves to m-1 and m+1; m = p-1 gives
+    2 L_{p-2} plus V carried one level down.  Level one is the base rule,
+    and V of Ver_2 is zero.
     """
     out: dict[int, int] = {}
     if n == 1:
+        for i, c in w.items():
+            if i:
+                out[i - 1] = out.get(i - 1, 0) + c
+            if i <= p - 3:
+                out[i + 1] = out.get(i + 1, 0) + c
+        return {k: c for k, c in out.items() if c}
+    carry: dict[int, int] = {}
+    for a, c in w.items():
+        j, m = divmod(a, p)
+        if m < p - 1:
+            if m:
+                out[a - 1] = out.get(a - 1, 0) + c
+            out[a + 1] = out.get(a + 1, 0) + c
+        else:
+            out[a - 1] = out.get(a - 1, 0) + 2 * c
+            carry[j] = carry.get(j, 0) + c
+    if carry:
+        for j, c in _times_v(p, n - 1, carry).items():
+            out[j * p] = out.get(j * p, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _product(p: int, n: int, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """x * y on sparse {label: coeff} dicts, x = sum lift(X_m) L_m by lowest digit.
+
+    Each digit pair (m, r) adds X_m Y_r, one level down, times its digits
+    from `_digit_rule`; those of one digit sum m + r >= p are summed first
+    and multiplied by V once.  At level two, X_m Y_r is one base range per
+    pair of terms.
+    """
+    out: dict[int, int] = {}
+    top = 2 * (p - 2)
+    if n == 1:
         for i, ci in x.items():
             for j, cj in y.items():
-                for k in base_fusion(p, i, j):
-                    out[k] = out.get(k, 0) + ci * cj
+                c = ci * cj
+                for k in range(abs(i - j), min(i + j, top - i - j) + 1, 2):
+                    out[k] = out.get(k, 0) + c
         return {k: c for k, c in out.items() if c}
-    xs, ys = {}, {}  # lowest digit m -> X_m, r -> Y_r
-    for z, groups in ((x, xs), (y, ys)):
-        for a, c in z.items():
-            groups.setdefault(a % p, {})[a // p] = c
-    placed = []  # (w, digits): add lift(w) * sum of digits[k] L_k
-    by_sum: dict[int, dict[int, int]] = {}
-    for m, xm in xs.items():
-        for r, yr in ys.items():
-            s, w = m + r, _product(p, n - 1, xm, yr)
-            digits = {k: 1 for k in range(abs(m - r), (s if s < p else 2 * (p - 2) - s) + 1, 2)}
-            if s >= p:
-                digits.update((k, 2 - (k == p - 1)) for k in range(2 * (p - 1) - s, p, 2))
-                if p > 2 or n > 2:  # V of Ver_2 is zero
+    rule = _digit_rule(p)
+    by_sum: dict[int, dict[int, int]] = {}  # m + r >= p -> sum of X_m Y_r
+    if n == 2:
+        ys = [(divmod(b, p), cb) for b, cb in y.items()]
+        for a, ca in x.items():
+            i, m = divmod(a, p)
+            row = rule[m]
+            for (j, r), cb in ys:
+                c = ca * cb
+                terms, s = row[r]
+                ks = range(abs(i - j), min(i + j, top - i - j) + 1, 2)
+                for k in ks:
+                    for t, ct in terms:
+                        out[k * p + t] = out.get(k * p + t, 0) + c * ct
+                if s >= p:
                     acc = by_sum.setdefault(s, {})
-                    for j, c in w.items():
-                        acc[j] = acc.get(j, 0) + c
-            placed.append((w, digits))
+                    for k in ks:
+                        acc[k] = acc.get(k, 0) + c
+    else:
+        xs, ys = {}, {}  # lowest digit m -> X_m, r -> Y_r
+        for z, groups in ((x, xs), (y, ys)):
+            for a, c in z.items():
+                j, m = divmod(a, p)
+                groups.setdefault(m, {})[j] = c
+        for m, xm in xs.items():
+            row = rule[m]
+            for r, yr in ys.items():
+                w = _product(p, n - 1, xm, yr)
+                terms, s = row[r]
+                for j, cj in w.items():
+                    for t, ct in terms:
+                        out[j * p + t] = out.get(j * p + t, 0) + cj * ct
+                if s >= p:
+                    acc = by_sum.setdefault(s, {})
+                    for j, cj in w.items():
+                        acc[j] = acc.get(j, 0) + cj
     for s, acc in by_sum.items():
-        wv = _product(p, n - 1, {1: 1}, acc)
-        placed.append((wv, dict.fromkeys(range((s - p) % 2, s - p + 1, 2), 1)))
-    for w, digits in placed:
-        for j, cj in w.items():
-            for k, ck in digits.items():
-                out[j * p + k] = out.get(j * p + k, 0) + cj * ck
+        for j, cj in _times_v(p, n - 1, acc).items():
+            for k in range(j * p + (s - p) % 2, j * p + s - p + 1, 2):
+                out[k] = out.get(k, 0) + cj
     return {k: c for k, c in out.items() if c}
 
 
@@ -243,20 +324,27 @@ def check_samples(samples: int) -> None:
         raise OutOfRange(f"samples must be >= 1, got {samples}")
 
 
+def sparse_rows(table) -> list[dict[int, int]]:
+    """The nonzero entries of each row of an integer matrix, as Python ints."""
+    out = []
+    for row in table:
+        nz = row.nonzero()[0]
+        out.append(dict(zip(nz.tolist(), row[nz].tolist())))
+    return out
+
+
 def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> dict:
     """Compare tilting tensor decompositions against simple-basis fusion.
 
     For sampled (i, j) the class of the truncated decomposition of
-    T_i (x) T_j must equal [T_i] * [T_j] expanded through fuse_simples.
-    The left side is one integer combination of the rows of the class table
-    that the decomposition names; the right side is one product of two
-    rows.
+    T_i (x) T_j must equal [T_i] * [T_j] expanded by the fusion rule.
+    Both sides read the class table as sparse rows of Python integers, so
+    the arithmetic is exact at any size: the left side is one integer
+    combination of the rows that the decomposition names, the right side
+    one product of rows i and j.
     Exhaustive when the number of pairs is at most `samples`.
     """
-    import numpy as np
-
     from .catalog import category
-    from .linalg import check_int64_products
     from .tilting import tensor_decompose, truncate
 
     if p == 2:
@@ -269,15 +357,13 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(top), rng.randrange(top)) for _ in range(samples)]
-    table = category(p, n).tilting_classes
-    entry_bound = int(np.abs(table).max())
+    rows = sparse_rows(category(p, n).tilting_classes)
     for i, j in pairs:
-        mults = truncate(p, n, tensor_decompose(p, i, j)).mults
-        vals = np.array(list(mults.values()), dtype=np.int64)
-        check_int64_products(np.abs(vals).max(initial=0), entry_bound, len(vals), "class sum")
-        left = GrElement(p, n, (vals @ table[list(mults)]).tolist())
-        right = tilting_class(p, n, i) * tilting_class(p, n, j)
-        if left != right:
+        left: dict[int, int] = {}
+        for m, c in truncate(p, n, tensor_decompose(p, i, j)).mults.items():
+            for k, ck in rows[m].items():
+                left[k] = left.get(k, 0) + c * ck
+        if {k: c for k, c in left.items() if c} != _product(p, n, rows[i], rows[j]):
             return {"pairs_checked": len(pairs), "passed": False, "counterexample": (i, j)}
     return {"pairs_checked": len(pairs), "passed": True, "counterexample": None}
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 
 from .charring import SymChar, inner, mul, weyl_char, weyl_expand
 from .digits import donkin_split
@@ -234,26 +235,21 @@ def series_fn(p: int, n: int, M: int) -> list[int]:
     """Coefficients of u^(-2m), m <= M, of u * S_{p^n-2}(u) / S_{p^n-1}(u).
 
     The quotient is expanded as a power series in u^(-1) by long division in
-    descending powers.  S_{p^n-1} is monic, so the division is integral.
-    Substituting u = t + t^(-1) shows this series lists the invariant
-    dimensions, which is exactly what the invariants_series check asserts.
-    M < 0 raises OutOfRange.
+    descending powers.  S_m has the parity of m, and its coefficient of
+    u^(m-2k) is (-1)^k C(m-k, k), so the division reads only the top M+1
+    coefficients of each polynomial.  S_{p^n-1} is monic, so the division is
+    integral.  Substituting u = t + t^(-1) shows this series lists the
+    invariant dimensions, which is exactly what the invariants_series check
+    asserts.  M < 0 raises OutOfRange.
     """
     if M < 0:
         raise OutOfRange(f"series depth must be >= 0, got {_decimal(M)}")
-    num = [0] + chebyshev_s(p**n - 2)
-    den = chebyshev_s(p**n - 1)
-    # Reverse into power series in v = 1/u; den has constant term 1 after
-    # reversal since S_{p^n-1} is monic.
-    shift = len(den) - len(num)
-    rnum = num[::-1]
-    rden = den[::-1]
-    terms = 2 * M + 1
-    series = [0] * terms
-    for k in range(terms):
-        idx = k - shift
-        c = rnum[idx] if 0 <= idx < len(rnum) else 0
-        for j in range(1, min(k, len(rden) - 1) + 1):
-            c -= rden[j] * series[k - j]
-        series[k] = c
-    return [series[2 * m] for m in range(M + 1)]
+
+    def top(m: int) -> list[int]:
+        return [(-1) ** k * comb(m - k, k) if 2 * k <= m else 0 for k in range(M + 1)]
+
+    num, den = top(p**n - 2), top(p**n - 1)
+    series: list[int] = []
+    for k in range(M + 1):
+        series.append(num[k] - sum(den[j] * series[k - j] for j in range(1, k + 1)))
+    return series

@@ -18,12 +18,15 @@ from verkit.errors import (
 )
 from verkit.grring import (
     GrElement,
+    _product,
+    _times_v,
     base_fusion,
     check_ring_hom_fusion,
     fold_projectives,
     fuse_simples,
     lift,
     projective_class,
+    sparse_rows,
     tilting_class,
 )
 
@@ -371,15 +374,25 @@ def test_class_table_matches_recursive_definition(p, n):
 
 
 def test_cold_check_fills_each_level_table_once(monkeypatch):
+    from verkit import grring
+
     p, n = 7, 3
     products = []
-    original = GrElement.__mul__
+    original = grring._product
+    depth = 0
 
-    def counted(self, other):
-        products.append((self.p, self.n))
-        return original(self, other)
+    def counted(p, n, x, y):
+        # `_product` recurses through the module name: count outermost calls.
+        nonlocal depth
+        if not depth:
+            products.append((p, n))
+        depth += 1
+        try:
+            return original(p, n, x, y)
+        finally:
+            depth -= 1
 
-    monkeypatch.setattr(GrElement, "__mul__", counted)
+    monkeypatch.setattr(grring, "_product", counted)
     catalog.category.cache_clear()
     try:
         first = check_ring_hom_fusion(p, n, samples=100, seed=0)
@@ -469,6 +482,52 @@ def reference_mul_by_v(p: int, n: int, w: tuple[int, ...]) -> tuple[int, ...]:
                 if ck:
                     out[k] += cj * ck
     return tuple(out)
+
+
+def sparse(dense) -> dict[int, int]:
+    return {k: c for k, c in enumerate(dense) if c}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(CATEGORIES), st.data())
+def test_times_v_equals_the_reference(pn, data):
+    p, n = pn
+    size = p ** (n - 1) * (p - 1)
+    w = data.draw(st.dictionaries(st.integers(0, size - 1), st.integers(-4, 4), max_size=6))
+    dense = tuple(w.get(i, 0) for i in range(size))
+    assert _times_v(p, n, w) == sparse(reference_mul_by_v(p, n, dense))
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 4), (3, 1), (11, 1), (3, 3), (5, 2)])
+def test_times_v_on_every_basis_vector(p, n):
+    # V of Ver_2 is zero; at p = 2 one level up, V carries into nothing.
+    size = p ** (n - 1) * (p - 1)
+    for i in range(size):
+        dense = tuple(int(k == i) for k in range(size))
+        assert _times_v(p, n, {i: 1}) == sparse(reference_mul_by_v(p, n, dense)), (p, n, i)
+    if (p, n) == (2, 1):
+        assert _times_v(2, 1, {0: 5}) == {}
+
+
+@lru_cache(maxsize=None)
+def sparse_reference(p: int, n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sparse(reference_fuse(p, n, a, b)).items())
+
+
+def test_table_row_products_at_ver729_equal_the_reference():
+    # n = 6 at p = 3: the longest V carry chain of the ten categories.
+    p, n = 3, 6
+    rows = sparse_rows(catalog.category(p, n).tilting_classes)
+    rng = random.Random(20)
+    for _ in range(30):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        expected: dict[int, int] = {}
+        for a, ca in rows[i].items():
+            for b, cb in rows[j].items():
+                for c, cc in sparse_reference(p, n, a, b):
+                    expected[c] = expected.get(c, 0) + ca * cb * cc
+        expected = {c: cc for c, cc in expected.items() if cc}
+        assert _product(p, n, rows[i], rows[j]) == expected, (i, j)
 
 
 @settings(deadline=None, max_examples=80)

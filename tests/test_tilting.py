@@ -22,6 +22,7 @@ from verkit.linalg import check_int64_products
 from verkit.tilting import (
     TiltingSum,
     _weyl_row,
+    chebyshev_s,
     decompose_tilting,
     hom_dim,
     invariant_dims,
@@ -131,6 +132,41 @@ def test_series_examples():
 def test_series_matches_tensor_route():
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
         assert invariant_dims(p, n, 10) == series_fn(p, n, 10), (p, n)
+
+
+def full_division_series(p: int, n: int, M: int) -> list[int]:
+    """series_fn by long division of the full polynomials S_(p^n-2), S_(p^n-1)."""
+    num = [0] + chebyshev_s(p**n - 2)
+    rnum, rden = num[::-1], chebyshev_s(p**n - 1)[::-1]
+    series = [0] * (2 * M + 1)
+    for k in range(2 * M + 1):
+        c = rnum[k] if k < len(rnum) else 0
+        for j in range(1, min(k, len(rden) - 1) + 1):
+            c -= rden[j] * series[k - j]
+        series[k] = c
+    assert not any(series[1::2])
+    return series[::2]
+
+
+PRIME_POWERS_TO_343 = [
+    (p, n)
+    for p in range(2, 344)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 9)
+    if p**n <= 343
+]
+
+
+@pytest.mark.parametrize("p, n", PRIME_POWERS_TO_343)
+def test_series_equals_the_full_polynomial_division(p, n):
+    full = full_division_series(p, n, 24)
+    for M in range(25):
+        assert series_fn(p, n, M) == full[: M + 1], (p, n, M)
+
+
+@pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
+def test_series_matches_tensor_route_at_the_frontier(p, n):
+    assert series_fn(p, n, 12) == invariant_dims(p, n, 12)
 
 
 @settings(deadline=None)
