@@ -162,9 +162,7 @@ def base_fusion(p: int, i: int, j: int) -> list[int]:
 def _digit_rule(p: int) -> tuple[tuple[tuple[tuple[tuple[int, int], ...], int], ...], ...]:
     """The rule's low digits per digit pair, built once per p: entry [m][r]
     is ((k, coefficient) pairs of the first term of L_m L_r, m + r).
-
-    Read only for n >= 2, where the category bound keeps p <= 45, so the
-    table holds at most p^2 short tuples.
+    Read only for n >= 2, where the category bound keeps p <= 45.
     """
     rule = []
     for m in range(p):
