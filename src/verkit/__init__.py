@@ -6,13 +6,16 @@ combinatorial skeleton with exact arithmetic: tilting characters and their
 tensor products, decomposition and Cartan matrices by three independent
 routes, block structure, Steinberg labels, Ext^1, cyclotomic
 Frobenius-Perron dimensions, fusion rules, and stable Grothendieck rings.
+Even the numeric values are exact: dyadic rationals within a stated bound,
+from integer tables of q's powers, with no floating point anywhere.
 
 Import policy: importing the package loads none of its modules.  Each name
 in `__all__` is looked up in its defining module on first access (PEP 562),
 so `from verkit import build` loads `catalog` and what it needs, and
 `import verkit.cli` loads only the command line and `errors`.  Inside the package, an
 import that only a build or a check needs sits in the function that needs
-it, so a warm command line call loads neither numpy nor mpmath.
+it, so a warm command line call loads no numpy.  No module imports mpmath;
+the tests use it as an independent oracle.
 """
 
 import importlib

@@ -30,6 +30,7 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -50,14 +51,10 @@ from .linalg import (
 )
 
 if TYPE_CHECKING:
-    import mpmath
-
     from . import cyclo
 
 INVARIANT_SERIES_DEPTH = 12
-# A float, so that loading this module needs no mpmath: mpmath compares an
-# mpf with it exactly, and it is the 53-bit value that mpf("1e-9") rounds to.
-FPDIM_TOLERANCE = 1e-9
+FPDIM_TOLERANCE = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ class CategoryContext:
         return tuple(cyclo.fpdim_projective(self.p, self.n, i) for i in self.simples)
 
     @cached_property
-    def fpdim_numeric(self) -> tuple[tuple[mpmath.mpf, mpmath.mpf], ...]:
+    def fpdim_numeric(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Real values of (FPdim L_i, FPdim P_i), indexed by simple label."""
         return tuple(
             (fs.numeric_real(), fp.numeric_real())
@@ -320,7 +317,7 @@ class CategoryData:
     dims: dict[int, int]
     fpdim_simples: tuple[cyclo.CycloInt, ...]
     fpdim_projectives: tuple[cyclo.CycloInt, ...]
-    fpdim_numeric: tuple[tuple[mpmath.mpf, mpmath.mpf], ...]
+    fpdim_numeric: tuple[tuple[Fraction, Fraction], ...]
     ext1_edges: tuple[tuple[int, int], ...] | None
     stable: dict
     verification: VerificationReport
@@ -411,8 +408,6 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
 
     A sample count below one raises OutOfRange before any check runs.
     """
-    import mpmath
-
     from . import cyclo, grring, tilting
 
     grring.check_samples(samples)
@@ -505,7 +500,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     report.add(
         "fpdim_category",
         abs(total - closed) < FPDIM_TOLERANCE,
-        f"|{mpmath.nstr(total, 15)} - {mpmath.nstr(closed, 15)}|",
+        f"|{cyclo.nstr(total, 15)} - {cyclo.nstr(closed, 15)}|",
     )
 
     if p**n > 2:

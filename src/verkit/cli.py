@@ -18,12 +18,14 @@ csv, so any other command refuses it before any work.  Exit codes:
 Import policy: this module imports only the standard library, click and
 `errors` at the top.  Each command imports the modules it uses in its body,
 and `load_or_build` imports `catalog` only on a cache miss, so a warm
-record view loads neither numpy nor mpmath nor `catalog`; `fuse` and
+record view loads neither numpy nor `cyclo` nor `catalog`; `fuse` and
 `table` load `grring` and `digits`, which import numpy only inside the
 functions that return arrays.  `tilting` and `invariants` compute on
-Python integers, so only a build loads numpy.  `catalog.build` is read as
-a module attribute at call time, so a replacement (a test double, a
-tracing wrapper) is what runs.
+Python integers, so only a build loads numpy.  The record's decimal
+strings come from `cyclo.nstr`, which `_nstr` imports only after a build,
+so no warm command loads the formatter, and no module loads mpmath.
+`catalog.build` is read as a module attribute at call time, so a
+replacement (a test double, a tracing wrapper) is what runs.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ def _batches(chunks: Iterable[str]) -> Iterator[str]:
 
 
 def _nstr(x) -> str:
-    import mpmath
+    from .cyclo import nstr
 
-    return mpmath.nstr(x, NUMERIC_DIGITS)
+    return nstr(x, NUMERIC_DIGITS)
 
 
 def _matrix_payload(rows: list[str], cols: list[str], M) -> dict:

@@ -7,14 +7,14 @@ order 2p^n:
     Phi(x) = x^(2^n) + 1                                                  (p = 2)
 
 The modulus is constructed directly and then self-checked two ways: it must
-divide x^(p^n) + 1 exactly (so q^(p^n) = -1 in the ring), and it must vanish
-numerically at q.  Every element is formed by `CycloContext.element`, which
-folds each exponent into [0, p^n) by that relation and reduces the folded
-list modulo Phi once; products are reduced once by `CycloInt.__mul__`.  All
-Frobenius-Perron dimension identities are verified by substitution in this
-ring; nothing is ever solved for.  Chebyshev polynomials are evaluated by
-their recurrence S_m = x S_(m-1) - S_(m-2) (`chebyshev_at`), each step
-reduced at once: multiplied by x's nonzero terms as shifts of an int64
+divide x^(p^n) + 1 exactly (so q^(p^n) = -1 in the ring), and, when the
+power table is filled, it must vanish numerically at q.  Every element is
+formed by `CycloContext.element`, which folds each exponent into [0, p^n)
+by that relation and reduces the folded list modulo Phi once; products are
+reduced once by `CycloInt.__mul__`.  All Frobenius-Perron dimension
+identities are verified by substitution in this ring; nothing is ever
+solved for.  Chebyshev polynomials are evaluated by their recurrence
+S_m = x S_(m-1) - S_(m-2) (`chebyshev_at`), each step reduced at once: multiplied by x's nonzero terms as shifts of an int64
 vector, folded by q^(p^n) = -1, and reduced modulo Phi by one pass over the
 top p^(n-1) coefficients.  The values stay small (at FPdim L_1 every
 coefficient stayed within 1 from Ver_9 to Ver_2187), and each step is
@@ -28,22 +28,29 @@ and the dimension of the simple object with digit string i_1...i_n is the
 product of [i_k + 1] at q^(p^(n-k)).  It and each projective dimension, a
 sum of [b], are formed from their weights by one `element` call.
 
-The numeric embedding is the last step and the only one with floats.  Each
-context fills, on first use, a table of cos(pi j/p^n) and sin(pi j/p^n) for
-j < deg Phi, rounded to integers at scale 2^TABLE_BITS (the precision of
-NUMERIC_DPS plus GUARD_BITS).  An element's value at q is then two exact
-integer dot products with that table, scaled by 2^-TABLE_BITS; each part is
-within (sum |c_j| + 1) * 2^-TABLE_BITS of the true value, and an element for
-which that bound is not below NUMERIC_TOL is refused.
+The numeric embedding is the last step, and it too is exact integer
+arithmetic.  Each context fills, on first use, a table of cos(pi j/p^n) and
+sin(pi j/p^n) for j < deg Phi, rounded to integers at scale 2^TABLE_BITS:
+powers of cos + i sin of pi/p^n in fixed point, with pi from Machin's
+formula and the two functions from their Taylor series, each carried with
+guard bits past the table's.  An element's value at q is then two integer
+dot products with that table, returned as Fractions of denominator
+2^TABLE_BITS; each part is within (sum |c_j| + 1) * 2^-TABLE_BITS of the
+true value, and an element for which that bound is not below NUMERIC_TOL is
+refused.  `nstr` prints such a dyadic value to a given number of
+significant digits, rounding exactly as mpmath's `nstr` does, so the
+decimal strings of the record keep mpmath's form without mpmath.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 
-import mpmath
 import numpy as np
 
 from .digits import check_pn, check_simple, descendants, steinberg_label, to_digits
@@ -51,12 +58,12 @@ from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 from .linalg import check_int64_products
 from .tilting import chebyshev_s
 
-NUMERIC_DPS = 40
-NUMERIC_TOL = mpmath.mpf("1e-25")
+NUMERIC_TOL = Fraction(1, 10**25)
 GUARD_BITS = 32
-TABLE_BITS = mpmath.libmp.dps_to_prec(NUMERIC_DPS) + GUARD_BITS
+# 136 bits carry 40 significant digits (mpmath's dps_to_prec(40)).
+TABLE_BITS = 136 + GUARD_BITS
 # (w + 1) * 2^-TABLE_BITS < NUMERIC_TOL exactly when w + 1 < _WEIGHT_LIMIT.
-_WEIGHT_LIMIT = int(mpmath.ldexp(NUMERIC_TOL, TABLE_BITS))
+_WEIGHT_LIMIT = math.ceil(NUMERIC_TOL * 2**TABLE_BITS)
 
 
 class IntPoly:
@@ -111,26 +118,23 @@ class CycloContext:
         rem = _poly_mod([1] + [0] * (half - 1) + [1], self.modulus)
         if any(rem):
             raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not divide x^{half} + 1")
-        # Numeric: modulus vanishes at exp(i pi / p^n).
-        with mpmath.workdps(NUMERIC_DPS):
-            q = mpmath.expjpi(mpmath.mpf(1) / self.p**self.n)
-            val = mpmath.polyval([mpmath.mpf(c) for c in reversed(self.modulus)], q)
-            if abs(val) > NUMERIC_TOL:
-                raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not vanish at q")
 
     def power_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """round(2^TABLE_BITS cos(pi j/p^n)) and the same for sin, j < degree.
 
-        Filled on first use; a concurrent fill computes the same table.
+        Filled on first use from the powers of cos + i sin of pi/p^n, each
+        within 2^-GUARD_BITS of a unit before it is rounded; a concurrent
+        fill computes the same table.  The fill checks that the modulus
+        vanishes at q, by the integer dot product `numeric` takes: within
+        NUMERIC_TOL in each part.
         """
         if self._table is None:
-            half = self.p**self.n
-            with mpmath.workprec(TABLE_BITS + GUARD_BITS):
-                angles = [mpmath.mpf(j) / half for j in range(self.degree)]
-                self._table = tuple(
-                    tuple(int(mpmath.nint(mpmath.ldexp(f(a), TABLE_BITS))) for a in angles)
-                    for f in (mpmath.cospi, mpmath.sinpi)
-                )
+            cos, sin = _powers(self.p**self.n, self.degree + 1)
+            re = sum(map(mul, self.modulus, cos))
+            im = sum(map(mul, self.modulus, sin))
+            if max(abs(re), abs(im)) >= _WEIGHT_LIMIT:
+                raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not vanish at q")
+            self._table = (cos[: self.degree], sin[: self.degree])
         return self._table
 
     def zero(self) -> "CycloInt":
@@ -240,29 +244,146 @@ class CycloInt:
     def is_real(self) -> bool:
         return self == self.conjugate()
 
-    def numeric(self) -> mpmath.mpc:
-        """Value at q = exp(i pi / p^n), within NUMERIC_TOL in each part.
+    def numeric(self) -> tuple[Fraction, Fraction]:
+        """Value at q = exp(i pi / p^n) as (real, imaginary), each within
+        NUMERIC_TOL.
 
-        Two integer dot products with the context's table, scaled exactly
-        by 2^-TABLE_BITS.  Each table entry is within one unit of its scaled
-        value, so the error is below (sum |c_j| + 1) * 2^-TABLE_BITS.
+        Two integer dot products of the nonzero coefficients with the
+        context's table, divided exactly by 2^TABLE_BITS.  Each table entry
+        is within one unit of its scaled value, so the error is below
+        (sum |c_j| + 1) * 2^-TABLE_BITS.
         """
-        weight = sum(map(abs, self.coeffs))
+        coeffs = self.coeffs
+        nonzero = list(compress(coeffs, coeffs))
+        weight = sum(map(abs, nonzero))
         if weight + 1 >= _WEIGHT_LIMIT:
             raise PrecisionExceeded(
-                f"coefficients of absolute sum {weight} are too large to evaluate within {NUMERIC_TOL}"
+                f"coefficients of absolute sum {weight} are too large to evaluate within 1.0e-25"
             )
         cos, sin = self.ctx.power_table()
-        re = sum(map(mul, self.coeffs, cos))
-        im = sum(map(mul, self.coeffs, sin))
-        with mpmath.workprec(max(re.bit_length(), im.bit_length(), 1)):
-            return mpmath.mpc(mpmath.ldexp(re, -TABLE_BITS), mpmath.ldexp(im, -TABLE_BITS))
+        re = sum(map(mul, nonzero, compress(cos, coeffs)))
+        im = sum(map(mul, nonzero, compress(sin, coeffs)))
+        return Fraction(re, 1 << TABLE_BITS), Fraction(im, 1 << TABLE_BITS)
 
-    def numeric_real(self) -> mpmath.mpf:
-        val = self.numeric()
-        if abs(val.imag) >= NUMERIC_TOL:
-            raise NotReal(f"imaginary part {mpmath.nstr(val.imag, 5)} at q")
-        return val.real
+    def numeric_real(self) -> Fraction:
+        re, im = self.numeric()
+        if abs(im) >= NUMERIC_TOL:
+            raise NotReal(f"imaginary part {nstr(im, 5)} at q")
+        return re
+
+
+def _arctan_inverse(x: int, bits: int) -> int:
+    """2^bits arctan(1/x), x >= 2, within two units per term of its series."""
+    power = (1 << bits) // x  # 2^bits / x^(2k+1)
+    total, k, x2 = power, 1, x * x
+    while power:
+        power //= x2
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        k += 1
+    return total
+
+
+def _cos_sin(N: int, bits: int) -> tuple[int, int]:
+    """2^bits cos(pi/N) and 2^bits sin(pi/N), N >= 2, each within 2^8 units.
+
+    pi by Machin's formula, pi/4 = 4 arctan(1/5) - arctan(1/239), at 16
+    more bits, so within one unit; then the Taylor series of cos and sin at
+    pi/N <= pi/2, summed until a term truncates to zero (under 80 terms at
+    up to 300 bits), each term within a few units of its true value.
+    """
+    work = bits + 16
+    pi = (16 * _arctan_inverse(5, work) - 4 * _arctan_inverse(239, work)) >> 16
+    theta = pi // N
+    cos, sin = 0, 0
+    term, k = 1 << bits, 0  # 2^bits theta^k / k!
+    while term:
+        if k % 4 == 0:
+            cos += term
+        elif k % 4 == 1:
+            sin += term
+        elif k % 4 == 2:
+            cos -= term
+        else:
+            sin -= term
+        k += 1
+        term = (term * theta >> bits) // k
+    return cos, sin
+
+
+def _powers(N: int, count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """round(2^TABLE_BITS cos(pi j/N)) and the same for sin, j < count.
+
+    The powers of cos + i sin of pi/N are taken in fixed point with
+    2 GUARD_BITS + bitlen(count) bits past TABLE_BITS: each step adds at
+    most the start's error plus two units, so after `count` steps every
+    power is within 2^-(2 GUARD_BITS - 9) of a table unit before rounding.
+    """
+    extra = 2 * GUARD_BITS + count.bit_length()
+    bits = TABLE_BITS + extra
+    c, s = _cos_sin(N, bits)
+    half = 1 << (extra - 1)
+    re, im = 1 << bits, 0
+    cos, sin = [], []
+    for _ in range(count):
+        cos.append((re + half) >> extra)
+        sin.append((im + half) >> extra)
+        re, im = (re * c - im * s) >> bits, (re * s + im * c) >> bits
+    return tuple(cos), tuple(sin)
+
+
+def nstr(x: Fraction, dps: int) -> str:
+    """x to dps >= 1 significant digits, exactly as `mpmath.nstr(x, dps)`
+    prints the same value.
+
+    x must have a power-of-two denominator, as every value of `numeric`
+    has, and lie within 2^3500 of one (mpmath goes another way beyond).
+    The digits of |x| are truncated at dps + 3 (at a binary precision
+    chosen as mpmath chooses it), rounded half up at dps, and stripped of
+    trailing zeros; an exponent between -max(dps // 3, 5) and dps is
+    written out as leading or trailing zeros.
+    """
+    a, k = abs(x.numerator), x.denominator.bit_length() - 1
+    if x.denominator != 1 << k:
+        raise OutOfRange(f"{x} is not a dyadic rational")
+    if not a:
+        return "0.0"
+    if abs(a.bit_length() - k) > 3500:
+        raise OutOfRange(f"{x} is beyond 2^3500 or below 2^-3500")
+    sign = "-" if x < 0 else ""
+    # mpmath's to_digits_exp(x, dps + 3): |x| in binary fixed point at
+    # fixprec bits (truncated), then floor(|x| 10^fixdps).
+    bitprec = int((dps + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec + k - a.bit_length(), 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    fixed = a << (fixprec - k) if fixprec >= k else a >> (k - fixprec)
+    digits = str(fixed * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # mpmath's to_str: round half up at dps digits, a carry past the first
+    # digit raising the exponent.
+    if len(digits) > dps and digits[dps] in "56789":
+        kept = digits[:dps].rstrip("9")
+        if kept:
+            digits = kept[:-1] + str(int(kept[-1]) + 1) + "0" * (dps - len(kept))
+        else:
+            digits = "1" + "0" * (dps - 1)
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+            digits += "0" * (split - dps)
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return sign + digits + ("e+" if exponent > 0 else "e") + str(exponent)
 
 
 def qint(p: int, n: int, m: int, t: int = 0) -> CycloInt:
@@ -376,18 +497,31 @@ def chebyshev_at(x: CycloInt, *indices: int) -> tuple[CycloInt, ...]:
     return tuple(found[m] for m in indices)
 
 
-def fpdim_category(p: int, n: int) -> mpmath.mpf:
-    """Sum of FPdim(L_i) * FPdim(P_i) over all simples, from the context's values."""
+def fpdim_category(p: int, n: int) -> Fraction:
+    """Sum of FPdim(L_i) * FPdim(P_i) over all simples, exactly, from the
+    context's values (each a multiple of 2^-TABLE_BITS)."""
     from .catalog import category
 
-    with mpmath.workdps(NUMERIC_DPS):
-        total = mpmath.mpf(0)
-        for fs, fp in category(p, n).fpdim_numeric:
-            total += fs * fp
-        return total
+    scale = 1 << TABLE_BITS
+    total = sum(
+        fs.numerator * (scale // fs.denominator) * fp.numerator * (scale // fp.denominator)
+        for fs, fp in category(p, n).fpdim_numeric
+    )
+    return Fraction(total, scale * scale)
 
 
-def fpdim_category_closed_form(p: int, n: int) -> mpmath.mpf:
-    """p^n / (2 sin^2(pi / p^n))."""
-    with mpmath.workdps(NUMERIC_DPS):
-        return p**n / (2 * mpmath.sinpi(mpmath.mpf(1) / p**n) ** 2)
+def fpdim_category_closed_form(p: int, n: int) -> Fraction:
+    """p^n / (2 sin^2(pi / p^n)), within 2^-TABLE_BITS: the nearest multiple
+    of 2^-TABLE_BITS to N 4^w / (2 s^2), with s = 2^w sin(pi/N) within
+    2^8 units at w = TABLE_BITS + GUARD_BITS + 4 bitlen(N), N = p^n.
+
+    With sin(pi/N) >= 2/N, the value is at most N^3/8 and s at least
+    2^(w+1)/N, so s's relative error 2^8 N / 2^(w+1) moves the value by
+    less than 3 * 2^8 N^4 / 2^(w+4) < 2^-(TABLE_BITS+1); rounding adds at
+    most as much again.
+    """
+    N = p**n
+    bits = TABLE_BITS + GUARD_BITS + 4 * N.bit_length()
+    _, s = _cos_sin(N, bits)
+    num, den = N << (2 * bits + TABLE_BITS), 2 * s * s
+    return Fraction((2 * num + den) // (2 * den), 1 << TABLE_BITS)

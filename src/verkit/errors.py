@@ -2,7 +2,7 @@
 
 The guard (`is_prime`, `check_prime`, `check_pn`, `check_category`) lives
 here because it needs nothing but integers: the command line runs it on
-every call, and this module imports neither numpy nor mpmath.  Its
+every call, and this module imports nothing.  Its
 messages name an integer too long to print in decimal by its size.
 """
 

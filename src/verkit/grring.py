@@ -307,15 +307,6 @@ def tilting_class(p: int, n: int, m: int) -> GrElement:
     return GrElement(p, n, category(p, n).tilting_classes[m].tolist())
 
 
-def lift(v: GrElement) -> GrElement:
-    """Image of a class under the inclusion one level up: label j -> j*p."""
-    p, n = v.p, v.n + 1
-    out = [0] * (p ** (n - 1) * (p - 1))
-    for j, c in enumerate(v.coeffs):
-        out[j * p] = c
-    return GrElement(p, n, out)
-
-
 def check_samples(samples: int) -> None:
     """Refuse a sample count below one: a check of no pairs proves nothing."""
     if samples < 1:

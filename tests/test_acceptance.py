@@ -7,6 +7,7 @@ numeric tolerance (1e-9) stated for the category dimension.
 
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,6 +16,12 @@ from verkit import cyclo, digits, grring, tilting
 from verkit.catalog import block_cartan_dets, cartan_character, expected_block_det
 from verkit.cli import fold_text
 from verkit.linalg import det, permutation_equivalent, smith_normal_form
+
+def mpf(x: Fraction) -> mpmath.mpf:
+    """A numeric value of verkit as an mpf, exactly: its denominator is a power of two."""
+    with mpmath.workprec(max(x.numerator.bit_length(), 1)):
+        return mpmath.mpf(x.numerator) / x.denominator
+
 
 PN_SET = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
 ODD_SET = [(p, n) for p, n in PN_SET if p > 2]
@@ -244,7 +251,7 @@ def test_criterion_08_fpdim_identities():
         assert ok, (p, n, witness)
         total = cyclo.fpdim_category(p, n)
         closed = cyclo.fpdim_category_closed_form(p, n)
-        assert abs(total - closed) < mpmath.mpf("1e-9"), (p, n)
+        assert abs(mpf(total) - mpf(closed)) < mpmath.mpf("1e-9"), (p, n)
     print(f"criterion 8: C.d = p exact and category dim within 1e-9 on {len(PN_SET)} categories")
 
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verkit.cyclo import (
+    GUARD_BITS,
     TABLE_BITS,
     CycloContext,
     CycloInt,
@@ -22,6 +24,7 @@ from verkit.cyclo import (
     fpdim_category_closed_form,
     fpdim_projective,
     fpdim_simple,
+    nstr,
     qint,
     verify_cd_eq_p,
 )
@@ -45,7 +48,27 @@ UP_TO_343 = [
     for n in range(1, 9)
     if p**n <= 343
 ]
+UP_TO_729 = [
+    (p, n)
+    for p in range(2, 730)
+    if all(p % d for d in range(2, p))
+    for n in range(1, 11)
+    if p**n <= 729
+]
 TERMS = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-50, 50)), max_size=20)
+
+
+def mpf(x: Fraction) -> mpmath.mpf:
+    """A value of `numeric` as an mpf, exactly: its denominator is a power of two."""
+    with mpmath.workprec(max(x.numerator.bit_length(), 1)):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mpc(value: tuple[Fraction, Fraction]) -> mpmath.mpc:
+    """The (real, imaginary) pair of `numeric` as an mpc, exactly."""
+    re, im = map(mpf, value)
+    with mpmath.workprec(max(re.man.bit_length(), im.man.bit_length(), 1)):
+        return mpmath.mpc(re, im)
 
 
 def unfolded_reduction(ctx, terms) -> tuple[int, ...]:
@@ -79,10 +102,10 @@ def test_qint_edge_cases():
 
 def test_qint_numeric():
     with mpmath.workdps(40):
-        v = qint(3, 2, 2).numeric_real()
+        v = mpf(qint(3, 2, 2).numeric_real())
         assert abs(v - 2 * mpmath.cospi(mpmath.mpf(1) / 9)) < mpmath.mpf("1e-30")
         for p, n, m in ((5, 2, 7), (2, 4, 3), (7, 1, 4)):
-            got = qint(p, n, m).numeric_real()
+            got = mpf(qint(p, n, m).numeric_real())
             expect = mpmath.sinpi(mpmath.mpf(m) / p**n) / mpmath.sinpi(mpmath.mpf(1) / p**n)
             assert abs(got - expect) < mpmath.mpf("1e-25")
 
@@ -225,10 +248,10 @@ def test_fpdim_category():
     for p, n in PAIRS:
         total = fpdim_category(p, n)
         closed = fpdim_category_closed_form(p, n)
-        assert abs(total - closed) < mpmath.mpf("1e-9"), (p, n)
+        assert abs(mpf(total) - mpf(closed)) < mpmath.mpf("1e-9"), (p, n)
     with mpmath.workdps(30):
-        assert abs(fpdim_category_closed_form(2, 1) - 1) < mpmath.mpf("1e-25")
-        assert abs(fpdim_category_closed_form(3, 1) - 2) < mpmath.mpf("1e-25")
+        assert abs(mpf(fpdim_category_closed_form(2, 1)) - 1) < mpmath.mpf("1e-25")
+        assert abs(mpf(fpdim_category_closed_form(3, 1)) - 2) < mpmath.mpf("1e-25")
 
 
 def test_numeric_identities_guard_modulus():
@@ -237,7 +260,7 @@ def test_numeric_identities_guard_modulus():
         for p, n in ((3, 2), (5, 2), (2, 4)):
             lhs = (qint(p, n, 3) * qint(p, n, 4)).numeric_real()
             rhs = (qint(p, n, 3).numeric_real()) * (qint(p, n, 4).numeric_real())
-            assert abs(lhs - rhs) < mpmath.mpf("1e-20")
+            assert abs(mpf(lhs) - mpf(rhs)) < mpmath.mpf("1e-20")
 
 
 def test_guards_are_explicit_errors():
@@ -259,7 +282,7 @@ def test_element_matches_unfolded_reduction_and_numeric_sum(pn, terms):
         expect = mpmath.mpc(0)
         for e, c in terms:
             expect += c * mpmath.expjpi(mpmath.mpf(e) / pn[0] ** pn[1])
-        assert abs(x.numeric() - expect) < mpmath.mpf("1e-20")
+        assert abs(mpc(x.numeric()) - expect) < mpmath.mpf("1e-20")
 
 
 @settings(deadline=None)
@@ -270,7 +293,7 @@ def test_conjugate_is_a_multiplicative_involution(pn, s, t):
     assert a.conjugate().conjugate() == a
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     with mpmath.workdps(40):
-        assert abs(a.conjugate().numeric() - mpmath.conj(a.numeric())) < mpmath.mpf("1e-20")
+        assert abs(mpc(a.conjugate().numeric()) - mpmath.conj(mpc(a.numeric()))) < mpmath.mpf("1e-20")
 
 
 def polyval_oracle(x: CycloInt) -> mpmath.mpc:
@@ -285,7 +308,7 @@ def polyval_oracle(x: CycloInt) -> mpmath.mpc:
 def test_numeric_matches_polyval_oracle(pn, s, t):
     ctx = context(*pn)
     for x in (ctx.element(s), ctx.element(s) * ctx.element(t)):
-        got, expect = x.numeric(), polyval_oracle(x)
+        got, expect = mpc(x.numeric()), polyval_oracle(x)
         with mpmath.workdps(60):
             assert abs(got.real - expect.real) < mpmath.mpf("1e-30")
             assert abs(got.imag - expect.imag) < mpmath.mpf("1e-30")
@@ -299,14 +322,14 @@ def test_power_table_is_filled_on_first_use():
     assert len(cos) == len(sin) == ctx.degree
     assert cos[0] == 2**TABLE_BITS and sin[0] == 0
     with mpmath.workdps(40):
-        assert abs(value - 2 * mpmath.cospi(mpmath.mpf(1) / 25)) < mpmath.mpf("1e-30")
+        assert abs(mpf(value) - 2 * mpmath.cospi(mpmath.mpf(1) / 25)) < mpmath.mpf("1e-30")
 
 
 def test_numeric_refuses_coefficients_beyond_its_error_bound():
     ctx = context(3, 2)
     with pytest.raises(PrecisionExceeded):
         (10**30 * ctx.one()).numeric()
-    assert abs((10**20 * ctx.one()).numeric_real() - 10**20) < mpmath.mpf("1e-25")
+    assert abs(mpf((10**20 * ctx.one()).numeric_real()) - 10**20) < mpmath.mpf("1e-25")
 
 
 def test_fpdims_equal_their_term_by_term_definitions():
@@ -335,3 +358,90 @@ def test_qint_refuses_a_negative_exponent():
     with pytest.raises(OutOfRange):
         qint(3, 2, 2, t=-1)
     assert qint(3, 2, 2, t=1) == context(3, 2).element([(3, 1), (-3, 1)])
+
+
+def mpmath_power_table(p: int, n: int, degree: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """round(2^TABLE_BITS cospi(j/p^n)) and the same for sinpi, j < degree,
+    by mpmath at TABLE_BITS + GUARD_BITS bits."""
+    with mpmath.workprec(TABLE_BITS + GUARD_BITS):
+        angles = [mpmath.mpf(j) / p**n for j in range(degree)]
+        return tuple(
+            tuple(int(mpmath.nint(mpmath.ldexp(f(a), TABLE_BITS))) for a in angles)
+            for f in (mpmath.cospi, mpmath.sinpi)
+        )
+
+
+def test_power_table_equals_mpmaths_rounded_table():
+    for p, n in UP_TO_729:
+        ctx = CycloContext(p, n)
+        assert ctx.power_table() == mpmath_power_table(p, n, ctx.degree), (p, n)
+
+
+def test_power_table_refuses_a_modulus_that_does_not_vanish_at_q():
+    ctx = CycloContext(3, 2)
+    ctx.modulus = (1, 0, 0, 1, 0, 0, 1)  # x^6 + x^3 + 1 vanishes at exp(2 i pi/9), not at q
+    with pytest.raises(AssertionError, match="does not vanish"):
+        ctx.power_table()
+    assert ctx._table is None
+
+
+def test_closed_form_is_within_1e_30_of_mpmath_at_60_digits():
+    for p, n in UP_TO_729 + [(2, 11), (3, 7), (43, 2)]:
+        got = fpdim_category_closed_form(p, n)
+        assert (2**TABLE_BITS) % got.denominator == 0
+        with mpmath.workdps(60):
+            expect = p**n / (2 * mpmath.sinpi(mpmath.mpf(1) / p**n) ** 2)
+            assert abs(mpf(got) - expect) < mpmath.mpf("1e-30"), (p, n)
+        with mpmath.workdps(80):  # the stated bound, 2^-TABLE_BITS
+            expect = p**n / (2 * mpmath.sinpi(mpmath.mpf(1) / p**n) ** 2)
+            assert abs(mpf(got) - expect) <= mpmath.mpf(2) ** -TABLE_BITS, (p, n)
+
+
+def near_a_decimal_carry(k: int, sign: int) -> Fraction:
+    """The multiple of 2^-200 nearest to sign * (10 - 5 * 10^-k), 9.99...95."""
+    return sign * Fraction(round(Fraction(10 ** (k + 1) - 5, 10**k) * 2**200), 2**200)
+
+
+DYADIC = st.one_of(
+    st.builds(
+        lambda m, e: Fraction(m) * Fraction(2) ** e,
+        st.integers(-(2**140), 2**140),
+        st.integers(-400, 200),
+    ),
+    st.builds(
+        lambda k, sign, e: near_a_decimal_carry(k, sign) * Fraction(2) ** e,
+        st.integers(0, 30),
+        st.sampled_from((1, -1)),
+        st.integers(-4, 4),
+    ),
+    st.builds(lambda k, sign: sign * Fraction(10**k - 5), st.integers(1, 40), st.sampled_from((1, -1))),
+)
+
+
+@settings(deadline=None, max_examples=2000)
+@given(DYADIC, st.integers(1, 25))
+def test_nstr_equals_mpmath_nstr_on_dyadic_rationals(x, dps):
+    assert nstr(x, dps) == mpmath.nstr(mpf(x), dps)
+
+
+def test_nstr_carries_and_zero():
+    carry = 10 - Fraction(1, 2**20)  # 9.99999904...
+    assert nstr(carry, 5) == mpmath.nstr(mpf(carry), 5) == "10.0"
+    assert nstr(-carry / 2**40, 3) == mpmath.nstr(mpf(-carry / 2**40), 3) == "-9.09e-12"
+    assert nstr(Fraction(-99995), 4) == mpmath.nstr(mpmath.mpf(-99995), 4) == "-1.0e+5"
+    assert nstr(Fraction(0), 20) == mpmath.nstr(mpmath.mpf(0), 20) == "0.0"
+
+
+def test_nstr_refuses_a_value_it_cannot_print_as_mpmath_does():
+    with pytest.raises(OutOfRange):
+        nstr(Fraction(1, 3), 5)
+    with pytest.raises(OutOfRange):
+        nstr(Fraction(2) ** 4000, 5)
+
+
+def test_nstr_equals_mpmath_nstr_on_every_fpdim_up_to_343():
+    for p, n in UP_TO_343:
+        for i in simple_range(p, n):
+            for x in (fpdim_simple(p, n, i), fpdim_projective(p, n, i)):
+                value = x.numeric_real()
+                assert nstr(value, 20) == mpmath.nstr(mpf(value), 20), (p, n, i)

@@ -24,7 +24,6 @@ from verkit.grring import (
     check_ring_hom_fusion,
     fold_projectives,
     fuse_simples,
-    lift,
     projective_class,
     sparse_rows,
     tilting_class,
@@ -39,6 +38,15 @@ CATEGORIES = [
     for n in range(1, 9)
     if p**n <= 343
 ]
+
+
+def lift(v: GrElement) -> GrElement:
+    """Image of a class under the inclusion one level up: label j -> j*p."""
+    p, n = v.p, v.n + 1
+    out = [0] * (p ** (n - 1) * (p - 1))
+    for j, c in enumerate(v.coeffs):
+        out[j * p] = c
+    return GrElement(p, n, out)
 
 
 def draw_labels(data, p: int, n: int, count: int) -> list[int]:

@@ -80,6 +80,40 @@ def test_the_computing_commands_load_neither_numpy_nor_mpmath(primed, args):
     assert not loaded & {"numpy", "mpmath"}, loaded
 
 
+# A cold `verify` of Ver_27 and of Ver_64 into the cache directory argv[1],
+# with mpmath made unimportable.
+BLOCKED = """
+import sys
+sys.modules["mpmath"] = None
+import verkit.cli
+for p, n in ((3, 3), (2, 6)):
+    try:
+        verkit.cli.main(args=["verify", "-p", str(p), "-n", str(n), "--cache-dir", sys.argv[1]], prog_name="verkit")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+"""
+
+
+def test_a_cold_build_needs_no_mpmath(tmp_path, monkeypatch):
+    from verkit import catalog, cli
+
+    cache = str(tmp_path / "cache")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED, cache], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr + done.stdout
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cache written without mpmath was rebuilt")
+
+    monkeypatch.setattr(catalog, "build", refuse)
+    for p, n in ((3, 3), (2, 6)):
+        payload = cli.load_or_build(p, n, cache, 100, 0)
+        assert payload["verification"]["all_passed"], (p, n)
+
+
 def test_importing_tilting_loads_no_numpy():
     code = "import sys, verkit.tilting\nif 'numpy' in sys.modules:\n    raise SystemExit('numpy loaded')\n"
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
