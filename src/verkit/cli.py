@@ -8,38 +8,42 @@ and `table` multiply simples themselves and fold the products with the
 projective classes read from the record's Cartan matrix.  `--cache-dir`,
 `--samples` and `--rng-seed` select the record.  `tilting` and
 `invariants` print quantities the record does not hold and compute them.
-Each command returns a deterministic document, and the shared decorator
-(`_options`) streams it in json, csv or text form and sets the exit code.
-Text tables use the L_i / P_i / T_m notation of the printed tables so golden
-diffs stay readable; only the matrix commands (`cartan`, `decomp`) offer
-csv, so any other command refuses it before any work.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+Each command returns a deterministic document; the registrars `_common`
+and `_matrix` record it with its formats and its own options, and `main`
+parses the arguments with argparse, streams the document in json, csv or
+text form and sets the exit code.  Text tables use the L_i / P_i / T_m
+notation of the printed tables so golden diffs stay readable; only the
+matrix commands (`cartan`, `decomp`) offer csv, so any other command
+refuses it before any work.  Exit codes: 0 success, 1 verification failure,
+2 usage error: a refused argument, category or format, or a file that
+cannot be written, printed as the usage line and one `Error:` line on
+stderr.
 
-Import policy: this module imports only the standard library, click and
-`errors` at the top.  Each command imports the modules it uses in its body,
-and `load_or_build` imports `catalog` only on a cache miss, so a warm
-record view loads neither numpy nor `cyclo` nor `catalog`; `fuse` and
-`table` load `grring` and `digits`, which import numpy only inside the
-functions that return arrays.  `tilting` and `invariants` compute on
-Python integers, so only a build loads numpy.  The record's decimal
-strings come from `cyclo.nstr`, which `_nstr` imports only after a build,
-so no warm command loads the formatter, and no module loads mpmath.
+Import policy: this module imports only the standard library (argparse
+among it, no click) and `errors` at the top; `tempfile` is imported by
+`_atomic_write`, so only a build or `--output` loads it.  Each command
+imports the modules it uses in its body, and `load_or_build` imports
+`catalog` only on a cache miss, so a warm record view loads neither numpy
+nor `cyclo` nor `catalog`; `fuse` and `table` load `grring` and `digits`,
+which import numpy only inside the functions that return arrays.
+`tilting` and `invariants` compute on Python integers, so only a build
+loads numpy.  The record's decimal strings come from `cyclo.nstr`, which
+`_nstr` imports only after a build, so no warm command loads the
+formatter, and no module loads mpmath.
 `catalog.build` is read as a module attribute at call time, so a
 replacement (a test double, a tracing wrapper) is what runs.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import os
-import tempfile
+import sys
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
-import click
-
-from .errors import VerkitError, check_category
+from .errors import OutOfRange, UnsupportedPrime, VerkitError, check_category
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
@@ -215,23 +219,30 @@ def _cache_path(cache_dir: str, p: int, n: int) -> str:
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the concatenated chunks to `path` through a temporary file.
+    """Write the concatenated chunks to `path` through a temporary file;
+    a failed write leaves no file and raises VerkitError naming `path`.
 
     They are joined in batches of about 256 kB (`_batches`): a large
     category's document is tens of megabytes, and the standard library's
     encoder chunks of it, held all at once, took about 800 MB at Ver_2187.
     """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    import tempfile  # only a build or --output writes a file
+
+    directory = os.path.dirname(path)
     try:
-        with os.fdopen(fd, "w") as handle:
-            for batch in _batches(chunks):
-                handle.write(batch)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                for batch in _batches(chunks):
+                    handle.write(batch)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise VerkitError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _list_of(value, kind) -> bool:
@@ -344,7 +355,8 @@ def _csv_lines(matrix: dict) -> Iterator[str]:
 def _emit(doc: dict, fmt: str, output: str | None, render) -> None:
     """Stream the document in `fmt` to `output` or stdout, in batches
     (`_batches`): json from the writer, csv and text a line at a time,
-    the text lines from `render(payload)`."""
+    the text lines from `render(payload)`.  Stdout is flushed before it
+    returns, so a reader that closed the pipe raises BrokenPipeError here."""
     if fmt == "json":
         chunks = chain(_json_chunks(doc), ["\n"])
     else:
@@ -354,7 +366,8 @@ def _emit(doc: dict, fmt: str, output: str | None, render) -> None:
         _atomic_write(os.path.abspath(output), chunks)
     else:
         for batch in _batches(chunks):
-            click.echo(batch, nl=False)
+            sys.stdout.write(batch)
+        sys.stdout.flush()
 
 
 def _aligned(rows: Iterable[list[str]], widths: list[int]) -> Iterator[str]:
@@ -403,51 +416,92 @@ def _fold_classes(p: int, n: int, record: dict) -> list[tuple[int, list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# click plumbing
+# command registry and parser
+
+
+# Each command by name: (function, its --format choices, its own options).
+COMMANDS: dict[str, tuple] = {}
+
+
+def _opt(*flags: str, **kwargs) -> tuple:
+    """One option of a command: its flags and `add_argument` keywords."""
+    return flags, kwargs
 
 
 def _options(formats: list[str]):
-    """Decorator adding the shared options, `--format` among `formats`, the
-    category guard and the output.
+    """Registrar of a command that takes the shared options, `--format`
+    among `formats`, and its own options (`_opt`).
 
-    The command returns (kind, payload, render, passed).  The decorator
-    writes the document of that kind in the chosen format (`_emit`; `render`
-    yields the text lines), then exits with 1 unless it passed.  A refused
-    (p, n) or format exits with 2.
+    The command returns (kind, payload, render, passed).  `main` runs the
+    category guard, writes the document of that kind in the chosen format
+    (`_emit`; `render` yields the text lines), then exits with 1 unless it
+    passed.  A refused (p, n), format or file exits with 2.
     """
 
-    def decorate(command):
-        @functools.wraps(command)
-        def f(prime, level, fmt, output, **kwargs):
-            try:
-                check_category(prime, level)
-                kind, payload, render, passed = command(prime, level, **kwargs)
-                doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
-                _emit(doc, fmt, output, render)
-            except VerkitError as exc:
-                raise click.UsageError(str(exc)) from exc
-            if not passed:
-                raise SystemExit(1)
+    def register(*own: tuple):
+        def decorate(command):
+            COMMANDS[command.__name__.removesuffix("_cmd")] = (command, formats, own)
+            return command
 
-        f = click.option("-p", "prime", type=int, required=True, help="Prime p.")(f)
-        f = click.option("-n", "level", type=int, required=True, help="Level n >= 1.")(f)
-        f = click.option("--format", "fmt", type=click.Choice(formats), default="text")(f)
-        f = click.option("--output", type=click.Path(), default=None)(f)
-        f = click.option("--cache-dir", type=click.Path(), default=None)(f)
-        f = click.option("--samples", type=int, default=100, show_default=True)(f)
-        f = click.option("--rng-seed", "seed", type=int, default=0, show_default=True)(f)
-        return f
+        return decorate
 
-    return decorate
+    return register
 
 
 _common = _options(["json", "text"])
 _matrix = _options(["json", "csv", "text"])
 
 
-@click.group()
-def main() -> None:
-    """Exact invariants of the symmetric tensor categories Ver_{p^n}."""
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes `--help` (no `-h`) and no abbreviated option."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        """A usage error: the usage line and one `Error:` line on stderr, exit 2."""
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Error: {message}\n")
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run the command named in `args` (by default sys.argv[1:]) and raise
+    SystemExit: 0 on success, 1 on a failed verification, 2 on a usage error.
+    """
+    parser = _Parser(
+        prog=prog_name, description="Exact invariants of the symmetric tensor categories Ver_{p^n}."
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (command, formats, own) in COMMANDS.items():
+        doc = command.__doc__
+        sub = commands.add_parser(name, help=doc, description=doc)
+        sub.add_argument("-p", dest="prime", type=int, required=True, help="Prime p.")
+        sub.add_argument("-n", dest="level", type=int, required=True, help="Level n >= 1.")
+        sub.add_argument(
+            "--format", dest="fmt", choices=formats, default="text", help="(default: %(default)s)"
+        )
+        sub.add_argument("--output", help="Write the document here, not to stdout.")
+        sub.add_argument("--cache-dir", help="(default: $VERKIT_CACHE_DIR, else <XDG cache>/verkit)")
+        sub.add_argument("--samples", type=int, default=100, help="(default: %(default)s)")
+        sub.add_argument("--rng-seed", dest="seed", type=int, default=0, help="(default: %(default)s)")
+        for flags, kwargs in own:
+            sub.add_argument(*flags, **kwargs)
+    options = vars(parser.parse_args(args))
+    name, fmt, output = options.pop("command"), options.pop("fmt"), options.pop("output")
+    try:
+        check_category(options["prime"], options["level"])
+        kind, payload, render, passed = COMMANDS[name][0](**options)
+        doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
+        _emit(doc, fmt, output, render)
+    except VerkitError as exc:
+        commands.choices[name].error(str(exc))
+    except BrokenPipeError:
+        # The reader left (`verkit ... | head`): exit 1 with no traceback, as
+        # click did, and point stdout at devnull so the exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None
+    raise SystemExit(0 if passed else 1)
 
 
 def _check_lines(checks: list[dict]) -> Iterator[str]:
@@ -455,8 +509,7 @@ def _check_lines(checks: list[dict]) -> Iterator[str]:
         yield f"{c['name']}: " + ("pass" if c["passed"] else f"FAIL ({c['witness']})")
 
 
-@main.command()
-@_common
+@_common()
 def report(prime, level, cache_dir, samples, seed):
     """Full category report; exit 1 when a verification check fails."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)
@@ -489,10 +542,10 @@ def report(prime, level, cache_dir, samples, seed):
     return "category_report", payload, render, payload["verification"]["all_passed"]
 
 
-@main.command()
-@_common
-@click.option("-a", "label_a", type=int, required=True)
-@click.option("-b", "label_b", type=int, required=True)
+@_common(
+    _opt("-a", dest="label_a", type=int, required=True),
+    _opt("-b", dest="label_b", type=int, required=True),
+)
 def fuse(prime, level, cache_dir, samples, seed, label_a, label_b):
     """Tensor product of two simples, raw vector plus folded presentation."""
     from . import grring
@@ -520,9 +573,7 @@ def fuse(prime, level, cache_dir, samples, seed, label_a, label_b):
     return "fusion_product", payload, render, True
 
 
-@main.command()
-@_common
-@click.option("--even-only", is_flag=True, default=False)
+@_common(_opt("--even-only", action="store_true"))
 def table(prime, level, cache_dir, samples, seed, even_only):
     """Full tensor table of simple objects."""
     from . import grring
@@ -561,9 +612,7 @@ def _render_matrix(pl: dict) -> Iterator[str]:
     yield from _aligned(([r, *map(str, row)] for r, row in zip(pl["rows"], entries)), widths)
 
 
-@main.command()
-@_matrix
-@click.option("--even-only", is_flag=True, default=False)
+@_matrix(_opt("--even-only", action="store_true"))
 def cartan(prime, level, cache_dir, samples, seed, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
@@ -586,16 +635,14 @@ def cartan(prime, level, cache_dir, samples, seed, even_only):
     return "matrix", payload, _render_matrix, True
 
 
-@main.command()
-@_matrix
+@_matrix()
 def decomp(prime, level, cache_dir, samples, seed):
     """Decomposition matrix (tilting rows, Weyl columns)."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)["decomposition"]
     return "matrix", payload, _render_matrix, True
 
 
-@main.command()
-@_common
+@_common()
 def blocks(prime, level, cache_dir, samples, seed):
     """Block partition with sizes and Cartan determinants."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
@@ -609,12 +656,11 @@ def blocks(prime, level, cache_dir, samples, seed):
     return "block_report", payload, render, True
 
 
-@main.command()
-@_common
+@_common()
 def ext1(prime, level, cache_dir, samples, seed):
     """Ext^1 adjacency between simples (odd p only)."""
     if prime == 2:
-        raise click.UsageError("Ext^1 adjacency is only computed for odd p")
+        raise UnsupportedPrime("Ext^1 adjacency is only computed for odd p")
     edges = load_or_build(prime, level, cache_dir, samples, seed)["ext1"]
     payload = {"p": prime, "n": level, "edges": edges}
 
@@ -627,13 +673,11 @@ def ext1(prime, level, cache_dir, samples, seed):
     return "ext1", payload, render, True
 
 
-@main.command()
-@_common
-@click.option("-M", "depth", type=int, default=12, show_default=True)
+@_common(_opt("-M", dest="depth", type=int, default=12, help="(default: %(default)s)"))
 def invariants(prime, level, cache_dir, samples, seed, depth):
     """Invariant dimensions in tensor powers, by both routes."""
     if depth < 0:
-        raise click.UsageError("M must be >= 0")
+        raise OutOfRange("M must be >= 0")
     from . import tilting
 
     tensor_route = tilting.invariant_dims(prime, level, depth)
@@ -655,13 +699,11 @@ def invariants(prime, level, cache_dir, samples, seed, depth):
     return "series", payload, render, payload["equal"]
 
 
-@main.command(name="tilting")
-@_common
-@click.option("-m", "index", type=int, required=True)
+@_common(_opt("-m", dest="index", type=int, required=True))
 def tilting_cmd(prime, level, cache_dir, samples, seed, index):
     """Weyl factors, dimension and character of one tilting module."""
     if not 0 <= index <= prime**level - 2:
-        raise click.UsageError(f"tilting index must lie in [0, {prime**level - 2}]")
+        raise OutOfRange(f"tilting index must lie in [0, {prime**level - 2}]")
     from . import digits, tilting
     from .charring import dim_at_one
 
@@ -685,8 +727,7 @@ def tilting_cmd(prime, level, cache_dir, samples, seed, index):
     return "tilting_module", payload, render, True
 
 
-@main.command()
-@_common
+@_common()
 def verify(prime, level, cache_dir, samples, seed):
     """Run the verification suite; exit 1 on any failure."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)["verification"]
@@ -699,4 +740,4 @@ def verify(prime, level, cache_dir, samples, seed):
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m verkit.cli")

@@ -1,25 +1,25 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from verkit import cli
-from verkit.cli import main
 
 
 @pytest.fixture()
 def runner(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "cache"))
-    return CliRunner()
+    return run_cli
 
 
 def invoke(runner, *args):
-    result = runner.invoke(main, list(args))
+    result = runner(args)
     return result
 
 
@@ -80,6 +80,121 @@ def test_huge_categories_are_refused_at_once(tmp_path, args, message):
     assert len(errors) == 1 and message in errors[0], done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+def _script(*args: str, cache) -> subprocess.CompletedProcess:
+    """`python -m verkit.cli <args>` with VERKIT_CACHE_DIR set to `cache`."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "VERKIT_CACHE_DIR": str(cache)}
+    return subprocess.run(
+        [sys.executable, "-m", "verkit.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _usage_error(done: subprocess.CompletedProcess) -> str:
+    """The one `Error:` line of a usage error: exit 2, nothing on stdout, no traceback."""
+    assert done.returncode == 2, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    return errors[0]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "COMMAND"),
+        (["verify", "-n", "2"], "-p"),
+        (["verify", "-p", "3", "-n", "two"], "'two'"),
+        (["verify", "-p", "3", "-n", "2", "--no-such-option"], "--no-such-option"),
+        (["report", "-p", "3", "-n", "2", "--format", "csv"], "'csv'"),
+    ],
+    ids=["no_command", "missing_p", "non_integer_n", "unknown_option", "report_csv"],
+)
+def test_a_usage_error_prints_one_error_line_and_writes_nothing(tmp_path, args, message):
+    assert message in _usage_error(_script(*args, cache=tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_output_that_cannot_be_written_exits_2_and_leaves_no_file(tmp_path):
+    (tmp_path / "out").mkdir()
+    target = str(tmp_path / "out")
+    done = _script("verify", "-p", "3", "-n", "2", "--output", target, cache=tmp_path / "cache")
+    assert f"cannot write {target}: " in _usage_error(done)
+    assert sorted(os.listdir(tmp_path)) == ["cache", "out"]
+    assert os.listdir(tmp_path / "out") == []
+    assert os.listdir(tmp_path / "cache") == [f"verpn_3_2_v{cli.CACHE_VERSION}.json"]
+
+
+def test_a_cache_that_cannot_be_written_exits_2(tmp_path):
+    """The cache directory lies under a regular file, so no file can be
+    made there (a test of permissions would pass when run as root)."""
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "cache"
+    done = _script("verify", "-p", "3", "-n", "2", "--cache-dir", str(cache), cache=tmp_path / "unused")
+    assert f"cannot write {cache}{os.sep}verpn_3_2_v" in _usage_error(done)
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(tmp_path):
+    """`verkit table ... | head -c 10`: exit 1, as under click, and nothing on stderr."""
+    args = ["table", "-p", "3", "-n", "4", "--format", "json", "--cache-dir", str(tmp_path)]
+    assert run_cli(args).exit_code == 0  # primes the cache
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "verkit.cli", *args],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10) == b"{\n  \"kind\""  # of a document far larger than a pipe holds
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+def test_main_raises_system_exit_with_the_exit_code(tmp_path, capsys):
+    args = ["verify", "-p", "3", "-n", "2", "--cache-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as passed:
+        cli.main(args=args, prog_name="verkit")
+    assert passed.value.code == 0
+    target = tmp_path / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
+    record = json.loads(target.read_text())
+    record["verification"]["checks"][0]["passed"] = False
+    record["verification"]["all_passed"] = False
+    target.write_text(json.dumps(record))
+    with pytest.raises(SystemExit) as failed:
+        cli.main(args=args, prog_name="verkit")
+    assert failed.value.code == 1
+    assert "FAILURES PRESENT" in capsys.readouterr().out
+
+
+SHARED_OPTIONS = ["--help", "-p", "-n", "--format", "--output", "--cache-dir", "--samples", "--rng-seed"]
+OWN_OPTIONS = {
+    "fuse": ["-a", "-b"],
+    "table": ["--even-only"],
+    "cartan": ["--even-only"],
+    "invariants": ["-M"],
+    "tilting": ["-m"],
+}
+
+
+def _names(text: str, option: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text) is not None
+
+
+def test_help_names_every_command_and_option():
+    top = run_cli(["--help"])
+    assert top.exit_code == 0 and top.stderr == ""
+    assert all(_names(top.stdout, command) for command in cli.COMMANDS), top.stdout
+    for command in cli.COMMANDS:
+        shown = run_cli([command, "--help"])
+        assert shown.exit_code == 0 and shown.stderr == "", shown.output
+        for option in SHARED_OPTIONS + OWN_OPTIONS.get(command, []):
+            assert _names(shown.stdout, option), (command, option)
+        assert "(default: 100)" in shown.stdout and "(default: 0)" in shown.stdout
+        assert ("(default: 12)" in shown.stdout) == (command == "invariants")
 
 
 def test_report_correspondence_table(runner):
@@ -215,8 +330,8 @@ def test_json_roundtrip_flag(runner):
         "invariants": "series",
         "tilting": "tilting_module",
     }
-    assert set(main.commands) == set(kinds)
-    for command in main.commands:
+    assert set(cli.COMMANDS) == set(kinds)
+    for command in cli.COMMANDS:
         for p in ("2", "3"):
             if command == "ext1" and p == "2":
                 continue
@@ -235,7 +350,7 @@ def test_a_failed_check_in_a_valid_record_is_printed_and_exits_1(tmp_path):
     from verkit.cli import _record_fits
 
     cache = str(tmp_path)
-    runner = CliRunner()
+    runner = run_cli
     assert invoke(runner, "verify", "-p", "3", "-n", "2", "--cache-dir", cache).exit_code == 0
     target = tmp_path / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
     record = json.loads(target.read_text())
@@ -301,7 +416,7 @@ def test_csv_rejected_for_non_matrix(runner):
 def test_csv_report_is_refused_before_any_work(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "cache"))
     for command in ("report", "verify"):
-        result = invoke(CliRunner(), command, "-p", "3", "-n", "2", "--format", "csv")
+        result = invoke(run_cli, command, "-p", "3", "-n", "2", "--format", "csv")
         assert result.exit_code == 2 and "csv" in result.output
     assert not (tmp_path / "cache").exists()
 
@@ -314,7 +429,7 @@ def test_deterministic_output(runner):
 
 def test_cache_warm_equals_cold(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "fresh"))
-    runner = CliRunner()
+    runner = run_cli
     cold = invoke(runner, "report", "-p", "2", "-n", "3", "--format", "json").output
     cache_file = tmp_path / "fresh" / f"verpn_2_3_v{cli.CACHE_VERSION}.json"
     assert cache_file.exists()
@@ -340,7 +455,7 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
     """A cache file for another category, or valid JSON of the wrong shape,
     is a miss: the command rebuilds and overwrites it."""
     cache = tmp_path / "cache"
-    runner = CliRunner()
+    runner = run_cli
     assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
     target = cache / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
     other = (cache / f"verpn_5_2_v{cli.CACHE_VERSION}.json").read_text()
@@ -398,7 +513,7 @@ def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mut
     """A file that matches the request but lacks a key a command reads, or
     holds it with the wrong type, is a miss: the command prints its cold
     output and rewrites the file."""
-    runner = CliRunner()
+    runner = run_cli
     args = [command, "-p", "3", "-n", "3", "--cache-dir", str(tmp_path)]
     if command == "fuse":
         args += ["-a", "4", "-b", "7"]
@@ -419,7 +534,7 @@ def test_warm_report_computes_nothing(tmp_path, monkeypatch):
     """Nor does any other warm record view."""
     from verkit import catalog
 
-    runner = CliRunner()
+    runner = run_cli
     args = ["-p", "3", "-n", "3", "--cache-dir", str(tmp_path / "cache")]
     commands = [["report"], ["verify"], ["cartan"], ["cartan", "--even-only"], ["decomp"],
                 ["blocks"], ["ext1"], ["fuse", "-a", "4", "-b", "7"], ["table", "--even-only"]]
@@ -436,9 +551,8 @@ def test_warm_report_computes_nothing(tmp_path, monkeypatch):
 
 def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "envdir"))
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
+    runner = run_cli
+    result = runner(
         ["report", "-p", "2", "-n", "2", "--cache-dir", str(tmp_path / "flagdir"), "--format", "json"],
     )
     assert result.exit_code == 0
@@ -448,11 +562,9 @@ def test_cache_dir_flag_overrides_env(tmp_path, monkeypatch):
 
 def test_output_file(tmp_path, monkeypatch):
     monkeypatch.setenv("VERKIT_CACHE_DIR", str(tmp_path / "cache"))
-    runner = CliRunner()
+    runner = run_cli
     target = tmp_path / "out.json"
-    result = runner.invoke(
-        main, ["cartan", "-p", "3", "-n", "2", "--format", "json", "--output", str(target)]
-    )
+    result = runner(["cartan", "-p", "3", "-n", "2", "--format", "json", "--output", str(target)])
     assert result.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["kind"] == "matrix"
@@ -462,7 +574,7 @@ def test_cache_file_of_the_previous_payload_is_not_read(tmp_path):
     """A file under the previous cache name, valid for this request but
     written before the payload gained checks, is never served."""
     cache = tmp_path / "cache"
-    runner = CliRunner()
+    runner = run_cli
     assert invoke(runner, "report", "-p", "3", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
     current = cache / f"verpn_3_2_v{cli.CACHE_VERSION}.json"
     old = json.loads(current.read_text())
@@ -507,12 +619,21 @@ def test_json_writer_refuses_keys_that_are_not_str_and_unknown_types():
             "".join(cli._json_chunks(obj))
 
 
+class _Writes(list):
+    """A stdout that keeps each write."""
+
+    write = list.append
+
+    def flush(self) -> None:
+        pass
+
+
 def test_json_stdout_is_streamed_in_batches(monkeypatch):
     """--format json writes a large document a batch at a time, and the
     batches join to json.dumps of it."""
     doc = {"kind": "matrix", "payload": {"entries": [[i] for i in range(40_000)]}}
-    writes = []
-    monkeypatch.setattr(cli.click, "echo", lambda text, nl=True: writes.append(text))
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
     cli._emit(doc, "json", None, None)
     assert len(writes) >= 2
     assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -525,8 +646,8 @@ def test_text_and_csv_stdout_are_streamed_in_batches(monkeypatch):
     entries = [[i * j - 500 for j in range(300)] for i in range(300)]
     matrix = {"rows": labels, "cols": labels, "entries": entries}
     cells = [["", *labels]] + [[r, *map(str, row)] for r, row in zip(labels, entries)]
-    writes = []
-    monkeypatch.setattr(cli.click, "echo", lambda text, nl=True: writes.append(text))
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
     for fmt, sep in (("text", None), ("csv", ",")):
         writes.clear()
         cli._emit({"payload": matrix}, fmt, None, cli._render_matrix)

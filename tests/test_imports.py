@@ -7,24 +7,26 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import verkit
-from verkit.cli import main
+from conftest import run_cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(verkit.__file__)))
 
 # Runs the command named by argv in this interpreter, then prints which of
-# numpy, mpmath and the verkit modules it loaded.
+# numpy, mpmath, click, tempfile and the verkit modules it loaded.  What the
+# interpreter loaded before it (a site hook may load tempfile) is not counted.
 PROBE = """
 import json, sys
+started = set(sys.modules)
 import verkit.cli
 try:
     verkit.cli.main(args=sys.argv[1:], prog_name="verkit")
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "loaded": sorted(
-    m for m in sys.modules if m in ("numpy", "mpmath") or m.startswith("verkit")
+    m for m in set(sys.modules) - started
+    if m in ("numpy", "mpmath", "click", "tempfile") or m.startswith("verkit")
 )}))
 """
 
@@ -44,7 +46,7 @@ def _loaded(args: list[str]) -> set[str]:
 def primed(tmp_path_factory):
     """A cache directory holding Ver_27."""
     cache = str(tmp_path_factory.mktemp("cache"))
-    result = CliRunner().invoke(main, ["report", "-p", "3", "-n", "3", "--cache-dir", cache])
+    result = run_cli(["report", "-p", "3", "-n", "3", "--cache-dir", cache])
     assert result.exit_code == 0, result.output
     return cache
 
@@ -130,12 +132,17 @@ def test_importing_tilting_loads_no_numpy():
         ["ext1"],
         ["fuse", "-a", "3", "-b", "5"],
         ["table"],
+        ["report"],
+        ["verify"],
+        ["invariants", "-M", "12"],
+        ["tilting", "-m", "7"],
     ],
     ids=lambda args: args[0],
 )
 def test_a_warm_record_view_loads_neither_numpy_nor_mpmath(primed, args):
+    """Nor click, nor tempfile (only a write loads it): every command, warm."""
     loaded = _loaded(args + ["-p", "3", "-n", "3", "--format", "json", "--cache-dir", primed])
-    assert not loaded & {"numpy", "mpmath", "verkit.catalog"}, loaded
+    assert not loaded & {"numpy", "mpmath", "click", "tempfile", "verkit.catalog"}, loaded
 
 
 def test_fuse_refuses_a_label_before_any_build(tmp_path):

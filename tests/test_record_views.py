@@ -12,10 +12,9 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from verkit import catalog, cli, digits, grring
-from verkit.cli import main
 
 CATEGORIES = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)]
 
@@ -136,7 +135,6 @@ def _commands(p, n):
 
 @pytest.mark.parametrize("p, n", CATEGORIES, ids=lambda v: str(v))
 def test_every_view_prints_the_library_document(cache, cached_classes, p, n):
-    runner = CliRunner()
     for args in _commands(p, n):
         kind, payload, text = _expected(p, n, args)
         doc = {"schema_version": cli.SCHEMA_VERSION, "kind": kind, "payload": payload}
@@ -146,6 +144,6 @@ def test_every_view_prints_the_library_document(cache, cached_classes, p, n):
         }
         for fmt, body in wanted.items():
             argv = [*args, "-p", str(p), "-n", str(n), "--format", fmt, "--cache-dir", cache]
-            result = runner.invoke(main, argv)
+            result = run_cli(argv)
             assert result.exit_code == 0, (argv, result.output)
             assert result.output == body, argv
