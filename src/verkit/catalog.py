@@ -206,8 +206,9 @@ class CategoryContext:
         return tuple(zip(a.tolist(), b.tolist()))
 
     @cached_property
-    def tilting_classes(self) -> np.ndarray:
-        """[T_m] in the simple basis as row m, m < p^n - 1, for odd p.
+    def tilting_classes(self) -> tuple[Mapping[int, int], ...]:
+        """[T_m] in the simple basis as row m, m < p^n - 1, for odd p: a
+        read-only {label: coefficient} of its nonzero coefficients.
 
         Filled bottom-up: rows m <= 2p-2 are L_m and 2 L_{2p-2-m} + L_m;
         each later row m = a + p*b (a in [p-1, 2p-2]) is one sparse product
@@ -219,19 +220,15 @@ class CategoryContext:
         p, n = self.p, self.n
         if p == 2:
             raise UnsupportedPrime("tilting classes in the simple basis need odd p")
-        table = np.zeros((p**n - 1, len(self.simples)), dtype=np.int64)
         head = [{m: 1, 2 * p - 2 - m: 2} if m >= p else {m: 1} for m in range(2 * p - 1)]
-        for m, row in enumerate(head[: p**n - 1]):
-            table[m, list(row)] = list(row.values())
+        rows = head[: p**n - 1]
         if n >= 2:
-            below = grring.sparse_rows(category(p, n - 1).tilting_classes)
+            below = category(p, n - 1).tilting_classes
             for m in range(2 * p - 1, p**n - 1):
                 a, b = digits.donkin_split(p, m)
                 lifted = {j * p: c for j, c in below[b].items()}
-                row = grring._product(p, n, head[a], lifted)
-                table[m, list(row)] = list(row.values())
-        table.flags.writeable = False
-        return table
+                rows.append(grring._product(p, n, head[a], lifted))
+        return tuple(MappingProxyType(row) for row in rows)
 
     @cached_property
     def stable(self) -> Mapping[str, object]:

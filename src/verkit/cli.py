@@ -255,7 +255,7 @@ def _ints(value) -> bool:
 
 
 def _pairs(value) -> bool:
-    return isinstance(value, list) and all(len(v) == 2 and _ints(v) for v in value)
+    return isinstance(value, list) and all(_ints(v) and len(v) == 2 for v in value)
 
 
 def _dicts_with(value, **fields) -> bool:
@@ -330,7 +330,7 @@ def load_or_build(p: int, n: int, cache_dir: str | None, samples: int, seed: int
         try:
             with open(path) as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSON and UTF-8 decode errors are ValueErrors
             payload = None
         if isinstance(payload, dict) and _record_fits(payload, p, n, samples, seed):
             return payload

@@ -34,12 +34,12 @@ keeps p <= 45 wherever n >= 2.
 Elements of different rings never mix: `+`, `-` and `*` refuse an operand of
 another Ver_{p^n} with ShapeMismatch, and one that is no GrElement with
 TypeError; the only scalars are integers.  For odd p the tilting classes [T_m]
-are read from a per-category table (`CategoryContext.tilting_classes`),
-filled bottom-up once.  The tilting-route check compares two independent
-sides of the ring map: the truncated tensor decomposition of T_i (x) T_j from
-tilting characters, summed as one integer combination of table rows, against
-[T_i] * [T_j] multiplied out by the fusion rule above, both on sparse rows of
-Python integers.
+are read from a per-category table (`CategoryContext.tilting_classes`) of
+read-only sparse rows, filled bottom-up once.  The tilting-route check
+compares two independent sides of the ring map: the truncated tensor
+decomposition of T_i (x) T_j from tilting characters, summed as one integer
+combination of table rows, against [T_i] * [T_j] multiplied out by the
+fusion rule above, both on the sparse rows, in Python integers.
 """
 
 from __future__ import annotations
@@ -81,6 +81,14 @@ class GrElement:
     @classmethod
     def zero(cls, p: int, n: int) -> "GrElement":
         return cls(p, n, (0,) * (p ** (n - 1) * (p - 1)))
+
+    @classmethod
+    def from_sparse(cls, p: int, n: int, terms) -> "GrElement":
+        """The element of the {label: coefficient} mapping `terms`."""
+        c = [0] * (p ** (n - 1) * (p - 1))
+        for k, ck in terms.items():
+            c[k] = ck
+        return cls(p, n, c)
 
     @classmethod
     def basis(cls, p: int, n: int, i: int) -> "GrElement":
@@ -137,10 +145,7 @@ class GrElement:
             return NotImplemented
         self._same_ring(other)
         x, y = (dict(compress(enumerate(e.coeffs), e.coeffs)) for e in (self, other))
-        out = [0] * len(self.coeffs)
-        for k, c in _product(self.p, self.n, x, y).items():
-            out[k] = c
-        return GrElement(self.p, self.n, out)
+        return GrElement.from_sparse(self.p, self.n, _product(self.p, self.n, x, y))
 
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -304,22 +309,13 @@ def tilting_class(p: int, n: int, m: int) -> GrElement:
         raise UnsupportedPrime("tilting classes in the simple basis need odd p")
     if not 0 <= m <= p**n - 2:
         raise OutOfRange(f"tilting index {_decimal(m)} outside [0, {p**n - 2}]")
-    return GrElement(p, n, category(p, n).tilting_classes[m].tolist())
+    return GrElement.from_sparse(p, n, category(p, n).tilting_classes[m])
 
 
 def check_samples(samples: int) -> None:
     """Refuse a sample count below one: a check of no pairs proves nothing."""
     if samples < 1:
         raise OutOfRange(f"samples must be >= 1, got {samples}")
-
-
-def sparse_rows(table) -> list[dict[int, int]]:
-    """The nonzero entries of each row of an integer matrix, as Python ints."""
-    out = []
-    for row in table:
-        nz = row.nonzero()[0]
-        out.append(dict(zip(nz.tolist(), row[nz].tolist())))
-    return out
 
 
 def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> dict:
@@ -346,7 +342,7 @@ def check_ring_hom_fusion(p: int, n: int, samples: int = 100, seed: int = 0) -> 
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(top), rng.randrange(top)) for _ in range(samples)]
-    rows = sparse_rows(category(p, n).tilting_classes)
+    rows = category(p, n).tilting_classes
     for i, j in pairs:
         left: dict[int, int] = {}
         for m, c in truncate(p, n, tensor_decompose(p, i, j)).mults.items():

@@ -34,10 +34,10 @@ determine the Smith form.  The test suite keeps the full-matrix calls, and
 `smith_normal_form` with its certificate, as the oracles those per-block
 results must reproduce.
 
-Callers that do integer work in int64 instead (the fusion check's class
-combinations, the character route to the Cartan matrix) first call
-`check_int64_products`, which raises before any sum of products could
-overflow.
+Integer work in int64 instead (`rank_mod_p` here, and in other modules
+the character route to the Cartan matrix, `C d = p` and the Chebyshev
+recurrence) first calls `check_int64_products`, which raises before any
+sum of products could overflow.
 """
 
 from __future__ import annotations

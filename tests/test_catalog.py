@@ -1,8 +1,13 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
+from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -20,7 +25,13 @@ from verkit.catalog import (
     verify_all,
 )
 from verkit.digits import cartan_descendant
-from verkit.errors import BoundExceeded, InvalidCategory, OutOfRange, PrecisionExceeded
+from verkit.errors import (
+    BoundExceeded,
+    InvalidCategory,
+    OutOfRange,
+    PrecisionExceeded,
+    UnsupportedPrime,
+)
 from verkit.linalg import (
     det,
     is_positive_definite,
@@ -435,6 +446,51 @@ def test_category_context_is_lazy_and_shared():
     assert "fpdim_simples" not in vars(ctx)
     with pytest.raises(ValueError):
         ctx.cartan[0, 0] = 5
+
+
+def _assert_immutable(value, where):
+    """Fail unless `value` and everything it holds is read-only."""
+    if isinstance(value, np.ndarray):
+        assert not value.flags.writeable, where
+    elif isinstance(value, Mapping):
+        assert isinstance(value, MappingProxyType), where
+        for k, v in value.items():
+            _assert_immutable(k, where)
+            _assert_immutable(v, f"{where}[{k!r}]")
+    elif isinstance(value, catalog.SolveBlock):
+        for f in dataclasses.fields(value):
+            _assert_immutable(getattr(value, f.name), f"{where}.{f.name}")
+    elif isinstance(value, cyclo.CycloInt):
+        _assert_immutable(value.coeffs, f"{where}.coeffs")
+    elif isinstance(value, (list, set, dict, bytearray)):
+        raise AssertionError(f"{where} is a mutable {type(value).__name__}")
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            _assert_immutable(v, f"{where}[{i}]")
+    else:
+        assert isinstance(value, (int, str, Fraction, type(None))), (where, type(value))
+
+
+def test_every_filled_context_value_is_immutable():
+    """The context's values are shared process-wide: a build fills every
+    one of them, and none can be changed in place."""
+    catalog.category.cache_clear()
+    try:
+        build(3, 3)
+        ctx = catalog.category(3, 3)
+        names = [k for k, v in vars(catalog.CategoryContext).items() if isinstance(v, cached_property)]
+        assert set(names) <= vars(ctx).keys()
+        for name in names:
+            _assert_immutable(vars(ctx)[name], name)
+        with pytest.raises(TypeError):
+            ctx.tilting_classes[4][0] = 7
+        assert ctx.tilting_classes[4] == {4: 1, 0: 2}
+        p2 = catalog.category(2, 3)
+        assert p2.ext1_matrix is None
+        with pytest.raises(UnsupportedPrime):
+            p2.tilting_classes
+    finally:
+        catalog.category.cache_clear()
 
 
 def _fresh_context(p, n, cartan, rows=None, blocks=None):

@@ -452,8 +452,9 @@ def test_cache_file_is_indented_json_written_in_batches(tmp_path):
 
 
 def test_cache_file_for_another_category_is_rebuilt(tmp_path):
-    """A cache file for another category, or valid JSON of the wrong shape,
-    is a miss: the command rebuilds and overwrites it."""
+    """A cache file for another category, valid JSON of the wrong shape, or
+    bytes that are not UTF-8, is a miss: the command rebuilds and overwrites
+    it."""
     cache = tmp_path / "cache"
     runner = run_cli
     assert invoke(runner, "report", "-p", "5", "-n", "2", "--cache-dir", str(cache)).exit_code == 0
@@ -466,10 +467,14 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
         "7\n",
         json.dumps({**mine, "verification": [1, 2]}),
         json.dumps({**mine, "verification": 7}),
+        b"\xff\xfe{",
     ]
     for command in ("report", "verify"):
         for text in stale:
-            target.write_text(text)
+            if isinstance(text, bytes):
+                target.write_bytes(text)
+            else:
+                target.write_text(text)
             result = invoke(runner, command, "-p", "3", "-n", "2", "--cache-dir", str(cache))
             assert result.exit_code == 0, (command, text[:20], result.output)
             if command == "report":
@@ -504,7 +509,9 @@ def _set(path, value):
         ("cartan", _set(["cartan", "rows", 0], "T0")),
         ("blocks", _set(["blocks", 0], {"size": 2})),
         ("fuse", _set(["steinberg", 1], [1])),
+        pytest.param("fuse", _set(["steinberg", 1], 5), id="fuse-int-pair"),
         ("ext1", _set(["ext1"], None)),
+        pytest.param("ext1", _set(["ext1", 0], 1), id="ext1-int-pair"),
         ("decomp", _set(["decomposition", "entries", 0, 0], "1")),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
