@@ -468,7 +468,12 @@ class _Parser(argparse.ArgumentParser):
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Run the command named in `args` (by default sys.argv[1:]) and raise
     SystemExit: 0 on success, 1 on a failed verification, 2 on a usage error.
+
+    Only the command argparse will run gets its options: the first argument
+    that names a command, since the top-level parser takes no values.
     """
+    args = sys.argv[1:] if args is None else list(args)
+    named = next((a for a in args if a in COMMANDS), None)
     parser = _Parser(
         prog=prog_name, description="Exact invariants of the symmetric tensor categories Ver_{p^n}."
     )
@@ -476,6 +481,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     for name, (command, formats, own) in COMMANDS.items():
         doc = command.__doc__
         sub = commands.add_parser(name, help=doc, description=doc)
+        if name != named:
+            continue
         sub.add_argument("-p", dest="prime", type=int, required=True, help="Prime p.")
         sub.add_argument("-n", dest="level", type=int, required=True, help="Level n >= 1.")
         sub.add_argument(

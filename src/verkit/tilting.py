@@ -7,13 +7,14 @@ The character of the tilting module T_m is produced by Donkin's recursion:
 * m >= 2p-1:            write m = a + p*b with a in [p-1, 2p-2]; then
                         chi(T_m) = chi(T_a) * chi(T_b)(x^p).
 
-Every weight of T_m has the parity of m, so the memo holds chi(T_m) densely:
-a tuple of Python integers of length m+1 whose entry k is the multiplicity
-of the weight m-2k.  The Frobenius twist spreads chi(T_b) p entries apart,
-so Donkin's product adds T_a's entry i times chi(T_b) into one strided
-slice per entry; `tilting_char` returns the same character as a SymChar.
-A second memo holds the nonzero Weyl coefficients of chi(T_m), the first
-differences of that dense character.
+The one memo holds chi(T_m) in the Weyl basis: its nonzero coefficients,
+top first.  With a = p-1+r, chi(T_a) = chi(p-1) * (x^r + x^-r), and
+Steinberg's rule chi(p-1) * chi(j)(x^p) = chi(p-1+pj) turns each Weyl factor
+chi(j) of T_b into chi(p-1+pj+r) and chi(p-1+pj-r), or into chi(p-1+pj)
+alone when r = 0.  These weights are distinct, so the row of T_m copies the
+coefficients of the row of T_b and never sums two of them.  `tilting_char`
+rebuilds the dense character from the row (cumulative sums, mirrored) on
+each call.
 
 On top of this the module provides the decomposition of an effective tilting
 character into indecomposables, truncation to the quotient where T_m
@@ -34,9 +35,9 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .charring import SymChar, inner, mul, weyl_char, weyl_expand
+from .charring import SymChar, inner, weyl_expand
 from .digits import donkin_split
-from .errors import NegativeLeadingCoefficient, OutOfRange, _decimal, check_prime
+from .errors import NegativeLeadingCoefficient, OutOfRange, _decimal, check_pn, check_prime
 
 
 class TiltingSum:
@@ -69,46 +70,35 @@ def _check_index(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _tilting_vec(p: int, m: int) -> tuple[int, ...]:
-    """Dense chi(T_m), memoized: entry k is the multiplicity of weight m-2k.
-
-    The memo is only ever filled with the same immutable value for a given
-    key, so concurrent fills are idempotent.  A miss for a p that is not a
-    prime raises InvalidCategory.
-    """
-    check_prime(p)
-    if m <= p - 1:
-        return (1,) * (m + 1)
-    if m <= 2 * p - 2:
-        out = [1] * (m + 1)
-        out[m - p + 1 : p] = [2] * (2 * p - 1 - m)
-        return tuple(out)
-    a, b = donkin_split(p, m)
-    twisted = _tilting_vec(p, b)
-    out = [0] * (m + 1)
-    span = p * b + 1
-    for i, c in enumerate(_tilting_vec(p, a)):
-        out[i : i + span : p] = [x + c * y for x, y in zip(out[i : i + span : p], twisted)]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _weyl_row(p: int, m: int) -> tuple[tuple[int, int], ...]:
     """Nonzero Weyl coefficients of chi(T_m), memoized, as pairs (k, c):
     c is the coefficient of the Weyl character of highest weight m-2k.
 
-    They are the first differences of the dense character, top first; the
-    first pair is (0, 1).
+    Top first; the first pair is (0, 1).  The factor chi(j) of T_b, j = b-2k,
+    gives the weights p-1+pj+r and p-1+pj-r of T_m, at pk and pk+r.  The
+    memo is only ever filled with the same immutable value for a given key,
+    so concurrent fills are idempotent.  A miss for a p that is not a prime
+    raises InvalidCategory.
     """
-    vec = _tilting_vec(p, m)
-    pairs = enumerate(zip((0,) + vec, vec[: m // 2 + 1]))
-    return tuple((k, c - prev) for k, (prev, c) in pairs if c != prev)
+    check_prime(p)
+    if m < p:
+        return ((0, 1),)
+    a, b = donkin_split(p, m)
+    r = a - p + 1
+    row = _weyl_row(p, b)
+    if not r:
+        return tuple((p * k, c) for k, c in row)
+    return tuple(pair for k, c in row for pair in ((p * k, c), (p * k + r, c)))
 
 
 def tilting_char(p: int, m: int) -> SymChar:
     """Character of the indecomposable tilting module T_m."""
     _check_index(m)
-    return SymChar(dict(zip(range(m, -m - 1, -2), _tilting_vec(p, m))))
+    weyl = [0] * (m // 2 + 1)
+    for k, c in _weyl_row(p, m):
+        weyl[k] = c
+    half = list(accumulate(weyl))
+    return SymChar(dict(zip(range(m, -m - 1, -2), half + half[: (m + 1) // 2][::-1])))
 
 
 def _peel(p: int, top: int, weyl: list[int], mults: dict[int, int]) -> None:
@@ -202,18 +192,23 @@ def _invariant_count(p: int, n: int, s: TiltingSum) -> int:
 def invariant_dims(p: int, n: int, M: int) -> list[int]:
     """d_m = dim of invariants in V^(2m) in the truncated category, m <= M.
 
-    Multiplies by chi(V) one factor at a time, decomposing and truncating
-    after each step; truncation commutes with tensoring, so this never
-    inflates intermediate characters.  M < 0 raises OutOfRange.
+    Tensors with V = T_1 one factor at a time, summing `tensor_decompose`
+    of each summand and truncating after each step; truncation commutes
+    with tensoring, so this never inflates intermediate sums.  A (p, n)
+    that names no category raises InvalidCategory, M < 0 OutOfRange.
     """
+    check_pn(p, n)
     if M < 0:
         raise OutOfRange(f"series depth must be >= 0, got {_decimal(M)}")
     v = TiltingSum({0: 1})
-    chi_v = weyl_char(1)
     out = [_invariant_count(p, n, v)]
     for _ in range(M):
         for _ in range(2):
-            v = truncate(p, n, decompose_tilting(p, mul(v.character(p), chi_v)))
+            step: dict[int, int] = {}
+            for m, c in v.mults.items():
+                for t, d in tensor_decompose(p, m, 1).mults.items():
+                    step[t] = step.get(t, 0) + c * d
+            v = truncate(p, n, TiltingSum(step))
         out.append(_invariant_count(p, n, v))
     return out
 
@@ -242,6 +237,7 @@ def series_fn(p: int, n: int, M: int) -> list[int]:
     invariant dimensions, which is exactly what the invariants_series check
     asserts.  M < 0 raises OutOfRange.
     """
+    check_pn(p, n)
     if M < 0:
         raise OutOfRange(f"series depth must be >= 0, got {_decimal(M)}")
 

@@ -10,7 +10,7 @@ def test_concurrent_tilting_char_fills():
     # Idempotent memo fills: hammer the same cold keys from many threads.
     import verkit.tilting as t
 
-    t._tilting_vec.cache_clear()
+    t._weyl_row.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda m: tilting_char(5, m), list(range(60)) * 4))
     for m in range(60):

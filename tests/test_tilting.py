@@ -192,7 +192,7 @@ TOPS = [
 
 @lru_cache(maxsize=None)
 def oracle_tilting_char(p: int, m: int) -> SymChar:
-    """Donkin's recursion on dict characters, independent of the dense memo."""
+    """Donkin's recursion on dict characters, independent of the Weyl-row memo."""
     if m <= p - 1:
         return weyl_char(m)
     if m <= 2 * p - 2:
@@ -248,6 +248,22 @@ def test_weyl_row_matches_the_weyl_expansion_of_the_dict_oracle(p, data):
     row = _weyl_row(p, m)
     assert row[0] == (0, 1)
     assert {m - 2 * k: c for k, c in row} == weyl_expand(oracle_tilting_char(p, m))
+
+
+# The acceptance set of tests/test_acceptance.py, and Ver_343.
+ORACLE_PN = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p, n", ORACLE_PN)
+def test_weyl_rows_and_tilting_chars_match_the_dict_oracle_exhaustively(p, n):
+    # Every index below 2 p^n, past the top tilting index of Ver_{p^n}; SL2
+    # tilting modules have Weyl multiplicities 0 or 1.
+    for m in range(2 * p**n):
+        want = oracle_tilting_char(p, m)
+        row = _weyl_row(p, m)
+        assert {m - 2 * k: c for k, c in row} == weyl_expand(want), (p, m)
+        assert {c for _, c in row} == {1}, (p, m)
+        assert tilting_char(p, m) == want, (p, m)
 
 
 @settings(deadline=None, max_examples=40)
@@ -334,6 +350,11 @@ def test_tilting_characters_refuse_a_p_that_is_not_prime():
         lambda: tilting_char(4, 9),
         lambda: tensor_decompose(6, 3, 4),
         lambda: hom_dim(9, 2, 2),
+        lambda: invariant_dims(3, 0, 3),
+        lambda: series_fn(3, 0, 3),
+        lambda: series_fn(3, -1, 3),
+        lambda: series_fn(4, 2, 3),
+        lambda: series_fn(1, 2, 3),
     ):
         with pytest.raises(InvalidCategory):
             call()
