@@ -299,7 +299,11 @@ class VerificationReport:
 
 @dataclass
 class CategoryData:
-    """The record of Ver_{p^n}; fields shared with its context are read-only."""
+    """The record of Ver_{p^n}; fields shared with its context are read-only.
+
+    `decomposition` holds, per Cartan row T_i, the increasing Weyl columns j
+    with d_ij = 1: those where j + 1 is a descendant of i + 1.
+    """
 
     p: int
     n: int
@@ -307,7 +311,7 @@ class CategoryData:
     projectives: list[int]
     proj_of_simple: tuple[int, ...]
     simple_of_proj: Mapping[int, int]
-    decomposition: np.ndarray
+    decomposition: tuple[tuple[int, ...], ...]
     cartan: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
     block_dets: dict[tuple[int, ...], int]
@@ -568,7 +572,9 @@ def build(p: int, n: int, samples: int = 100, seed: int = 0) -> CategoryData:
         projectives=list(ctx.rows),
         proj_of_simple=ctx.proj_of_simple,
         simple_of_proj=ctx.simple_of_proj,
-        decomposition=digits.decomposition_matrix(p, n),
+        decomposition=tuple(
+            tuple(sorted(b - 1 for b in digits.descendants(i + 1, p, n))) for i in ctx.rows
+        ),
         cartan=ctx.cartan,
         blocks=ctx.blocks,
         block_dets=dict(ctx.block_dets),

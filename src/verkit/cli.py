@@ -2,10 +2,14 @@
 
 Most commands are views of one verified record per Ver_{p^n}: the payload
 of its CategoryData, read from the JSON cache (`load_or_build`) or, on a
-miss, built, verified and written there first.  `report`, `verify`,
-`cartan`, `decomp`, `blocks` and `ext1` print parts of the record; `fuse`
-and `table` multiply simples themselves and fold the products with the
-projective classes read from the record's Cartan matrix.  `--cache-dir`,
+miss, built, verified and written there first.  The record is block-sparse
+(`category_payload`): the Cartan matrix one block at a time, the
+decomposition matrix by the support of each row, and FPdim L_i by its
+nonzero terms, all in flat int lists.  `report`, `verify`, `cartan`,
+`decomp`, `blocks` and `ext1` print parts of the record, and the views
+expand the matrices again as they print them; `fuse` and `table` multiply
+simples themselves and fold the products with the projective classes read
+from the record's Cartan blocks.  `--cache-dir`,
 `--samples` and `--rng-seed` select the record.  `tilting` and
 `invariants` print quantities the record does not hold and compute them.
 Each command returns a deterministic document; the registrars `_common`
@@ -50,11 +54,11 @@ if TYPE_CHECKING:
 
     from . import catalog, grring
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Part of every cache file name; raised whenever the payload of a category
 # changes (new or renamed checks included), so files of an older payload are
 # rebuilt.
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 NUMERIC_DIGITS = 20
 
 
@@ -137,28 +141,40 @@ def _nstr(x) -> str:
     return nstr(x, NUMERIC_DIGITS)
 
 
-def _matrix_payload(rows: list[str], cols: list[str], M) -> dict:
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[int(v) for v in row] for row in M.tolist()],
-    }
-
-
 def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dict:
+    """The record of one category, block-sparse, its matrices in flat int lists.
+
+    - "cartan": the T labels of the rows, in row order, and one square
+      matrix per entry of "blocks", in that order, indexed in that block's
+      "projectives" order.  Entries between two blocks are not stored; they
+      are 0 when `cartan_block_diagonal` passes.
+    - "decomposition": the T labels of the rows, the number of Weyl columns
+      (p^n - 1) and, per row, the increasing columns j with d_ij = 1.
+    - "fpdim": per simple L_i, the nonzero terms of FPdim L_i (the exponents
+      of q and their coefficients, in parallel lists) and the decimal values
+      of FPdim L_i and FPdim P_i.
+
+    The views expand the matrices on read (`_cartan_entries`, `decomp`).
+    """
     p, n = data.p, data.n
+    rows = [f"T{i}" for i in data.projectives]
+    row_of = {s: r for r, s in enumerate(data.projectives)}
     fpdim = []
-    exact = zip(data.simples, data.fpdim_simples, data.fpdim_projectives, data.fpdim_numeric)
-    for i, fs, fp, (xs, xp) in exact:
+    for i, fs, (xs, xp) in zip(data.simples, data.fpdim_simples, data.fpdim_numeric):
+        terms = [(e, c) for e, c in enumerate(fs.coeffs) if c]
         fpdim.append(
             {
                 "label": i,
-                "simple_coeffs": list(fs.coeffs),
+                "simple_exponents": [e for e, _ in terms],
+                "simple_coeffs": [c for _, c in terms],
                 "simple_numeric": _nstr(xs),
-                "projective_coeffs": list(fp.coeffs),
                 "projective_numeric": _nstr(xp),
             }
         )
+    cartan_blocks = []
+    for block in data.blocks:
+        idx = [row_of[s] for s in block]
+        cartan_blocks.append([[int(v) for v in row] for row in data.cartan[idx][:, idx].tolist()])
     return {
         "p": p,
         "n": n,
@@ -166,16 +182,12 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
         "simples": data.simples,
         "steinberg": [[i, data.proj_of_simple[i]] for i in data.simples],
         "dims": [[i, data.dims[i]] for i in data.simples],
-        "decomposition": _matrix_payload(
-            [f"T{i}" for i in data.projectives],
-            [f"W{j}" for j in range(p**n - 1)],
-            data.decomposition,
-        ),
-        "cartan": _matrix_payload(
-            [f"T{i}" for i in data.projectives],
-            [f"T{i}" for i in data.projectives],
-            data.cartan,
-        ),
+        "decomposition": {
+            "rows": rows,
+            "weyl_count": p**n - 1,
+            "support": [list(support) for support in data.decomposition],
+        },
+        "cartan": {"rows": rows, "blocks": cartan_blocks},
         "blocks": [
             {
                 "projectives": list(block),
@@ -265,15 +277,50 @@ def _dicts_with(value, **fields) -> bool:
     )
 
 
-def _matrix_fits(m) -> bool:
+def _cartan_fits(cartan, blocks: list[dict]) -> bool:
+    """The Cartan matrix as the record stores it: row labels and one square
+    int matrix per block, of the block's size, and nothing else; the blocks'
+    projectives, as T labels, are the rows."""
     return (
-        isinstance(m, dict)
-        and _list_of(m.get("rows"), str)
-        and _list_of(m.get("cols"), str)
-        and _list_of(m.get("entries"), list)
-        and len(m["entries"]) == len(m["rows"])
-        and all(len(row) == len(m["cols"]) and _ints(row) for row in m["entries"])
+        isinstance(cartan, dict)
+        and cartan.keys() == {"rows", "blocks"}
+        and _list_of(cartan["rows"], str)
+        and _list_of(cartan["blocks"], list)
+        and len(cartan["blocks"]) == len(blocks)
+        and all(
+            _ints(b["projectives"])
+            and b["size"] == len(b["projectives"]) == len(M)
+            and all(_ints(row) and len(row) == len(M) for row in M)
+            for b, M in zip(blocks, cartan["blocks"])
+        )
+        and sorted(f"T{s}" for b in blocks for s in b["projectives"]) == sorted(cartan["rows"])
     )
+
+
+def _indexes(value, bound: int) -> bool:
+    """A list of ints in [0, bound)."""
+    return _ints(value) and (not value or 0 <= min(value) and max(value) < bound)
+
+
+def _support_fits(decomposition, weyl_count: int) -> bool:
+    """The decomposition matrix as the record stores it: row labels, the
+    Weyl column count and one list of columns in [0, weyl_count) per row."""
+    return (
+        isinstance(decomposition, dict)
+        and decomposition.keys() == {"rows", "weyl_count", "support"}
+        and _list_of(decomposition["rows"], str)
+        and type(decomposition["weyl_count"]) is int
+        and decomposition["weyl_count"] == weyl_count
+        and _list_of(decomposition["support"], list)
+        and len(decomposition["support"]) == len(decomposition["rows"])
+        and all(_indexes(s, weyl_count) for s in decomposition["support"])
+    )
+
+
+def _terms_fit(entry: dict, degree: int) -> bool:
+    """FPdim L_i's nonzero terms: exponents in [0, degree) and as many coefficients."""
+    exponents, coeffs = entry.get("simple_exponents"), entry.get("simple_coeffs")
+    return _indexes(exponents, degree) and _ints(coeffs) and len(exponents) == len(coeffs)
 
 
 def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool:
@@ -282,8 +329,10 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
 
     The views look labels up across keys, so the simples must be the
     category's labels in order, the steinberg pairs must name them in that
-    order and the Cartan rows and columns by their covers, and every block
-    must list some of them.
+    order and the Cartan rows by their covers, and every block must list
+    some of them.  The stored matrices must have the shapes the views
+    expand (`_cartan_fits`, `_support_fits`), and each FPdim its terms in
+    the degree of the ring: 2^n at p = 2, (p - 1) p^(n-1) otherwise.
     """
     verification = payload.get("verification")
     if not (
@@ -298,26 +347,26 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
     ):
         return False
     simples, steinberg, blocks = (payload.get(k) for k in ("simples", "steinberg", "blocks"))
-    ext1, stable = payload.get("ext1"), payload.get("stable")
+    ext1, stable, fpdim = payload.get("ext1"), payload.get("stable"), payload.get("fpdim")
+    degree = 2**n if p == 2 else (p - 1) * p ** (n - 1)
     if not (
         _ints(simples)
         and _pairs(steinberg)
-        and _matrix_fits(payload.get("cartan"))
-        and _matrix_fits(payload.get("decomposition"))
         and _dicts_with(blocks, projectives=list, simples=list, size=int, det=int)
-        and _dicts_with(payload.get("fpdim"), label=int, simple_numeric=str)
+        and _cartan_fits(payload.get("cartan"), blocks)
+        and _support_fits(payload.get("decomposition"), p**n - 1)
+        and _dicts_with(fpdim, label=int, simple_numeric=str, projective_numeric=str)
+        and all(_terms_fit(entry, degree) for entry in fpdim)
         and isinstance(stable, dict)
         and isinstance(stable.get("order"), int)
         and (ext1 is None if p == 2 else _pairs(ext1))
     ):
         return False
     known = set(simples)
-    cartan = payload["cartan"]
     return (
         simples == list(range((p - 1) * p ** (n - 1)))
         and [i for i, _ in steinberg] == simples
-        and cartan["rows"] == cartan["cols"]
-        and set(cartan["rows"]) == {f"T{s}" for _, s in steinberg}
+        and set(payload["cartan"]["rows"]) == {f"T{s}" for _, s in steinberg}
         and all(b["simples"] and _ints(b["simples"]) and known >= set(b["simples"]) for b in blocks)
     )
 
@@ -394,22 +443,52 @@ def fold_text(p: int, n: int, v: grring.GrElement) -> str:
     return _fold_text(simples, projectives)
 
 
+def _cartan_entries(record: dict, labels: list[str]) -> list[list[int]]:
+    """The dense Cartan submatrix on the rows named by `labels` (T labels),
+    expanded from the record's blocks; an entry between two blocks is 0."""
+    cartan = record["cartan"]
+    where = {}  # T label: (block index, its row in the block, position)
+    for b, (block, M) in enumerate(zip(record["blocks"], cartan["blocks"])):
+        for pos, s in enumerate(block["projectives"]):
+            where[f"T{s}"] = (b, M[pos], pos)
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for c, label in enumerate(labels):
+        b, _, pos = where[label]
+        columns.setdefault(b, []).append((c, pos))
+    entries = []
+    for label in labels:
+        b, row, _ = where[label]
+        full = [0] * len(labels)
+        for c, pos in columns[b]:
+            full[c] = row[pos]
+        entries.append(full)
+    return entries
+
+
+def _cartan_matrix(record: dict) -> dict:
+    """The record's Cartan matrix, dense, over its rows in row order."""
+    rows = record["cartan"]["rows"]
+    return {"rows": rows, "cols": rows, "entries": _cartan_entries(record, rows)}
+
+
 def _fold_classes(p: int, n: int, record: dict) -> list[tuple[int, list[int]]]:
     """The classes `grring.fold_projectives` peels, in its order, read from
-    the record: [P_i] is the Cartan column of the cover T_s of L_i, with
-    row T_t counted at the simple whose cover T_t is."""
+    the record: [P_i] is the column of the cover T_s of L_i in its own
+    Cartan block, with row T_t counted at the simple whose cover T_t is."""
     from . import grring
 
-    cartan = record["cartan"]
     cover = dict(record["steinberg"])
-    simple_at = {f"T{s}": i for i, s in cover.items()}
-    row_simples = [simple_at[label] for label in cartan["rows"]]
-    column = {label: c for c, label in enumerate(cartan["cols"])}
+    simple_at = {s: i for i, s in cover.items()}
+    column = {}  # cover: (its block's matrix, the block's rows as simples, position)
+    for block, M in zip(record["blocks"], record["cartan"]["blocks"]):
+        at = [simple_at[s] for s in block["projectives"]]
+        for c, s in enumerate(block["projectives"]):
+            column[s] = (M, at, c)
     classes = []
     for i in grring.fold_order(p, n):
-        c = column[f"T{cover[i]}"]
+        M, at, c = column[cover[i]]
         cls = [0] * len(cover)
-        for t, row in zip(row_simples, cartan["entries"]):
+        for t, row in zip(at, M):
             cls[t] += row[c]
         classes.append((i, cls))
     return classes
@@ -529,7 +608,7 @@ def report(prime, level, cache_dir, samples, seed):
         yield from _grid([[f"L{i}" for i, _ in steinberg], [f"T{s}" for _, s in steinberg]])
         yield ""
         yield "cartan matrix:"
-        yield from _render_matrix(pl["cartan"])
+        yield from _render_matrix(_cartan_matrix(pl))
         yield ""
         yield "blocks:"
         for b in pl["blocks"]:
@@ -623,29 +702,29 @@ def _render_matrix(pl: dict) -> Iterator[str]:
 def cartan(prime, level, cache_dir, samples, seed, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
-    payload = record["cartan"]
-    if even_only:
-        # The blocks whose first simple is even, each in label order.
-        order = [
-            i for b in record["blocks"] if b["simples"][0] % 2 == 0 for i in sorted(b["simples"])
-        ]
-        cover = dict(record["steinberg"])
-        row = {label: r for r, label in enumerate(payload["rows"])}
-        idx = [row[f"T{cover[i]}"] for i in order]
-        labels = [f"L{i}" for i in order]
-        entries = payload["entries"]
-        payload = {
-            "rows": labels,
-            "cols": labels,
-            "entries": [[entries[r][c] for c in idx] for r in idx],
-        }
+    if not even_only:
+        return "matrix", _cartan_matrix(record), _render_matrix, True
+    # The blocks whose first simple is even, each in label order.
+    order = [i for b in record["blocks"] if b["simples"][0] % 2 == 0 for i in sorted(b["simples"])]
+    cover = dict(record["steinberg"])
+    labels = [f"L{i}" for i in order]
+    entries = _cartan_entries(record, [f"T{cover[i]}" for i in order])
+    payload = {"rows": labels, "cols": labels, "entries": entries}
     return "matrix", payload, _render_matrix, True
 
 
 @_matrix()
 def decomp(prime, level, cache_dir, samples, seed):
     """Decomposition matrix (tilting rows, Weyl columns)."""
-    payload = load_or_build(prime, level, cache_dir, samples, seed)["decomposition"]
+    stored = load_or_build(prime, level, cache_dir, samples, seed)["decomposition"]
+    weyl_count = stored["weyl_count"]
+    entries = []
+    for support in stored["support"]:
+        row = [0] * weyl_count
+        for j in support:
+            row[j] = 1
+        entries.append(row)
+    payload = {"rows": stored["rows"], "cols": [f"W{j}" for j in range(weyl_count)], "entries": entries}
     return "matrix", payload, _render_matrix, True
 
 

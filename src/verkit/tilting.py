@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .charring import SymChar, inner, weyl_expand
+from .charring import SymChar, weyl_expand
 from .digits import donkin_split
 from .errors import NegativeLeadingCoefficient, OutOfRange, _decimal, check_pn, check_prime
 
@@ -175,8 +175,15 @@ def truncate(p: int, n: int, s: TiltingSum) -> TiltingSum:
 
 
 def hom_dim(p: int, i: int, j: int) -> int:
-    """dim Hom(T_i, T_j) = inner product of the two characters."""
-    return inner(tilting_char(p, i), tilting_char(p, j))
+    """dim Hom(T_i, T_j) = inner product of the two characters.
+
+    Weyl characters are orthonormal, so it is the sum of c_i(w) c_j(w) over
+    the weights w of both Weyl rows.
+    """
+    _check_index(i)
+    _check_index(j)
+    row_j = {j - 2 * k: c for k, c in _weyl_row(p, j)}
+    return sum(c * row_j.get(i - 2 * k, 0) for k, c in _weyl_row(p, i))
 
 
 def _invariant_count(p: int, n: int, s: TiltingSum) -> int:

@@ -35,12 +35,16 @@ def test_report_json_shape(runner):
     result = invoke(runner, "report", "-p", "3", "-n", "2", "--format", "json")
     assert result.exit_code == 0
     doc = json.loads(result.output)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["kind"] == "category_report"
     payload = doc["payload"]
     assert payload["p"] == 3 and payload["n"] == 2
     assert len(payload["simples"]) == 6
     assert payload["cartan"]["rows"] == ["T2", "T3", "T4", "T5", "T6", "T7"]
+    assert payload["cartan"]["blocks"] == [[[2, 1], [1, 2]], [[2, 1], [1, 2]], [[1]], [[1]]]
+    assert payload["decomposition"]["support"] == [[2], [1, 3], [0, 4], [5], [4, 6], [3, 7]]
+    assert payload["decomposition"]["weyl_count"] == 8
+    assert all("projective_coeffs" not in entry for entry in payload["fpdim"])
     assert payload["verification"]["all_passed"] is True
 
 
@@ -372,7 +376,7 @@ def test_a_failed_check_in_a_valid_record_is_printed_and_exits_1(tmp_path):
         assert line in text.output.splitlines()
         doc = invoke(runner, *args, "--format", "json")
         assert doc.exit_code == 1, doc.output
-        assert json.loads(doc.output) == {"schema_version": 1, "kind": kind, "payload": payload}
+        assert json.loads(doc.output) == {"schema_version": 2, "kind": kind, "payload": payload}
     assert "FAILURES PRESENT" in text.output
     assert target.read_text() == planted
 
@@ -500,6 +504,30 @@ def _set(path, value):
     return mutate
 
 
+def _pop(path):
+    """Drop the last item of the list at `path`."""
+
+    def mutate(record):
+        for k in path:
+            record = record[k]
+        record.pop()
+
+    return mutate
+
+
+def _dense_cartan(record):
+    """The Cartan matrix in the dense shape of the previous record."""
+    rows = record["cartan"]["rows"]
+    entries = [[0] * len(rows) for _ in rows]
+    at = {label: r for r, label in enumerate(rows)}
+    for block, M in zip(record["blocks"], record["cartan"]["blocks"]):
+        idx = [at[f"T{s}"] for s in block["projectives"]]
+        for r, row in zip(idx, M):
+            for c, v in zip(idx, row):
+                entries[r][c] = v
+    record["cartan"] = {"rows": rows, "cols": rows, "entries": entries}
+
+
 @pytest.mark.parametrize(
     "command, mutate",
     [
@@ -512,18 +540,30 @@ def _set(path, value):
         pytest.param("fuse", _set(["steinberg", 1], 5), id="fuse-int-pair"),
         ("ext1", _set(["ext1"], None)),
         pytest.param("ext1", _set(["ext1", 0], 1), id="ext1-int-pair"),
-        ("decomp", _set(["decomposition", "entries", 0, 0], "1")),
+        ("decomp", _set(["decomposition", "support", 0, 0], "1")),
+        pytest.param("cartan", _set(["cartan", "blocks", 0], [[2]]), id="cartan-block-row-count"),
+        pytest.param("cartan", _pop(["cartan", "blocks"]), id="cartan-block-missing"),
+        pytest.param("fuse", _pop(["cartan", "blocks"]), id="fuse-cartan-block-missing"),
+        pytest.param("decomp", _set(["decomposition", "support", 1, 0], 26), id="decomp-support-too-large"),
+        pytest.param("decomp", _set(["decomposition", "support", 1, 0], -1), id="decomp-support-negative"),
+        pytest.param("report", _pop(["fpdim", 4, "simple_coeffs"]), id="report-fpdim-terms-unequal"),
+        pytest.param("cartan", _dense_cartan, id="cartan-dense-entries"),
+        pytest.param("table", _dense_cartan, id="table-dense-entries"),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mutate):
     """A file that matches the request but lacks a key a command reads, or
-    holds it with the wrong type, is a miss: the command prints its cold
-    output and rewrites the file."""
+    holds it with the wrong type or shape (a Cartan block too few or of the
+    wrong size, a Weyl column out of range, FPdim terms of unequal lengths,
+    the dense Cartan matrix of the previous record), is a miss: the command
+    prints its cold output and rewrites the file."""
     runner = run_cli
     args = [command, "-p", "3", "-n", "3", "--cache-dir", str(tmp_path)]
     if command == "fuse":
         args += ["-a", "4", "-b", "7"]
+    if command == "table":
+        args += ["--even-only"]
     cold = invoke(runner, *args)
     assert cold.exit_code == 0, cold.output
     target = tmp_path / f"verpn_3_3_v{cli.CACHE_VERSION}.json"

@@ -4,7 +4,8 @@
 record of their category.  Each document here is rebuilt from
 `catalog.category`, `digits.decomposition_matrix` and
 `grring.fold_projectives` instead, and the command's stdout must equal it
-in json and in text.
+in json and in text.  The block-sparse record itself, read back from its
+file, must expand to the same matrices and FP dimensions.
 """
 
 import functools
@@ -147,3 +148,38 @@ def test_every_view_prints_the_library_document(cache, cached_classes, p, n):
             result = run_cli(argv)
             assert result.exit_code == 0, (argv, result.output)
             assert result.output == body, argv
+
+
+ROUND_TRIP = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p, n", ROUND_TRIP, ids=lambda v: str(v))
+def test_the_block_sparse_record_holds_the_library_matrices(tmp_path, p, n):
+    """The written record, read back, expands to the context's Cartan
+    matrix, the descendant decomposition matrix and the nonzero terms of
+    each FPdim L_i."""
+    import numpy as np
+
+    cold = cli.load_or_build(p, n, str(tmp_path), 100, 0)
+    record = cli.load_or_build(p, n, str(tmp_path), 100, 0)
+    assert record == cold
+    cat = catalog.category(p, n)
+    rows = [f"T{i}" for i in cat.rows]
+    assert record["cartan"]["rows"] == rows
+    full = np.zeros((len(rows), len(rows)), dtype=object)
+    for block, M in zip(record["blocks"], record["cartan"]["blocks"], strict=True):
+        idx = [rows.index(f"T{s}") for s in block["projectives"]]
+        assert np.array(M).shape == (len(idx), len(idx))
+        full[np.ix_(idx, idx)] = M
+    assert (full == cat.cartan).all()
+
+    dec = record["decomposition"]
+    assert dec["rows"] == rows and dec["weyl_count"] == p**n - 1
+    D = digits.decomposition_matrix(p, n)
+    assert dec["support"] == [np.flatnonzero(row).tolist() for row in D]
+
+    assert [e["label"] for e in record["fpdim"]] == list(cat.simples)
+    for entry, fs in zip(record["fpdim"], cat.fpdim_simples, strict=True):
+        terms = [(e, c) for e, c in enumerate(fs.coeffs) if c]
+        assert list(zip(entry["simple_exponents"], entry["simple_coeffs"])) == terms
+        assert "projective_coeffs" not in entry

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verkit
-from verkit.charring import SymChar, dim_at_one, frobenius_twist, mul, weyl_char, weyl_expand
+from verkit.charring import SymChar, dim_at_one, frobenius_twist, inner, mul, weyl_char, weyl_expand
 from verkit.digits import descendants
 from verkit.errors import (
     InvalidCategory,
@@ -114,6 +114,17 @@ def test_hom_dim():
             for j in range(8):
                 assert hom_dim(p, i, j) == hom_dim(p, j, i)
             assert hom_dim(p, i, i) >= 1
+
+
+def test_hom_dim_from_weyl_rows_equals_the_inner_product_of_characters():
+    rng = random.Random(25)
+    for _ in range(400):
+        p, i, j = rng.choice((2, 3, 5, 7)), rng.randrange(300), rng.randrange(300)
+        assert hom_dim(p, i, j) == inner(tilting_char(p, i), tilting_char(p, j)), (p, i, j)
+    assert hom_dim(3, 2185, 2183) == inner(tilting_char(3, 2185), tilting_char(3, 2183))
+    for call in (lambda: hom_dim(3, -1, 2), lambda: hom_dim(3, 2, -1)):
+        with pytest.raises(OutOfRange):
+            call()
 
 
 def test_invariant_dims_small():

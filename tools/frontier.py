@@ -1,17 +1,29 @@
-"""Cold frontier builds: build time, per-check seconds and peak RSS.
+"""Cold frontier builds and cache records: build time, per-check seconds,
+record bytes, warm re-reads and peak RSS.
 
     python tools/frontier.py --tree parent=../old --tree change=. --out BENCH.json
 
-Each (category, tree) pair runs `catalog.build(p, n)` once in a fresh
-Python process whose PYTHONPATH is the tree's src/.  The child imports
-verkit.catalog before the clock starts, so the build time excludes imports,
-and it reports its own peak RSS from getrusage.  Per-check seconds come from
-`Check.seconds` and are null for a tree whose checks do not record them.
-`verify_all` runs first in `build` and its checks compute the context
-quantities they need (the stable ring and the FP dimensions among them), so
-`outside_checks_s` is the rest: the context set-up before `verify_all` and
-the record's assembly after it (the decomposition matrix, the simples'
-dimensions, values the checks already cached).
+Each (category, tree) pair runs `cli.load_or_build(p, n)` on an empty cache
+directory once in a fresh Python process whose PYTHONPATH is the tree's
+src/, then once more on the written file in a second fresh process.  Each
+child imports what it times before its clock starts, so the seconds exclude
+imports, and reports its own peak RSS from getrusage.
+
+The cold child times `catalog.build` inside `load_or_build` (the command
+line reads it as a module attribute at call time) and records:
+  - build_s, and peak_rss_mb when the build returns;
+  - record_s: the cold `load_or_build` seconds beyond `catalog.build`, the
+    payload's assembly and the file's write;
+  - record_bytes, and record_peak_rss_mb when the file is written.
+The warm child records warm_read_s and warm_peak_rss_mb of the re-read, and
+warm_hit: whether it served the file without loading `catalog`.
+Per-check seconds come from `Check.seconds` and are null for a tree whose
+checks do not record them.  `verify_all` runs first in `build` and its
+checks compute the context quantities they need (the stable ring and the FP
+dimensions among them), so `outside_checks_s` is the rest: the context
+set-up before `verify_all` and the record's assembly after it (the
+decomposition supports, the simples' dimensions, values the checks already
+cached).
 The rungs climb toward the 2000-simple bound: Ver_343, Ver_729, Ver_1024,
 Ver_1331, Ver_1849, Ver_2048 and Ver_2187.  Runs go one at a time, rungs in
 order, trees alternating.
@@ -26,16 +38,32 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 
 RUNGS = [(7, 3), (3, 6), (2, 10), (11, 3), (43, 2), (2, 11), (3, 7)]
 
-CHILD = """
-import json, resource, sys, time
-from verkit import catalog
-p, n = int(sys.argv[1]), int(sys.argv[2])
+COLD = """
+import json, os, resource, sys, time
+from verkit import catalog, cli, cyclo
+p, n, cache = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+
+def mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+built = {}
+build = catalog.build
+
+def timed_build(*args, **kwargs):
+    t0 = time.perf_counter()
+    data = build(*args, **kwargs)
+    built.update(s=time.perf_counter() - t0, mb=mb(), data=data)
+    return data
+
+catalog.build = timed_build
 t0 = time.perf_counter()
-data = catalog.build(p, n)
-build_s = time.perf_counter() - t0
+cli.load_or_build(p, n, cache, 100, 0)
+total_s = time.perf_counter() - t0
+data, build_s = built["data"], built["s"]
 checks = data.verification.checks
 timed = all(hasattr(c, "seconds") for c in checks)
 print(json.dumps({
@@ -43,19 +71,45 @@ print(json.dumps({
     "all_passed": data.verification.all_passed,
     "check_s": {c.name: round(c.seconds, 4) for c in checks} if timed else None,
     "outside_checks_s": round(build_s - sum(c.seconds for c in checks), 3) if timed else None,
-    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "peak_rss_mb": built["mb"],
+    "record_s": round(total_s - build_s, 3),
+    "record_bytes": sum(os.path.getsize(os.path.join(cache, f)) for f in os.listdir(cache)),
+    "record_peak_rss_mb": mb(),
+}))
+"""
+
+WARM = """
+import json, resource, sys, time
+from verkit import cli
+p, n, cache = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+t0 = time.perf_counter()
+cli.load_or_build(p, n, cache, 100, 0)
+warm_s = time.perf_counter() - t0
+print(json.dumps({
+    "warm_read_s": round(warm_s, 3),
+    "warm_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "warm_hit": "verkit.catalog" not in sys.modules,
 }))
 """
 
 
-def run_one(src: str, p: int, n: int) -> dict:
+def _child(code: str, src: str, *args) -> dict:
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(p), str(n)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True
     )
     if done.returncode:
         return {"error": done.stderr.strip().splitlines()[-1:]}
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_one(src: str, p: int, n: int) -> dict:
+    """The cold child's row, then the warm child's on the file it wrote."""
+    with tempfile.TemporaryDirectory() as cache:
+        row = _child(COLD, src, p, n, cache)
+        if "error" not in row:
+            row.update(_child(WARM, src, p, n, cache))
+    return row
 
 
 def main() -> None:
@@ -72,7 +126,10 @@ def main() -> None:
             print(f"Ver_{p**n} {label}: {json.dumps(row[label])}", file=sys.stderr, flush=True)
         results.append(row)
     doc = {
-        "what": "cold catalog.build per category, one fresh process each, imports excluded",
+        "what": (
+            "cold cli.load_or_build per category (catalog.build, then the record written), "
+            "then a warm re-read; one fresh process each, imports excluded"
+        ),
         "date": datetime.date.today().isoformat(),
         "host": {
             "machine": platform.machine(),
