@@ -10,8 +10,11 @@ consistency check as a named entry of a VerificationReport, with the
 seconds each took.  Checks collect failures instead of aborting so a
 regression produces a full differential report.
 
-The Cartan matrix is block diagonal, one block per block of the category,
-and the exact linear algebra runs block by block.  Each solve block has one
+Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
+entry}}; the checks read the descendant route's, or dense blocks of them,
+so a passing build forms no k x k array.  The Cartan matrix is block
+diagonal, one block per block of the category, and the exact linear
+algebra runs block by block.  Each solve block has one
 record, `SolveBlock`: one fraction-free elimination gives its leading
 minors for definiteness and its determinant, and one elimination mod p its
 rank.  The stable ring, the Cartan cokernel (Z/p)^(p^(n-1)-1), is read from
@@ -41,7 +44,6 @@ from . import digits
 from .errors import PrecisionExceeded, UnsupportedPrime, check_category, check_pn
 from .errors import is_prime  # re-exported
 from .linalg import (
-    check_int64_products,
     definiteness_witness,
     det,
     minors_and_det,
@@ -105,8 +107,14 @@ class CategoryContext:
         return MappingProxyType({s: digits.simple_of_projective(p, n, s) for s in self.rows})
 
     @cached_property
+    def cartan_rows(self) -> Mapping[int, Mapping[int, int]]:
+        """The descendant route's Cartan rows, which every check reads."""
+        return digits.cartan_descendant_rows(self.p, self.n)
+
+    @cached_property
     def cartan(self) -> np.ndarray:
-        cartan = digits.cartan_descendant(self.p, self.n)
+        """Read-only dense view of `cartan_rows` over `rows`; no check reads it."""
+        cartan = digits.dense_matrix(self.cartan_rows, self.rows)
         cartan.flags.writeable = False
         return cartan
 
@@ -115,9 +123,8 @@ class CategoryContext:
         return tuple(tuple(b) for b in digits.block_partition(self.p, self.n))
 
     def block_cartan(self, block) -> np.ndarray:
-        """Cartan submatrix on the given projectives."""
-        idx = [self.rows.index(s) for s in block]
-        return self.cartan[np.ix_(idx, idx)]
+        """Cartan submatrix on the given projectives, from `cartan_rows`."""
+        return digits.dense_matrix(self.cartan_rows, block)
 
     @cached_property
     def block_dets(self) -> Mapping[tuple[int, ...], int]:
@@ -132,22 +139,29 @@ class CategoryContext:
     def block_diagonal_witness(self) -> str:
         """"" when the blocks partition the Cartan rows and every entry off
         the blocks is zero; otherwise the first offence found."""
-        owner = np.full(len(self.rows), -1)
+        owner: dict[int, int] = {}
         for b, block in enumerate(self.blocks):
             for s in block:
                 if s not in self.rows:
                     return f"T{s} of block {b} is no Cartan row"
-                a = self.rows.index(s)
-                if owner[a] >= 0:
-                    return f"T{s} lies in blocks {owner[a]} and {b}"
-                owner[a] = b
-        missing = np.flatnonzero(owner < 0)
-        if missing.size:
-            return f"T{self.rows[missing[0]]} lies in no block"
-        off = np.argwhere((owner[:, None] != owner[None, :]) & (self.cartan != 0))
-        if off.size:
-            return "nonzero off-block entry at ({}, {})".format(*off[0])
-        return ""
+                if s in owner:
+                    return f"T{s} lies in blocks {owner[s]} and {b}"
+                owner[s] = b
+        missing = [s for s in self.rows if s not in owner]
+        if missing:
+            return f"T{missing[0]} lies in no block"
+        off = self.first_entry(lambda s, t, c: owner[s] != owner[t])
+        return "" if off is None else "nonzero off-block entry at ({}, {})".format(*off)
+
+    def first_entry(self, offends) -> tuple[int, int] | None:
+        """Positions in `rows` of the first nonzero Cartan entry c at (T_s,
+        T_t), row-major, with offends(s, t, c); None if there is none."""
+        pos = {s: a for a, s in enumerate(self.rows)}
+        for a, s in enumerate(self.rows):
+            cols = [pos[t] for t, c in self.cartan_rows[s].items() if offends(s, t, c)]
+            if cols:
+                return a, min(cols)
+        return None
 
     @cached_property
     def solve_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -189,21 +203,9 @@ class CategoryContext:
         )
 
     @cached_property
-    def ext1_matrix(self) -> np.ndarray | None:
-        """Boolean matrix of Ext^1(L_a, L_b) != 0 over all simples; None at p=2."""
-        if self.p == 2:
-            return None
-        ext1 = digits.ext1_matrix(self.p, self.n)
-        ext1.flags.writeable = False
-        return ext1
-
-    @cached_property
     def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
         """Pairs a < b of simples with Ext^1(L_a, L_b) != 0; None at p=2."""
-        if self.ext1_matrix is None:
-            return None
-        a, b = np.nonzero(np.triu(self.ext1_matrix, 1))
-        return tuple(zip(a.tolist(), b.tolist()))
+        return None if self.p == 2 else digits.ext1_edges(self.p, self.n)
 
     @cached_property
     def tilting_classes(self) -> tuple[Mapping[int, int], ...]:
@@ -302,7 +304,8 @@ class CategoryData:
     """The record of Ver_{p^n}; fields shared with its context are read-only.
 
     `decomposition` holds, per Cartan row T_i, the increasing Weyl columns j
-    with d_ij = 1: those where j + 1 is a descendant of i + 1.
+    with d_ij = 1: those where j + 1 is a descendant of i + 1.  `cartan` is
+    the context's `cartan_rows`.
     """
 
     p: int
@@ -312,7 +315,7 @@ class CategoryData:
     proj_of_simple: tuple[int, ...]
     simple_of_proj: Mapping[int, int]
     decomposition: tuple[tuple[int, ...], ...]
-    cartan: np.ndarray
+    cartan: Mapping[int, Mapping[int, int]]
     blocks: tuple[tuple[int, ...], ...]
     block_dets: dict[tuple[int, ...], int]
     dims: dict[int, int]
@@ -324,20 +327,23 @@ class CategoryData:
     verification: VerificationReport
 
 
-def cartan_character(p: int, n: int) -> np.ndarray:
-    """Cartan matrix through tilting characters: D D^T with D from Weyl rows.
-
-    D is int64; PrecisionExceeded is raised before a product could overflow.
-    """
-    rows = list(digits.projective_range(p, n))
-    cols = p**n - 1
-    D = np.zeros((len(rows), cols), dtype=np.int64)
-    for a, i in enumerate(rows):
-        for j, c in digits.extended_decomposition_row(p, n, i).items():
-            D[a, j] = c
-    top = int(np.abs(D).max())
-    check_int64_products(top, top, cols, "Cartan character product")
-    return D @ D.T
+def cartan_character(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
+    """Cartan matrix through tilting characters, D D^T with D from Weyl rows,
+    as read-only rows {T label: {T label: nonzero entry}}: summed per Weyl
+    column over the rows that hold it, in Python integers; no block is
+    assumed.  It shares no code with the descendant route, of like shape."""
+    rows = digits.projective_range(p, n)
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for s in rows:
+        for j, c in digits.extended_decomposition_row(p, n, s).items():
+            holders.setdefault(j, []).append((s, c))
+    out: dict[int, dict[int, int]] = {s: {} for s in rows}
+    for column in holders.values():
+        for s, c in column:
+            row = out[s]
+            for t, d in column:
+                row[t] = row.get(t, 0) + c * d
+    return digits.read_only_rows(out)
 
 
 def block_size_classes(p: int, n: int) -> dict[int, int]:
@@ -355,16 +361,6 @@ def expected_block_det(p: int, n: int, block: list[int]) -> int:
         return 1
     m = n - 1 - tz
     return p ** (p ** (m - 1))
-
-
-def block_cartan_dets(p: int, n: int) -> dict[tuple[int, ...], int]:
-    """Exact determinant of each block's Cartan submatrix."""
-    return dict(category(p, n).block_dets)
-
-
-def stable_gr(p: int, n: int) -> dict:
-    """Additive invariants of the stable Grothendieck ring: Cartan cokernel."""
-    return dict(category(p, n).stable)
 
 
 def _definiteness_witness(ctx: CategoryContext) -> str:
@@ -395,13 +391,19 @@ def _stable_witness(ctx: CategoryContext) -> str:
     return ""
 
 
-def _brauer_line(size: int) -> np.ndarray:
-    M = np.zeros((size, size), dtype=object)
-    for i in range(size):
-        M[i, i] = 2
-        if i + 1 < size:
-            M[i, i + 1] = M[i + 1, i] = 1
-    return M
+def _routes_witness(routes: Mapping[str, Mapping[int, Mapping[int, int]]]) -> str:
+    """"" when every route gives the same Cartan rows; else the first entry,
+    in label order, where they differ, and each route's value there."""
+    rows = list(routes.values())
+    if all(r == rows[0] for r in rows):
+        return ""
+    for s in sorted(set().union(*rows)):
+        found = [r.get(s, {}) for r in rows]
+        for t in sorted(set().union(*found)):
+            values = [row.get(t, 0) for row in found]
+            if len(set(values)) > 1:
+                return f"(T{s}, T{t}): " + ", ".join(f"{name} {v}" for name, v in zip(routes, values))
+    return ""
 
 
 def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> VerificationReport:
@@ -414,32 +416,26 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     grring.check_samples(samples)
     report = VerificationReport()
     ctx = category(p, n)
-    rows = ctx.rows
-    cartan = ctx.cartan
 
     # Definiteness, det_total and the stable ring run on ctx.solve_blocks,
     # which are the category's blocks only when this check passes.
     witness = ctx.block_diagonal_witness
     report.add("cartan_block_diagonal", not witness, witness)
 
-    routes_char = cartan_character(p, n)
-    routes_kron = digits.cartan_kronecker(p, n)
-    agree = (cartan == routes_char).all() and (cartan == routes_kron).all()
-    report.add("cartan_routes_agree", agree, "" if agree else "routes disagree")
+    kron, char = digits.cartan_kronecker_rows(p, n), cartan_character(p, n)
+    witness = _routes_witness({"descendant": ctx.cartan_rows, "kronecker": kron, "character": char})
+    report.add("cartan_routes_agree", not witness, witness)
 
     witness = _definiteness_witness(ctx)
     report.add("cartan_symmetric_posdef", not witness, witness)
 
-    bad = np.argwhere(~np.isin(cartan, [0] + [2**m for m in range(n)]))
-    witness = f"entry at {tuple(bad[0].tolist())}" if bad.size else ""
-    report.add("entries_powers_of_two", not bad.size, witness)
+    powers = {2**m for m in range(n)}
+    bad = ctx.first_entry(lambda s, t, c: c not in powers)
+    report.add("entries_powers_of_two", bad is None, "" if bad is None else "entry at ({}, {})".format(*bad))
 
-    unit = ctx.rows.index(ctx.proj_of_simple[0])
-    report.add(
-        "unit_diagonal_entry",
-        int(cartan[unit, unit]) == 2 ** (n - 1),
-        f"got {int(cartan[unit, unit])}",
-    )
+    unit = ctx.proj_of_simple[0]
+    entry = ctx.cartan_rows[unit].get(unit, 0)
+    report.add("unit_diagonal_entry", entry == 2 ** (n - 1), f"got {entry}")
 
     simples = list(digits.simple_range(p, n))
     report.add("simple_count", len(simples) == p ** (n - 1) * (p - 1))
@@ -474,9 +470,10 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     if n >= 2:
         ok = True
         witness = ""
+        line = 2 * np.eye(p - 1, dtype=int) + np.eye(p - 1, k=1, dtype=int) + np.eye(p - 1, k=-1, dtype=int)
         for block in blocks:
             if expected_block_det(p, n, block) == p and len(block) == p - 1:
-                if (ctx.block_cartan(block) != _brauer_line(p - 1)).any():
+                if (ctx.block_cartan(block) != line).any():
                     ok = False
                     witness = f"block {list(block)}"
         report.add("p2_nonsemisimple_block_is_brauer_line", ok, witness)
@@ -526,14 +523,14 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     # The Ext^1 digit rule and the tilting-route check need odd p; at p = 2
     # the report lists neither.
     if p > 2:
-        asym = np.argwhere(ctx.ext1_matrix != ctx.ext1_matrix.T)
-        report.add("ext1_symmetric", not len(asym), "({},{})".format(*asym[0]) if len(asym) else "")
+        asym = [(a, b) for a, b in ctx.ext1_edges if not digits.ext1(p, n, a, b) == digits.ext1(p, n, b, a) == 1]
+        report.add("ext1_symmetric", not asym, "({},{})".format(*asym[0]) if asym else "")
         key = [digits.block_key(p, n, s) for s in ctx.proj_of_simple]
         across = [(a, b) for a, b in ctx.ext1_edges if key[a] != key[b]]
         report.add("ext1_within_blocks", not across, "({},{})".format(*across[0]) if across else "")
 
     bij = all(ctx.simple_of_proj[ctx.proj_of_simple[i]] == i for i in simples) and all(
-        ctx.proj_of_simple[ctx.simple_of_proj[s]] == s for s in rows
+        ctx.proj_of_simple[ctx.simple_of_proj[s]] == s for s in ctx.rows
     )
     report.add("steinberg_bijection", bij)
 
@@ -575,7 +572,7 @@ def build(p: int, n: int, samples: int = 100, seed: int = 0) -> CategoryData:
         decomposition=tuple(
             tuple(sorted(b - 1 for b in digits.descendants(i + 1, p, n))) for i in ctx.rows
         ),
-        cartan=ctx.cartan,
+        cartan=ctx.cartan_rows,
         blocks=ctx.blocks,
         block_dets=dict(ctx.block_dets),
         dims={i: cyclo.dim_simple(p, n, i)[0] for i in simples},

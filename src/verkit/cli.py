@@ -158,7 +158,6 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
     """
     p, n = data.p, data.n
     rows = [f"T{i}" for i in data.projectives]
-    row_of = {s: r for r, s in enumerate(data.projectives)}
     fpdim = []
     for i, fs, (xs, xp) in zip(data.simples, data.fpdim_simples, data.fpdim_numeric):
         terms = [(e, c) for e, c in enumerate(fs.coeffs) if c]
@@ -171,10 +170,7 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
                 "projective_numeric": _nstr(xp),
             }
         )
-    cartan_blocks = []
-    for block in data.blocks:
-        idx = [row_of[s] for s in block]
-        cartan_blocks.append([[int(v) for v in row] for row in data.cartan[idx][:, idx].tolist()])
+    cartan_blocks = [[[data.cartan[s].get(t, 0) for t in block] for s in block] for block in data.blocks]
     return {
         "p": p,
         "n": n,

@@ -12,7 +12,8 @@ Descendants drive everything here:
 
 A second, independent construction of the Cartan matrix peels the least
 significant digit and takes Kronecker products of fixed p x p matrices; the
-two (plus the character route in `tilting`) must agree exactly.
+two (plus the character route in `catalog`) must agree exactly.  Both give
+sparse rows; `cartan_descendant` and `cartan_kronecker` are dense views.
 
 numpy is imported only inside the functions that return arrays, so the
 digit rules themselves load without it.
@@ -20,6 +21,8 @@ digit rules themselves load without it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import OutOfRange, UnsupportedPrime, _decimal
@@ -99,40 +102,49 @@ def extended_decomposition_row(p: int, n: int, i: int) -> dict[int, int]:
     return {i - 2 * k: c for k, c in _weyl_row(p, i)}
 
 
-def cartan_descendant(p: int, n: int) -> np.ndarray:
-    """Cartan matrix: entry (i, j) counts common descendants of i+1, j+1."""
+def read_only_rows(rows: dict[int, dict[int, int]]) -> Mapping[int, Mapping[int, int]]:
+    """The sparse rows {label: {label: entry}} behind read-only mappings."""
+    return MappingProxyType({s: MappingProxyType(row) for s, row in rows.items()})
+
+
+def dense_matrix(rows: Mapping[int, Mapping[int, int]], labels) -> np.ndarray:
+    """The object matrix of sparse rows on `labels`, in that order."""
     import numpy as np
 
-    rows = projective_range(p, n)
-    desc = [descendants(i + 1, p, n) for i in rows]
-    size = len(rows)
-    mat = np.zeros((size, size), dtype=object)
-    for a in range(size):
-        for b in range(a, size):
-            c = len(desc[a] & desc[b])
-            mat[a, b] = c
-            mat[b, a] = c
+    pos = {s: a for a, s in enumerate(labels)}
+    mat = np.zeros((len(pos), len(pos)), dtype=object)
+    for s, a in pos.items():
+        for t, c in rows[s].items():
+            if t in pos:
+                mat[a, pos[t]] = c
     return mat
 
 
-def _kron_base_matrices(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    import numpy as np
+def cartan_descendant_rows(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
+    """Cartan matrix as read-only rows {T label: {T label: nonzero entry}}:
+    entry (i, j) counts common descendants of i+1 and j+1.  Each descendant
+    value adds one to every pair of the rows that hold it; no block is assumed."""
+    holders: dict[int, list[int]] = {}
+    for s in projective_range(p, n):
+        for v in descendants(s + 1, p, n):
+            holders.setdefault(v, []).append(s)
+    rows: dict[int, dict[int, int]] = {s: {} for s in projective_range(p, n)}
+    for group in holders.values():
+        for s in group:
+            row = rows[s]
+            for t in group:
+                row[t] = row.get(t, 0) + 1
+    return read_only_rows(rows)
 
-    A = np.zeros((p, p), dtype=object)
-    B = np.zeros((p, p), dtype=object)
-    S = np.zeros((p, p), dtype=object)
-    D = np.zeros((p, p), dtype=object)
-    for i in range(p):
-        D[i, i] = 1 if i == 0 else 2
-        for j in range(p):
-            A[i, j] = int(i == j - 1) + int(i == j + 1)
-            B[i, j] = int(i + j == p - 1) + int(i + j == p + 1)
-            S[i, j] = int(i + j == p)
-    return A, B, S, D
+
+def cartan_descendant(p: int, n: int) -> np.ndarray:
+    """Dense view of `cartan_descendant_rows`, rows in highest-weight order."""
+    return dense_matrix(cartan_descendant_rows(p, n), projective_range(p, n))
 
 
-def cartan_kronecker(p: int, n: int) -> np.ndarray:
-    """Cartan matrix by the digit-peeling Kronecker recursion.
+def cartan_kronecker_rows(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
+    """Cartan matrix by the digit-peeling Kronecker recursion, as read-only
+    rows {T label: {T label: nonzero entry}}.
 
     The pair (X, Z) starts at (Id_{p-1}, A restricted to nonzero digits) over
     one-digit labels and evolves by
@@ -141,25 +153,35 @@ def cartan_kronecker(p: int, n: int) -> np.ndarray:
 
     where the left Kronecker factor addresses the appended least significant
     digit: the row of kron(D, X) at position (d, a') describes the label
-    a'*p + d.  After n-1 steps X is the Cartan matrix in that mixed order;
-    rows and columns are then sorted into highest-weight order so the result
-    is directly comparable with cartan_descendant.  The same base matrices
-    work at p=2, where X and Z collapse to the 1x1 blocks (1) and (0).
+    a'*p + d, so after n-1 steps X holds the row of T_(label - 1) at each
+    label; no block is assumed.  The base matrices are held as their nonzero
+    (i, j, entry); at p=2, X and Z start as (1) and (0).
     """
-    import numpy as np
+    A = [(i, j, 1) for i in range(p) for j in (i - 1, i + 1) if 0 <= j < p]
+    B = [(i, j, 1) for i in range(p) for j in (p - 1 - i, p + 1 - i) if 0 <= j < p]
+    S = [(i, p - i, 1) for i in range(1, p)]
+    D = [(i, i, 1 if i == 0 else 2) for i in range(p)]
 
-    A, B, S, D = _kron_base_matrices(p)
-    X = np.eye(p - 1, dtype=object)
-    Z = A[1:, 1:].copy()
-    labels = list(range(1, p))
+    def kron(*terms):
+        out: dict[int, dict[int, int]] = {}
+        for base, M in terms:
+            for d1, d2, c in base:
+                for a1, row in M.items():
+                    target = out.setdefault(a1 * p + d1, {})
+                    for a2, x in row.items():
+                        target[a2 * p + d2] = target.get(a2 * p + d2, 0) + c * x
+        return out
+
+    X = {a: {a: 1} for a in range(1, p)}
+    Z = {a: {j: c for i, j, c in A if i == a and j} for a in range(1, p)}
     for _ in range(n - 1):
-        X, Z = (
-            np.kron(D, X) + np.kron(S, Z),
-            np.kron(2 * A, X) + np.kron(B, Z),
-        )
-        labels = [a * p + d for d in range(p) for a in labels]
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    return X[np.ix_(order, order)]
+        X, Z = kron((D, X), (S, Z)), kron(([(i, j, 2 * c) for i, j, c in A], X), (B, Z))
+    return read_only_rows({a - 1: {b - 1: c for b, c in row.items()} for a, row in X.items()})
+
+
+def cartan_kronecker(p: int, n: int) -> np.ndarray:
+    """Dense view of `cartan_kronecker_rows`, rows in highest-weight order."""
+    return dense_matrix(cartan_kronecker_rows(p, n), projective_range(p, n))
 
 
 def donkin_split(p: int, m: int) -> tuple[int, int]:
@@ -241,34 +263,24 @@ def ext1(p: int, n: int, a: int, b: int) -> int:
     return 0
 
 
-def ext1_matrix(p: int, n: int) -> np.ndarray:
-    """Boolean k x k matrix of Ext^1(L_a, L_b) != 0 over all simples, p odd.
-
-    The rule of `ext1` on every pair at once: digits are held in the
-    narrowest signed dtype that fits 2p, and each step compares one digit
-    position across all pairs, so at most a few k x k arrays are alive.
-    """
-    import numpy as np
-
+def ext1_edges(p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Pairs a < b of simples with Ext^1(L_a, L_b) != 0, p odd, in order: the
+    rule of `ext1`, generated from each a.  Such b differs from a in two
+    adjacent digits only, the upper one by +-1 and the lower one a_lo becoming
+    p-2-a_lo (not a_lo, as p-2 is odd); b's leading digit is at most p-2."""
     if p == 2:
         raise UnsupportedPrime("Ext^1 digit rule is only defined for odd p")
-    k = p ** (n - 1) * (p - 1)
-    labels = np.arange(k)
-    dtype = np.min_scalar_type(-2 * p)
-    digits = [(labels // p ** (n - 1 - t) % p).astype(dtype) for t in range(n)]
-    differing = np.zeros((k, k), dtype=np.uint8)
-    adjacent = np.zeros((k, k), dtype=bool)
-    prev = None
-    for t, d in enumerate(digits):
-        col, row = d[:, None], d[None, :]
-        neq = col != row
-        differing += neq
-        if t:
-            hi = digits[t - 1]
-            step = np.abs(hi[:, None] - hi[None, :]) == 1
-            adjacent |= prev & step & neq & (col + row == p - 2)
-        prev = neq
-    return adjacent & (differing == 2)
+    edges = []
+    for a in simple_range(p, n):
+        da = to_digits(a, p, n)
+        above = []
+        for hi in range(n - 1):
+            lo, top = da[hi + 1], p - 2 if hi == 0 else p - 1
+            for up in (-1, 1):
+                if lo <= p - 2 and 0 <= da[hi] + up <= top:
+                    above.append(a + up * p ** (n - 1 - hi) + (p - 2 - 2 * lo) * p ** (n - 2 - hi))
+        edges += [(a, b) for b in sorted(above) if b > a]
+    return tuple(edges)
 
 
 def frobenius_on_simple(p: int, n: int, i: int):

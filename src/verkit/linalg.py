@@ -35,9 +35,8 @@ determine the Smith form.  The test suite keeps the full-matrix calls, and
 results must reproduce.
 
 Integer work in int64 instead (`rank_mod_p` here, and in other modules
-the character route to the Cartan matrix, `C d = p` and the Chebyshev
-recurrence) first calls `check_int64_products`, which raises before any
-sum of products could overflow.
+`C d = p` and the Chebyshev recurrence) first calls `check_int64_products`,
+which raises before any sum of products could overflow.
 """
 
 from __future__ import annotations
@@ -132,12 +131,6 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
                 return f"leading minor {j} = {minor}"
             return f"principal minor on rows {list(rows[:j])} = {minor}"
     return ""
-
-
-def is_positive_definite(M: np.ndarray) -> bool:
-    """Sylvester criterion on an integer matrix: symmetric, with every
-    leading principal minor positive."""
-    return definiteness_witness(M) == ""
 
 
 def rank_mod_p(M: np.ndarray, p: int) -> int:

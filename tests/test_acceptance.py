@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 
 from verkit import cyclo, digits, grring, tilting
-from verkit.catalog import block_cartan_dets, cartan_character, expected_block_det
+from verkit.catalog import cartan_character, category, expected_block_det
 from verkit.cli import fold_text
 from verkit.linalg import det, permutation_equivalent, smith_normal_form
 
@@ -217,7 +217,7 @@ def test_criterion_05_cartan_route_agreement():
     start = time.perf_counter()
     for p, n in PN_SET:
         a = digits.cartan_descendant(p, n)
-        b = cartan_character(p, n)
+        b = digits.dense_matrix(cartan_character(p, n), digits.projective_range(p, n))
         c = digits.cartan_kronecker(p, n)
         assert (a == b).all(), (p, n)
         assert (a == c).all(), (p, n)
@@ -230,7 +230,7 @@ def test_criterion_06_determinants():
     for p, n in PN_SET:
         C = digits.cartan_descendant(p, n)
         assert det(C) == p ** (p ** (n - 1) - 1), (p, n)
-        for block, d in block_cartan_dets(p, n).items():
+        for block, d in category(p, n).block_dets.items():
             assert d == expected_block_det(p, n, list(block)), (p, n, block)
     print(f"criterion 6: total and per-block determinants exact on {len(PN_SET)} categories")
 

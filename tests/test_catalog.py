@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from verkit import catalog, cli, cyclo, digits, errors, grring
 from verkit.catalog import (
-    block_cartan_dets,
     build,
     cartan_character,
     expected_block_det,
     is_prime,
-    stable_gr,
     verify_all,
 )
 from verkit.digits import cartan_descendant
@@ -33,8 +31,8 @@ from verkit.errors import (
     UnsupportedPrime,
 )
 from verkit.linalg import (
+    definiteness_witness,
     det,
-    is_positive_definite,
     leading_principal_minors,
     permutation_equivalent,
     smith_normal_form,
@@ -164,9 +162,9 @@ def test_det_examples():
 
 
 def test_positive_definite():
-    assert is_positive_definite(np.array([[2, 1], [1, 2]], dtype=object))
-    assert not is_positive_definite(np.array([[1, 2], [2, 1]], dtype=object))
-    assert not is_positive_definite(np.array([[0, 1], [1, 0]], dtype=object))
+    assert definiteness_witness(np.array([[2, 1], [1, 2]], dtype=object)) == ""
+    assert definiteness_witness(np.array([[1, 2], [2, 1]], dtype=object)) != ""
+    assert definiteness_witness(np.array([[0, 1], [1, 0]], dtype=object)) != ""
 
 
 def test_one_pass_minors_match_per_minor_dets_on_cartan():
@@ -182,8 +180,7 @@ def test_one_pass_minors_match_per_minor_dets_on_cartan():
 
 def test_posdef_check_names_its_witness(monkeypatch):
     def posdef_check(cartan):
-        ctx = catalog.CategoryContext(2, 3)
-        ctx.__dict__["cartan"] = cartan
+        ctx = _fresh_context(2, 3, cartan)
         monkeypatch.setattr(catalog, "category", lambda p, n: ctx)
         checks = {c.name: c for c in verify_all(2, 3).checks}
         return checks["cartan_symmetric_posdef"]
@@ -255,18 +252,18 @@ def test_permutation_equivalent():
 
 
 def test_stable_gr():
-    got = stable_gr(3, 2)
+    got = catalog.category(3, 2).stable
     assert got["order"] == 9
     assert sorted(got["invariant_factors"]) == [1, 1, 1, 1, 3, 3]
-    assert stable_gr(2, 2)["order"] == 2
-    got = stable_gr(2, 3)
+    assert catalog.category(2, 2).stable["order"] == 2
+    got = catalog.category(2, 3).stable
     assert got["order"] == 8
     assert sorted(f for f in got["invariant_factors"] if f != 1) == [2, 2, 2]
 
 
 def test_stable_gr_general_shape():
     for p, n in SET:
-        got = stable_gr(p, n)
+        got = catalog.category(p, n).stable
         k = p ** (n - 1) - 1
         assert got["order"] == p**k, (p, n)
         nontrivial = [f for f in got["invariant_factors"] if f != 1]
@@ -274,17 +271,17 @@ def test_stable_gr_general_shape():
 
 
 def test_block_dets():
-    dets = block_cartan_dets(3, 2)
+    dets = catalog.category(3, 2).block_dets
     assert dets[(3, 7)] == 3 and dets[(4, 6)] == 3
     assert dets[(2,)] == 1 and dets[(5,)] == 1
-    dets = block_cartan_dets(3, 3)
+    dets = catalog.category(3, 3).block_dets
     sizes = {len(b): d for b, d in dets.items()}
     assert sizes[6] == 27 and sizes[2] == 3 and sizes[1] == 1
 
 
 def test_block_det_class_prediction():
     for p, n in SET:
-        dets = block_cartan_dets(p, n)
+        dets = catalog.category(p, n).block_dets
         total = 1
         for block, d in dets.items():
             assert d == expected_block_det(p, n, list(block)), (p, n, block)
@@ -294,7 +291,7 @@ def test_block_det_class_prediction():
 
 def test_cartan_character_route():
     for p, n in ((3, 2), (2, 4), (5, 2)):
-        assert (cartan_character(p, n) == cartan_descendant(p, n)).all()
+        assert cartan_character(p, n) == digits.cartan_descendant_rows(p, n)
 
 
 def test_verify_all_passes_everywhere():
@@ -383,7 +380,7 @@ def test_build_guards(monkeypatch):
 def test_build_computes_each_quantity_once(monkeypatch):
     calls = Counter()
     for module, name in [
-        (digits, "cartan_descendant"),
+        (digits, "cartan_descendant_rows"),
         (digits, "block_partition"),
         (cyclo, "fpdim_simple"),
         (cyclo, "fpdim_projective"),
@@ -401,7 +398,7 @@ def test_build_computes_each_quantity_once(monkeypatch):
     k = len(data.simples)
     assert k == 18 and data.verification.all_passed
     assert calls == {
-        "cartan_descendant": 1,
+        "cartan_descendant_rows": 1,
         "block_partition": 1,
         "fpdim_simple": k,
         "fpdim_projective": k,
@@ -442,7 +439,7 @@ def test_category_context_is_lazy_and_shared():
     ctx = catalog.category(3, 2)
     assert catalog.category(3, 2) is ctx
     assert vars(ctx).keys() == {"p", "n", "simples", "rows"}
-    assert block_cartan_dets(3, 2) == {(2,): 1, (3, 7): 3, (4, 6): 3, (5,): 1}
+    assert ctx.block_dets == {(2,): 1, (3, 7): 3, (4, 6): 3, (5,): 1}
     assert "fpdim_simples" not in vars(ctx)
     with pytest.raises(ValueError):
         ctx.cartan[0, 0] = 5
@@ -478,6 +475,7 @@ def test_every_filled_context_value_is_immutable():
     try:
         build(3, 3)
         ctx = catalog.category(3, 3)
+        ctx.cartan  # the dense view, which no build step reads
         names = [k for k, v in vars(catalog.CategoryContext).items() if isinstance(v, cached_property)]
         assert set(names) <= vars(ctx).keys()
         for name in names:
@@ -486,7 +484,7 @@ def test_every_filled_context_value_is_immutable():
             ctx.tilting_classes[4][0] = 7
         assert ctx.tilting_classes[4] == {4: 1, 0: 2}
         p2 = catalog.category(2, 3)
-        assert p2.ext1_matrix is None
+        assert p2.ext1_edges is None
         with pytest.raises(UnsupportedPrime):
             p2.tilting_classes
     finally:
@@ -495,13 +493,15 @@ def test_every_filled_context_value_is_immutable():
 
 def _fresh_context(p, n, cartan, rows=None, blocks=None):
     """A CategoryContext of Ver_{p^n} whose Cartan matrix (and optionally
-    row labels and blocks) are replaced before anything is computed."""
+    row labels and blocks) are replaced before anything is computed: the
+    dense matrix becomes the context's rows of nonzero entries."""
     ctx = catalog.CategoryContext(p, n)
     if rows is not None:
         ctx.rows = rows
     cartan = np.array(cartan, dtype=object)
-    cartan.flags.writeable = False
-    ctx.__dict__["cartan"] = cartan
+    ctx.__dict__["cartan_rows"] = digits.read_only_rows(
+        {s: {t: int(c) for t, c in zip(ctx.rows, row) if c} for s, row in zip(ctx.rows, cartan)}
+    )
     if blocks is not None:
         ctx.__dict__["blocks"] = blocks
     return ctx
@@ -584,7 +584,7 @@ def test_per_block_linear_algebra_equals_full_matrix(drawn, rnd):
     assert ctx.solve_blocks == tuple(members)
     assert tuple(r.block for r in ctx.solved) == tuple(members)
 
-    assert (catalog._definiteness_witness(ctx) == "") == is_positive_definite(C)
+    assert (catalog._definiteness_witness(ctx) == "") == (definiteness_witness(C) == "")
     dets = tuple(r.det for r in ctx.solved)
     assert math.prod(dets) == det(C)
     assert dets == tuple(det(ctx.block_cartan(b)) for b in members)
@@ -603,7 +603,7 @@ def test_full_matrix_routines_are_the_oracles_on_acceptance_pairs():
         ctx = catalog.category(p, n)
         C = ctx.cartan
         assert ctx.block_diagonal_witness == "" and ctx.solve_blocks == ctx.blocks
-        assert is_positive_definite(C) and catalog._definiteness_witness(ctx) == "", (p, n)
+        assert definiteness_witness(C) == catalog._definiteness_witness(ctx) == "", (p, n)
         dets = tuple(r.det for r in ctx.solved)
         assert math.prod(dets) == det(C) == p ** (p ** (n - 1) - 1), (p, n)
         assert dets == tuple(det(ctx.block_cartan(b)) for b in ctx.blocks), (p, n)
@@ -805,36 +805,13 @@ def test_check_seconds_are_filled_and_stay_out_of_equality_and_the_payload():
     assert all(entry.keys() == {"name", "passed", "witness"} for entry in payload["verification"]["checks"])
 
 
-def test_cartan_character_refuses_int64_overflow(monkeypatch):
-    monkeypatch.setattr(digits, "extended_decomposition_row", lambda p, n, i: {0: 2**31})
-    with pytest.raises(PrecisionExceeded):
-        cartan_character(3, 2)
-
-
-def test_cartan_character_guard_raises_under_python_O():
-    code = (
-        "from verkit import catalog, digits\n"
-        "from verkit.errors import PrecisionExceeded\n"
-        "digits.extended_decomposition_row = lambda p, n, i: {0: 2**31}\n"
-        "try:\n"
-        "    catalog.cartan_character(3, 2)\n"
-        "except PrecisionExceeded:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('no PrecisionExceeded')\n"
-    )
-    src = os.path.dirname(os.path.dirname(catalog.__file__))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr + done.stdout
-
-
 def test_pairs_that_name_no_category_are_refused():
-    # verify_all(3, 0) raised TypeError; block_cartan_dets(4, 2) and
-    # stable_gr(9, 1) returned values for a "Ver_16" and a "Ver_9" at p = 9.
+    # verify_all(3, 0) raised TypeError; the block dets of a "Ver_16" and
+    # the stable ring of a "Ver_9" at p = 9 were once returned.
     for call in (
         lambda: verify_all(3, 0),
-        lambda: block_cartan_dets(4, 2),
-        lambda: stable_gr(9, 1),
+        lambda: catalog.category(4, 2).block_dets,
+        lambda: catalog.category(9, 1).stable,
         lambda: catalog.category(1, 3),
         lambda: catalog.category(5, -1),
     ):
@@ -924,3 +901,71 @@ def test_entry_that_is_no_power_of_two_fails_its_check(monkeypatch, entry):
     assert not checks["entries_powers_of_two"].passed
     assert checks["entries_powers_of_two"].witness == "entry at (1, 5)"
     assert checks["cartan_block_diagonal"].passed
+
+
+def test_a_build_reads_no_dense_cartan_matrix(monkeypatch):
+    """Every check reads the Cartan rows: with the dense views made to raise,
+    a cold build still passes every check and its payload is written."""
+
+    def refuse(*args):
+        raise AssertionError("a build step read a dense Cartan matrix")
+
+    monkeypatch.setattr(digits, "cartan_descendant", refuse)
+    monkeypatch.setattr(digits, "cartan_kronecker", refuse)
+    monkeypatch.setattr(catalog.CategoryContext, "cartan", property(refuse))
+    catalog.category.cache_clear()
+    try:
+        for p, n in ((3, 3), (2, 5), (7, 2)):
+            data = build(p, n)
+            assert data.verification.all_passed, (p, n, [(c.name, c.witness) for c in data.verification.failed()])
+            cli.category_payload(data, 100, 0)
+    finally:
+        catalog.category.cache_clear()
+
+
+def test_routes_check_names_the_first_differing_entry(monkeypatch):
+    """A route that differs is named at its first differing entry in label
+    order, with each route's value there."""
+    rows = {s: dict(row) for s, row in digits.cartan_kronecker_rows(3, 3).items()}
+    assert (rows[9][25], rows[21][13]) == (1, 1)
+    rows[21][13] = 5
+    rows[9][25] = 3
+    monkeypatch.setattr(digits, "cartan_kronecker_rows", lambda p, n: digits.read_only_rows(rows))
+    check = {c.name: c for c in verify_all(3, 3).checks}["cartan_routes_agree"]
+    assert not check.passed
+    assert check.witness == "(T9, T25): descendant 1, kronecker 3, character 1"
+
+
+# Every category with at most 300 simples, p = 2 included.
+UP_TO_300_SIMPLES = [
+    (p, n)
+    for p in range(2, 302)
+    if is_prime(p)
+    for n in range(1, 10)
+    if p ** (n - 1) * (p - 1) <= 300
+]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(UP_TO_300_SIMPLES))
+def test_cartan_rows_and_ext1_edges_on_every_category_up_to_300_simples(pn):
+    p, n = pn
+    labels = digits.projective_range(p, n)
+    routes = [
+        digits.cartan_descendant_rows(p, n),
+        digits.cartan_kronecker_rows(p, n),
+        catalog.cartan_character(p, n),
+    ]
+    assert routes[0] == routes[1] == routes[2], pn
+    rows = routes[0]
+    assert sorted(rows) == list(labels)
+    assert all(c and rows[t][s] == c for s, row in rows.items() for t, c in row.items()), pn
+    owner = {s: b for b, block in enumerate(digits.block_partition(p, n)) for s in block}
+    assert all(owner[s] == owner[t] for s, row in rows.items() for t in row), pn
+    C = digits.cartan_descendant(p, n)
+    assert (C == digits.cartan_kronecker(p, n)).all()
+    assert (C == np.array([[rows[s].get(t, 0) for t in labels] for s in labels], dtype=object)).all()
+    if p > 2:
+        k = p ** (n - 1) * (p - 1)
+        scalar = tuple((a, b) for a in range(k) for b in range(a + 1, k) if digits.ext1(p, n, a, b))
+        assert digits.ext1_edges(p, n) == scalar, pn

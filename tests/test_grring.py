@@ -277,7 +277,7 @@ def test_fold_reads_only_the_cartan_matrix_of_the_context(monkeypatch):
 
     calls = Counter()
     for module, name in [
-        (digits, "cartan_descendant"),
+        (digits, "cartan_descendant_rows"),
         (cyclo, "fpdim_simple"),
         (cyclo, "fpdim_projective"),
     ]:
@@ -290,7 +290,7 @@ def test_fold_reads_only_the_cartan_matrix_of_the_context(monkeypatch):
     try:
         v = fuse_simples(3, 3, 2, 4)
         assert fold_projectives(3, 3, v) == fold_projectives(3, 3, v)
-        assert calls == {"cartan_descendant": 1}
+        assert calls == {"cartan_descendant_rows": 1}
     finally:
         catalog.category.cache_clear()
 
