@@ -322,6 +322,7 @@ def _terms_fit(entry: dict, degree: int) -> bool:
 def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool:
     """Whether a cached payload is the record of this request and holds
     every key a command reads, with the type the command reads it as.
+    Its verdict `all_passed` must be the conjunction of its checks.
 
     The views look labels up across keys, so the simples must be the
     category's labels in order, the steinberg pairs must name them in that
@@ -340,6 +341,7 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
         and verification.get("seed") == seed
         and type(verification.get("all_passed")) is bool
         and _dicts_with(verification.get("checks"), name=str, passed=bool, witness=str)
+        and verification["all_passed"] == all(c["passed"] for c in verification["checks"])
     ):
         return False
     simples, steinberg, blocks = (payload.get(k) for k in ("simples", "steinberg", "blocks"))

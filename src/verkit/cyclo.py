@@ -13,7 +13,8 @@ formed by `CycloContext.element`, which folds each exponent into [0, p^n)
 by that relation and reduces the folded list modulo Phi once; products are
 reduced once by `CycloInt.__mul__`.  All Frobenius-Perron dimension
 identities are verified by substitution in this ring; nothing is ever
-solved for.  Chebyshev polynomials are evaluated by their recurrence
+solved for; `C d = p` is summed in Python integers, exact at any size.
+Chebyshev polynomials are evaluated by their recurrence
 S_m = x S_(m-1) - S_(m-2) (`chebyshev_at`), each step reduced at once: multiplied by x's nonzero terms as shifts of an int64
 vector, folded by q^(p^n) = -1, and reduced modulo Phi by one pass over the
 top p^(n-1) coefficients.  The values stay small (at FPdim L_1 every
@@ -208,7 +209,8 @@ class CycloInt:
         )
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n, self.coeffs))
+        # An integer's element hashes as the integer, which it equals.
+        return hash(self.coeffs if any(self.coeffs[1:]) else self.coeffs[0])
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -424,30 +426,29 @@ def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:
 def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
     """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
 
-    One int64 matrix product per solve block of the context (the
-    category's blocks when the Cartan matrix is block diagonal over them,
-    else one block of all rows): the Cartan block times the coefficient
-    vectors of the FP dimensions of its rows' simples, stacked in row order.
-    `check_int64_products` raises PrecisionExceeded before a sum could
-    overflow.  No linear solve.  Returns (True, None) or (False, the
-    offending projective of the first offending Cartan row).
+    Each Cartan row T_s, summed as c_st FPdim L_t over its nonzero entries
+    in Python integers, must equal FPdim P of its simple.  No linear solve.
+    Returns (True, None) or (False, the offending projective of the first
+    offending Cartan row).
     """
     from .catalog import category
 
-    cat = category(p, n)
-    simple = cat.simple_of_proj
+    ctx = category(p, n)
+    degree = context(p, n).degree
     offending = []
-    for block in cat.solve_blocks:
-        C = cat.block_cartan(block)
-        dims = [cat.fpdim_simples[simple[s]].coeffs for s in block]
-        dmax = max(abs(c) for row in dims for c in row)
-        check_int64_products(np.abs(C).max(), dmax, len(block), "C d = p product")
-        for s, row in zip(block, (C.astype(np.int64) @ np.array(dims, dtype=np.int64)).tolist()):
-            if tuple(row) != cat.fpdim_projectives[simple[s]].coeffs:
-                offending.append(cat.rows.index(s))
-    if offending:
-        return False, cat.rows[min(offending)]
-    return True, None
+    for block in ctx.solve_blocks:
+        terms = {}  # FPdim L's nonzero terms, held for one solve block at a time
+        for t in block:
+            coeffs = ctx.fpdim_simples[ctx.simple_of_proj[t]].coeffs
+            terms[t] = [(e, coeffs[e]) for e in compress(range(degree), coeffs)]
+        for s in block:
+            row = [0] * degree
+            for t, c in ctx.cartan_rows[s].items():
+                for e, d in terms[t]:
+                    row[e] += c * d
+            if tuple(row) != ctx.fpdim_projectives[ctx.simple_of_proj[s]].coeffs:
+                offending.append(s)
+    return not offending, min(offending, key=ctx.rows.index, default=None)
 
 
 def chebyshev_Q(p: int, n: int) -> IntPoly:

@@ -108,13 +108,13 @@ def read_only_rows(rows: dict[int, dict[int, int]]) -> Mapping[int, Mapping[int,
 
 
 def dense_matrix(rows: Mapping[int, Mapping[int, int]], labels) -> np.ndarray:
-    """The object matrix of sparse rows on `labels`, in that order."""
+    """The object matrix of sparse rows on `labels`, in that order; no row reads as zeros."""
     import numpy as np
 
     pos = {s: a for a, s in enumerate(labels)}
     mat = np.zeros((len(pos), len(pos)), dtype=object)
     for s, a in pos.items():
-        for t, c in rows[s].items():
+        for t, c in rows.get(s, {}).items():
             if t in pos:
                 mat[a, pos[t]] = c
     return mat

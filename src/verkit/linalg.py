@@ -34,9 +34,9 @@ determine the Smith form.  The test suite keeps the full-matrix calls, and
 `smith_normal_form` with its certificate, as the oracles those per-block
 results must reproduce.
 
-Integer work in int64 instead (`rank_mod_p` here, and in other modules
-`C d = p` and the Chebyshev recurrence) first calls `check_int64_products`,
-which raises before any sum of products could overflow.
+Integer work in int64 instead (`rank_mod_p` here, and the Chebyshev
+recurrence in `cyclo`) first calls `check_int64_products`, which raises
+before any sum of products could overflow.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from verkit.errors import (
     BoundExceeded,
     InvalidCategory,
     OutOfRange,
-    PrecisionExceeded,
     UnsupportedPrime,
 )
 from verkit.linalg import (
@@ -653,6 +652,21 @@ def test_block_diagonal_check_refuses_a_broken_partition():
         assert ctx.solve_blocks == (tuple(ctx.rows),)
 
 
+def test_a_block_label_that_is_no_cartan_row_is_reported_not_raised(monkeypatch):
+    """Such a label reads as a zero row, so every check that reads the
+    blocks runs, and only the ones that see the broken block fail."""
+    blocks = catalog.category(3, 2).blocks[:-1] + ((5, 8),)
+    ctx = _fresh_context(3, 2, cartan_descendant(3, 2), blocks=blocks)
+    checks = _checks_on(monkeypatch, ctx)
+    failed = {name: c.witness for name, c in checks.items() if not c.passed}
+    assert failed == {
+        "cartan_block_diagonal": "T8 of block 3 is no Cartan row",
+        "block_sizes": "got [1, 2, 2, 2]",
+        "det_per_block": "block (5, 8)",
+    }
+    assert ctx.block_dets[(5, 8)] == 0
+
+
 def test_posdef_witness_names_full_matrix_rows_inside_a_block(monkeypatch):
     p, n = 3, 3
     ctx = catalog.category(p, n)
@@ -870,25 +884,34 @@ def test_cd_eq_p_names_the_first_offending_row_in_row_order(monkeypatch, p, n, f
         assert ctx.solve_blocks == (tuple(ctx.rows),)
 
 
-def test_cd_eq_p_records_an_int64_refusal_as_its_witness(monkeypatch):
-    """The product runs in int64 only; a refusal by its overflow guard fails
-    the check with the refusal as witness, and verify_all still returns."""
-
-    def refuse(amax, bmax, terms, what):
-        raise PrecisionExceeded(f"{what}: refused")
-
-    with monkeypatch.context() as m:
-        m.setattr(cyclo, "check_int64_products", refuse)
-        check = {c.name: c for c in verify_all(3, 2).checks}["cd_eq_p"]
-    assert not check.passed and check.witness == "C d = p product: refused"
-    # A Cartan entry beyond int64 inside the block (T3, T7) trips the real guard.
+def test_cd_eq_p_is_exact_at_any_entry_size(monkeypatch):
+    """The product is summed in Python integers, so an entry beyond int64
+    inside the block (T3, T7) is a wrong entry like any other: the check
+    fails at its first row, and verify_all returns."""
     C = cartan_descendant(3, 2)
     C[1, 5] = C[5, 1] = 2**70
-    checks = _checks_on(monkeypatch, _fresh_context(3, 2, C))
-    with pytest.raises(PrecisionExceeded):
-        cyclo.verify_cd_eq_p(3, 2)
+    ctx = _fresh_context(3, 2, C)
+    checks = _checks_on(monkeypatch, ctx)
+    assert cyclo.verify_cd_eq_p(3, 2) == (False, 3) == (False, _cd_witness_by_rows(ctx))
     assert not checks["cd_eq_p"].passed
-    assert checks["cd_eq_p"].witness.startswith("C d = p product: 1180591620717411303424 * 1 * 2")
+    assert checks["cd_eq_p"].witness == "row 3"
+    assert checks["cartan_block_diagonal"].passed
+
+
+def test_cd_eq_p_forms_no_dense_block(monkeypatch):
+    """The check reads the Cartan rows: with dense blocks made to raise it
+    still passes."""
+
+    def refuse(self, block):
+        raise AssertionError("C d = p formed a dense Cartan block")
+
+    monkeypatch.setattr(catalog.CategoryContext, "block_cartan", refuse)
+    catalog.category.cache_clear()
+    try:
+        for p, n in ((3, 3), (2, 5), (7, 2)):
+            assert cyclo.verify_cd_eq_p(p, n) == (True, None), (p, n)
+    finally:
+        catalog.category.cache_clear()
 
 
 @pytest.mark.parametrize("entry", [3, 2**70])
@@ -969,3 +992,24 @@ def test_cartan_rows_and_ext1_edges_on_every_category_up_to_300_simples(pn):
         k = p ** (n - 1) * (p - 1)
         scalar = tuple((a, b) for a in range(k) for b in range(a + 1, k) if digits.ext1(p, n, a, b))
         assert digits.ext1_edges(p, n) == scalar, pn
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(UP_TO_300_SIMPLES), st.sampled_from(["fpdim_simples", "fpdim_projectives"]), st.data())
+def test_cd_eq_p_on_every_category_up_to_300_simples(pn, field, data):
+    """C d = p holds on every category up to 300 simples, and one FPdim L_t
+    or FPdim P_i raised by a power of q fails it at the row the Cyclo
+    reference names."""
+    p, n = pn
+    ctx = catalog.CategoryContext(p, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(catalog, "category", lambda p, n: ctx)
+        assert cyclo.verify_cd_eq_p(p, n) == (True, None), pn
+        values = list(getattr(ctx, field))
+        i = data.draw(st.integers(0, len(values) - 1), label="simple")
+        e = data.draw(st.integers(0, 2 * p**n - 1), label="exponent")
+        values[i] = values[i] + cyclo.context(p, n).q_power(e)
+        ctx.__dict__[field] = tuple(values)
+        expected = _cd_witness_by_rows(ctx)
+        assert expected is not None
+        assert cyclo.verify_cd_eq_p(p, n) == (False, expected), (pn, field, i, e)

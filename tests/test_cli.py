@@ -528,6 +528,12 @@ def _dense_cartan(record):
     record["cartan"] = {"rows": rows, "cols": rows, "entries": entries}
 
 
+def _planted_failure(record):
+    """A failing first check under a verdict that all passed."""
+    record["verification"]["checks"][0].update(passed=False, witness="planted")
+    assert record["verification"]["all_passed"] is True
+
+
 @pytest.mark.parametrize(
     "command, mutate",
     [
@@ -549,6 +555,8 @@ def _dense_cartan(record):
         pytest.param("report", _pop(["fpdim", 4, "simple_coeffs"]), id="report-fpdim-terms-unequal"),
         pytest.param("cartan", _dense_cartan, id="cartan-dense-entries"),
         pytest.param("table", _dense_cartan, id="table-dense-entries"),
+        pytest.param("verify", _planted_failure, id="verify-verdict-disagrees-with-a-check"),
+        pytest.param("report", _planted_failure, id="report-verdict-disagrees-with-a-check"),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
@@ -556,7 +564,8 @@ def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mut
     """A file that matches the request but lacks a key a command reads, or
     holds it with the wrong type or shape (a Cartan block too few or of the
     wrong size, a Weyl column out of range, FPdim terms of unequal lengths,
-    the dense Cartan matrix of the previous record), is a miss: the command
+    the dense Cartan matrix of the previous record, a verdict that all
+    passed over a failing check), is a miss: the command
     prints its cold output and rewrites the file."""
     runner = run_cli
     args = [command, "-p", "3", "-n", "3", "--cache-dir", str(tmp_path)]

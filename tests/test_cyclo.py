@@ -121,6 +121,18 @@ def test_ring_axioms_randomized():
         assert a * b == b * a
 
 
+def test_an_integer_element_hashes_as_the_integer_it_equals():
+    for p, n in ((3, 2), (2, 3)):
+        ctx = context(p, n)
+        for c in (0, 1, -1, 7, 2**70):
+            assert ctx.from_int(c) == c and hash(ctx.from_int(c)) == hash(c)
+        assert {1: "x"}.get(ctx.one()) == "x"
+        assert {ctx.one(), 1} == {1} and len({ctx.one(), 1, ctx.zero(), 0}) == 2
+        # Elements that are no integer stay apart from every integer.
+        assert ctx.q_power(1) not in {0, 1, -1}
+        assert len({ctx.q_power(1), ctx.q_power(2), ctx.q_power(1)}) == 2
+
+
 def test_quantum_integer_recurrence():
     for p, n in ((3, 2), (5, 2), (2, 3)):
         two = qint(p, n, 2)
