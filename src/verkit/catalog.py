@@ -14,14 +14,14 @@ Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
 entry}}; the checks read the descendant route's, or dense blocks of them,
 so a passing build forms no k x k array.  The Cartan matrix is block
 diagonal, one block per block of the category, and the exact linear
-algebra runs block by block.  Each solve block has one
-record, `SolveBlock`: one fraction-free elimination gives its leading
-minors for definiteness and its determinant, and one elimination mod p its
-rank.  The stable ring, the Cartan cokernel (Z/p)^(p^(n-1)-1), is read from
-those: when |det C_b| = p^e and rank_p C_b = rows_b - e, the Smith form of
-C_b is diag(1, ..., 1, p, ..., p) with e copies of p.  `stable_rank_mod_p`
-checks that on every block, and that p^(n-1) - 1 factors are p in all; a
-block that fails it gets its factors from `smith_normal_form`.  The check
+algebra runs block by block.  Each solve block has one record,
+`SolveBlock`: its determinant and Smith factors.  `block_certificate`
+proves from the block's tilting characters that it is positive definite
+with Smith form diag(1, ..., 1, p, ..., p); only a block it does not
+certify gets one fraction-free elimination (leading minors and det) and
+`smith_normal_form`.  The stable ring, the Cartan cokernel
+(Z/p)^(p^(n-1)-1), joins the records' factors; `stable_rank_mod_p` checks
+that form on every block and p^(n-1) - 1 factors p in all.  The check
 `cartan_block_diagonal` licenses the per-block work: it runs first, and
 when it fails the same code runs on one block of all rows, which is the
 full-matrix computation.
@@ -48,7 +48,6 @@ from .linalg import (
     det,
     minors_and_det,
     permutation_equivalent,
-    rank_mod_p,
     smith_normal_form,
 )
 
@@ -62,25 +61,14 @@ FPDIM_TOLERANCE = Fraction(1, 10**9)
 @dataclass(frozen=True)
 class SolveBlock:
     """The exact linear algebra of the Cartan submatrix on one solve block:
-    its leading minors up to and including the first zero one and its
-    determinant, from one `minors_and_det`, and its rank mod p."""
+    its determinant and Smith factors.  `minors` is None for a block that
+    `block_certificate` certifies, else the leading minors up to the first
+    zero one from the `minors_and_det` pass that gave the determinant."""
 
     block: tuple[int, ...]
-    minors: tuple[int, ...]
     det: int
-    rank: int
-
-    def smith_exponent(self, p: int) -> int | None:
-        """The number e of invariant factors equal to p when the Smith form
-        is diag(1, ..., 1, p, ..., p); None when det and rank do not show it.
-
-        rank_p counts the invariant factors prime to p, so e = rows - rank
-        of them are divisible by p (zeros included).  If also |det| = p^e,
-        none is zero, every factor is a power of p, and the e valuations sum
-        to e: each of those factors is p and the rest are 1.
-        """
-        e = len(self.block) - self.rank
-        return e if abs(self.det) == p**e else None
+    factors: tuple[int, ...]
+    minors: tuple[int, ...] | None = None
 
 
 class CategoryContext:
@@ -165,7 +153,7 @@ class CategoryContext:
 
     @cached_property
     def solve_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The blocks that definiteness, det_total and the rank mod p run
+        """The blocks that definiteness, det_total and the stable ring run
         on: the category's blocks when the Cartan matrix is block
         diagonal over them, else one block of all rows."""
         if self.block_diagonal_witness:
@@ -174,12 +162,17 @@ class CategoryContext:
 
     @cached_property
     def solved(self) -> tuple[SolveBlock, ...]:
-        """One record per solve block, each from one elimination."""
-        records = []
+        """One record per solve block: from `block_certificate`, or from one
+        elimination and `smith_normal_form` for a block it does not certify."""
+        p, records = self.p, []
         for b in self.solve_blocks:
-            C = self.block_cartan(b)
-            minors, d = minors_and_det(C)
-            records.append(SolveBlock(b, tuple(minors), d, rank_mod_p(C, self.p)))
+            r = block_certificate(p, self.n, b, self.cartan_rows)
+            if r is None:
+                C = self.block_cartan(b)
+                minors, d = minors_and_det(C)
+                records.append(SolveBlock(b, d, tuple(smith_normal_form(C)[0]), tuple(minors)))
+            else:
+                records.append(SolveBlock(b, p**r, (1,) * (len(b) - r) + (p,) * r))
         return tuple(records)
 
     @cached_property
@@ -236,22 +229,13 @@ class CategoryContext:
     def stable(self) -> Mapping[str, object]:
         """The Cartan cokernel: its order and invariant factors.
 
-        The direct sum of the solve blocks' Smith forms, each read from its
-        record's `smith_exponent`, or from `smith_normal_form` for a block
-        where that is None; the factors are sorted, zeros last.  On
+        The solve blocks' factors joined and sorted, zeros last.  On
         block-diagonal input whose block factors merge into a divisibility
         chain these are the invariant factors of the whole matrix; they do
         when every block has the form diag(1, ..., 1, p, ..., p), which
         `verify_all` checks.
         """
-        factors: list[int] = []
-        for r in self.solved:
-            e = r.smith_exponent(self.p)
-            if e is None:
-                factors += smith_normal_form(self.block_cartan(r.block))[0]
-            else:
-                factors += [1] * (len(r.block) - e) + [self.p] * e
-        factors.sort(key=lambda f: (f == 0, f))
+        factors = sorted((f for r in self.solved for f in r.factors), key=lambda f: (f == 0, f))
         order = math.prod(abs(f) for f in factors)
         return MappingProxyType({"order": order, "invariant_factors": tuple(factors)})
 
@@ -346,6 +330,63 @@ def cartan_character(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
     return digits.read_only_rows(out)
 
 
+def block_certificate(p: int, n: int, block, cartan_rows) -> int | None:
+    """r when the Cartan submatrix C_b on `block` (read from the sparse
+    `cartan_rows`) is certified positive definite with Smith form
+    diag(1, ..., 1, p, ..., p), r copies of p; else None.
+
+    D_b holds the Weyl rows (`extended_decomposition_row`) of the block's
+    k tilting modules.  Its core D1 is the k columns labelled by the
+    block's own rows; D2 is the r other columns.  The certificate checks:
+      (a) C_b = D_b D_b^T, summed here over each Weyl column's rows;
+      (b) D1 is unitriangular: row s has a 1 at column s and nothing at a
+          larger label of the block;
+      (c) M = D1^-1 D2, by forward substitution, has M^T M = (p-1) I_r.
+    Then C_b = D1 (I_k + M M^T) D1^T with D1 unimodular, so C_b is positive
+    definite, and det C_b = det(I_r + M^T M) = p^r (Sylvester).  Row and
+    column operations reduce [[I_k, -M], [M^T, I_r]] both to
+    diag(I_k + M M^T, I_r) and to diag(I_k, p I_r), so the Smith form of
+    I_k + M M^T, and of C_b, has r factors p and k - r factors 1.  A label
+    that is no tilting index of Ver_{p^n} gives None.
+    """
+    if any(not 0 <= s <= p**n - 2 for s in block):
+        return None
+    members = set(block)
+    D = {s: digits.extended_decomposition_row(p, n, s) for s in block}
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for s in block:
+        for j, c in D[s].items():
+            holders.setdefault(j, []).append((s, c))
+    product: dict[int, dict[int, int]] = {s: {} for s in block}
+    for column in holders.values():
+        for s, c in column:
+            row = product[s]
+            for t, d in column:
+                row[t] = row.get(t, 0) + c * d
+    for s in block:
+        if {t: c for t, c in cartan_rows.get(s, {}).items() if t in members and c} != product[s]:
+            return None
+    M: dict[int, dict[int, int]] = {}
+    for s in sorted(block):
+        if D[s].get(s) != 1 or any(t > s for t in D[s] if t in members):
+            return None
+        row = {j: c for j, c in D[s].items() if j not in members}
+        for t, c in D[s].items():
+            if t in members and t != s:
+                for j, m in M[t].items():
+                    row[j] = row.get(j, 0) - c * m
+        M[s] = {j: m for j, m in row.items() if m}
+    gram: dict[tuple[int, int], int] = {}
+    for row in M.values():
+        for j, a in row.items():
+            for i, b in row.items():
+                gram[j, i] = gram.get((j, i), 0) + a * b
+    others = [j for j in holders if j not in members]
+    if {ji: v for ji, v in gram.items() if v} != {(j, j): p - 1 for j in others}:
+        return None
+    return len(others)
+
+
 def block_size_classes(p: int, n: int) -> dict[int, int]:
     """Map trailing-zero count of i+1 to the expected size of such blocks."""
     classes = {n - 1: 1}
@@ -364,8 +405,11 @@ def expected_block_det(p: int, n: int, block: list[int]) -> int:
 
 
 def _definiteness_witness(ctx: CategoryContext) -> str:
-    """`definiteness_witness` on each solve block, naming full-matrix rows."""
+    """`definiteness_witness` on each solve block that `block_certificate`
+    did not prove positive definite, naming full-matrix rows."""
     for r in ctx.solved:
+        if r.minors is None:
+            continue
         rows = [ctx.rows.index(s) for s in r.block]
         why = definiteness_witness(ctx.block_cartan(r.block), rows, r.minors)
         if why:
@@ -374,18 +418,19 @@ def _definiteness_witness(ctx: CategoryContext) -> str:
 
 
 def _stable_witness(ctx: CategoryContext) -> str:
-    """Why the determinants and ranks mod p do not give the stable ring
+    """Why the solve blocks' factors do not give the stable ring
     (Z/p)^(p^(n-1)-1), or "".
 
-    Each solve block must have the Smith form diag(1, ..., 1, p, ..., p) by
-    its record's `smith_exponent`, and p^(n-1) - 1 factors must be p in all.
+    Each solve block must have the Smith form diag(1, ..., 1, p, ..., p),
+    and p^(n-1) - 1 factors must be p in all.  A block that fails is named
+    with its det and its rank mod p, the number of its factors prime to p.
     """
     p, n = ctx.p, ctx.n
-    exponents = [r.smith_exponent(p) for r in ctx.solved]
-    for r, e in zip(ctx.solved, exponents):
-        if e is None:
-            return f"block of T{r.block[0]}: det {r.det}, rank mod {p} {r.rank} of {len(r.block)} rows"
-    count = sum(exponents)
+    for r in ctx.solved:
+        if not set(r.factors) <= {1, p}:
+            rank = sum(f % p != 0 for f in r.factors)
+            return f"block of T{r.block[0]}: det {r.det}, rank mod {p} {rank} of {len(r.block)} rows"
+    count = sum(r.factors.count(p) for r in ctx.solved)
     if count != p ** (n - 1) - 1:
         return f"{count} invariant factors equal to {p}"
     return ""

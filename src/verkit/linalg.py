@@ -3,40 +3,31 @@
 Matrices are numpy arrays with dtype=object holding Python integers, so all
 results are exact regardless of entry growth.  Provided here: fraction-free
 (Bareiss) determinants, leading principal minors and the definiteness test,
-the rank modulo a prime, the Smith normal form with a transformation
-certificate, and equality of symmetric matrices up to a simultaneous
-row/column permutation.
+the Smith normal form with a transformation certificate, and equality of
+symmetric matrices up to a simultaneous row/column permutation.
 
 Determinants and minors come from one elimination, `minors_and_det`, each
 step applied to the whole trailing block at once.  Without row exchanges
 the pivot reached after step s is the (s+1)-th leading principal minor
 (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), so one O(k^3) pass
 yields every minor up to the first zero one; only past that zero does the
-pass exchange rows, and it goes on to the determinant.  `det`,
-`leading_principal_minors` and `definiteness_witness` all read it, and the
-witness accepts minors already computed, so a caller that needs both runs
-the pass once.
-
-The rank modulo a prime is row elimination on residues in int64, one array
-step per pivot.
+pass exchange rows, and it goes on to the determinant.  `det` and
+`definiteness_witness` read it, and the witness accepts minors already
+computed, so a caller that needs both runs the pass once.
 
 The Smith normal form works on the trailing block in the same way: each
 pivot search (the first entry of least nonzero absolute value, row-major),
 each elimination of the pivot's column and row, and each divisibility
 fix-up is one array operation, applied to U and V alongside.
 
-These routines work on whatever matrix they are given.  `catalog` runs
-definiteness, determinants and ranks mod p on the diagonal blocks of the
-Cartan matrix, after checking that it is block diagonal.  It reads the
-stable ring from each block's determinant and rank mod p, and calls
-`smith_normal_form` only as the fallback for a block where those do not
-determine the Smith form.  The test suite keeps the full-matrix calls, and
-`smith_normal_form` with its certificate, as the oracles those per-block
-results must reproduce.
+These routines work on whatever matrix they are given.  `catalog` calls
+`minors_and_det` and `smith_normal_form` only for a Cartan block that
+`catalog.block_certificate` does not certify; the test suite keeps the
+full-matrix calls, and `smith_normal_form` with its certificate, as the
+oracles the per-block results must reproduce.
 
-Integer work in int64 instead (`rank_mod_p` here, and the Chebyshev
-recurrence in `cyclo`) first calls `check_int64_products`, which raises
-before any sum of products could overflow.
+`check_int64_products` raises before an int64 sum of products could
+overflow; the Chebyshev recurrence `cyclo.chebyshev_at` calls it.
 """
 
 from __future__ import annotations
@@ -100,13 +91,6 @@ def det(M: np.ndarray) -> int:
     return minors_and_det(M)[1]
 
 
-def leading_principal_minors(M: np.ndarray) -> list[int]:
-    """Determinants of the leading j x j submatrices, j = 1..size."""
-    A = _square_copy(M)
-    minors = minors_and_det(A)[0]
-    return minors + [det(A[:j, :j]) for j in range(len(minors) + 1, len(A) + 1)]
-
-
 def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
     """Why M is not symmetric positive definite, or "" if it is.
 
@@ -133,35 +117,6 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
     return ""
 
 
-def rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Rank of the integer matrix M over Z/p, p prime.
-
-    Row elimination on the residues in int64, one array step per pivot;
-    entries stay below p, so no sum of products can overflow for
-    p < 2^31 (`check_int64_products` refuses a larger p).  Anything but a
-    matrix raises ShapeMismatch.
-    """
-    check_int64_products(p - 1, p - 1, 2, "rank mod p")
-    A = np.array(M, dtype=object)
-    if A.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")
-    A = (A % p).astype(np.int64)
-    rank = 0
-    for c in range(A.shape[1]):
-        if rank == A.shape[0]:
-            break
-        below = np.flatnonzero(A[rank:, c])
-        if not below.size:
-            continue
-        i = rank + below[0]
-        A[[rank, i]] = A[[i, rank]]
-        pivot = A[rank, c:] * pow(int(A[rank, c]), -1, p) % p
-        rest = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
-        A[rest, c:] = (A[rest, c:] - np.outer(A[rest, c], pivot)) % p
-        rank += 1
-    return rank
-
-
 def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Invariant factors d_1 | d_2 | ... and a certificate (U, V).
 
@@ -169,9 +124,8 @@ def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]
     the certificate rather than trusting this routine.  M may be
     rectangular; anything but a matrix raises ShapeMismatch.  Pivots are
     chosen by minimal absolute value to limit entry growth.  `catalog` calls
-    it only for a solve block whose determinant and rank mod p do not
-    determine the Smith form; the test suite uses it as the oracle for the
-    factors read from those.
+    it only for a solve block that `catalog.block_certificate` does not
+    certify; the test suite uses it as the oracle for the certified factors.
     """
     A = np.array(M, dtype=object)
     if A.ndim != 2:

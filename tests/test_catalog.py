@@ -32,7 +32,7 @@ from verkit.errors import (
 from verkit.linalg import (
     definiteness_witness,
     det,
-    leading_principal_minors,
+    minors_and_det,
     permutation_equivalent,
     smith_normal_form,
 )
@@ -172,7 +172,7 @@ def test_one_pass_minors_match_per_minor_dets_on_cartan():
         k = C.shape[0]
         if k > 64:
             continue
-        minors = leading_principal_minors(C)
+        minors = minors_and_det(C)[0]
         assert minors == [det(C[:j, :j]) for j in range(1, k + 1)], (p, n)
         assert minors[-1] == p ** (p ** (n - 1) - 1), (p, n)
 
@@ -194,7 +194,7 @@ def test_posdef_check_names_its_witness(monkeypatch):
     singular[0, 2] = singular[2, 0] = a + b
     singular[1, 2] = singular[2, 1] = b + c
     singular[2, 2] = a + 2 * b + c
-    assert leading_principal_minors(singular)[:3] == [a, a * c - b * b, 0]
+    assert minors_and_det(singular)[0] == [a, a * c - b * b, 0]
     check = posdef_check(singular)
     assert not check.passed and check.witness == "leading minor 3 = 0"
 
@@ -610,7 +610,7 @@ def test_full_matrix_routines_are_the_oracles_on_acceptance_pairs():
         assert (U @ C @ V == np.diag(np.array(factors, dtype=object))).all(), (p, n)
         assert abs(det(U)) == 1 and abs(det(V)) == 1, (p, n)
         assert list(ctx.stable["invariant_factors"]) == factors, (p, n)
-        assert None not in [r.smith_exponent(p) for r in ctx.solved], (p, n)
+        assert all(r.minors is None for r in ctx.solved), (p, n)
         assert catalog._stable_witness(ctx) == "", (p, n)
 
 
@@ -712,13 +712,14 @@ def test_stable_factors_from_det_and_rank_equal_smith_normal_form(drawn):
     ctx = _fresh_context(prime, 2, C, rows=range(k), blocks=tuple(members))
     assert tuple(r.block for r in ctx.solved) == tuple(members)
     for r in ctx.solved:
-        e = r.smith_exponent(prime)
-        factors = smith_normal_form(ctx.block_cartan(r.block))[0]
-        # Det and rank mod p decide the block exactly when its Smith form is
-        # diag(1, ..., 1, p, ..., p); then e counts the p's.
-        assert (e is not None) == (set(factors) <= {1, prime})
-        if e is not None:
-            assert factors.count(prime) == e
+        B = ctx.block_cartan(r.block)
+        factors = smith_normal_form(B)[0]
+        assert list(r.factors) == factors and r.det == det(B)
+        # The det and the rank mod p (the factors prime to p) decide the
+        # block exactly when its Smith form is diag(1, ..., 1, p, ..., p),
+        # which is what `stable_rank_mod_p` asks of its factors.
+        e = len(r.block) - sum(f % prime != 0 for f in factors)
+        assert (abs(r.det) == prime**e) == (set(factors) <= {1, prime})
     assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
 
 
@@ -775,28 +776,106 @@ def _zero_and_negative_minor_blocks():
     return C
 
 
-def test_every_solve_block_is_eliminated_exactly_once(monkeypatch):
+def _counted_passes(monkeypatch):
+    """Count `minors_and_det` and `smith_normal_form` calls by routine and
+    matrix, through both module names (`det` reads linalg's, the context
+    catalog's)."""
     from verkit import linalg
 
     passes = Counter()
-    real = linalg.minors_and_det
+    for name in ("minors_and_det", "smith_normal_form"):
+        real = getattr(linalg, name)
 
-    def counted(M):
-        passes[str(np.array(M, dtype=object).tolist())] += 1
-        return real(M)
+        def counted(M, name=name, real=real):
+            passes[name, str(np.array(M, dtype=object).tolist())] += 1
+            return real(M)
 
-    # Both names: `det` reads linalg's, the context reads catalog's.
-    monkeypatch.setattr(linalg, "minors_and_det", counted)
-    monkeypatch.setattr(catalog, "minors_and_det", counted)
+        monkeypatch.setattr(linalg, name, counted)
+        monkeypatch.setattr(catalog, name, counted)
+    return passes
+
+
+def test_only_an_uncertified_solve_block_is_eliminated_and_only_once(monkeypatch):
+    passes = _counted_passes(monkeypatch)
     for p, n, C in ((3, 3, cartan_descendant(3, 3)), (3, 2, _zero_and_negative_minor_blocks())):
         passes.clear()
         ctx = _fresh_context(p, n, C)
         checks = _checks_on(monkeypatch, ctx)
         assert len(ctx.block_dets) == len(ctx.blocks) and ctx.stable["order"]
         assert ctx.solve_blocks == ctx.blocks
-        blocks = [str(ctx.block_cartan(b).tolist()) for b in ctx.blocks]
-        assert sorted(passes.elements()) == sorted(blocks), (p, n)
+        # Ver_27 is certified block by block; in the planted Ver_9 the two
+        # replaced blocks are not, and each gets one pass of each routine.
+        uncertified = [b for b in ctx.blocks if catalog.block_certificate(p, n, b, ctx.cartan_rows) is None]
+        assert uncertified == ([] if p**n == 27 else [(3, 7), (4, 6)])
+        expected = [(name, str(ctx.block_cartan(b).tolist())) for b in uncertified
+                    for name in ("minors_and_det", "smith_normal_form")]
+        assert sorted(passes.elements()) == sorted(expected), (p, n)
+        assert [r.minors is None for r in ctx.solved] == [b not in uncertified for b in ctx.blocks]
         assert checks["cartan_symmetric_posdef"].passed == ((p, n) == (3, 3))
+
+
+def test_cold_builds_run_no_elimination_and_no_smith_form(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    fresh = {(p, n): catalog.CategoryContext(p, n) for p, n in ((3, 3), (3, 4), (5, 3), (2, 7))}
+    real = catalog.category
+    monkeypatch.setattr(catalog, "category", lambda p, n: fresh.get((p, n)) or real(p, n))
+    for p, n in fresh:
+        data = build(p, n, samples=20)
+        assert data.verification.all_passed, (p, n)
+        assert data.stable["order"] == p ** (p ** (n - 1) - 1), (p, n)
+    assert not passes
+
+
+def test_block_certificate_equals_elimination_and_smith_form_up_to_729():
+    """On every block of every Ver_{p^n}, p^n <= 729: the certificate's
+    det p^r, factors and rank mod p k - r are those of `minors_and_det`
+    and `smith_normal_form`, and every leading minor is positive."""
+    categories = [(p, n) for p in range(2, 730) if is_prime(p) for n in range(1, 10) if p**n <= 729]
+    assert len(categories) == 152 and (3, 6) in categories and (727, 1) in categories
+    for p, n in categories:
+        ctx = catalog.category(p, n)
+        total = 0
+        for b in ctx.blocks:
+            r = catalog.block_certificate(p, n, b, ctx.cartan_rows)
+            assert r is not None, (p, n, b)
+            total += r
+            C = ctx.block_cartan(b)
+            minors, d = minors_and_det(C)
+            factors = smith_normal_form(C)[0]
+            assert d == p**r and len(minors) == len(b) and min(minors) > 0, (p, n, b)
+            assert factors == [1] * (len(b) - r) + [p] * r, (p, n, b)
+            assert sum(f % p != 0 for f in factors) == len(b) - r, (p, n, b)
+            record = next(rec for rec in ctx.solved if rec.block == b)
+            assert (record.det, list(record.factors), record.minors) == (d, factors, None), (p, n, b)
+        assert total == p ** (n - 1) - 1, (p, n)
+
+
+def test_a_block_the_certificate_refuses_falls_back_with_the_eliminations_witnesses(monkeypatch):
+    """Ver_9 with the block (T3, T7) replaced by [[2, 1], [1, 5]]: det 9,
+    Smith form (1, 9).  As planted it is not D D^T (a); with T7's Weyl row
+    planted as 2 W7 + W3 it is, but that row breaks (b), and without (b)
+    forward substitution would certify det 3.  Either way the block gets
+    the elimination's det and minors and the Smith form's factors."""
+    planted = [[2, 1], [1, 5]]
+    real_row = digits.extended_decomposition_row
+    for weyl_row_planted in (False, True):
+        if weyl_row_planted:
+            monkeypatch.setattr(
+                digits, "extended_decomposition_row",
+                lambda p, n, i: {7: 2, 3: 1} if (p, n, i) == (3, 2, 7) else real_row(p, n, i),
+            )
+        ctx, C, check = _stable_check_on_first_block(monkeypatch, planted)
+        D = {s: digits.extended_decomposition_row(3, 2, s) for s in (3, 7)}
+        product = [[sum(D[s].get(j, 0) * D[t].get(j, 0) for j in range(8)) for t in (3, 7)] for s in (3, 7)]
+        assert (product == planted) == weyl_row_planted
+        assert catalog.block_certificate(3, 2, (3, 7), ctx.cartan_rows) is None
+        record = ctx.solved[0]
+        assert (record.block, record.det, record.factors, record.minors) == ((3, 7), 9, (1, 9), (2, 9))
+        assert not check.passed and check.witness == "block of T3: det 9, rank mod 3 1 of 2 rows"
+        assert list(ctx.stable["invariant_factors"]) == smith_normal_form(C)[0]
+        checks = _checks_on(monkeypatch, ctx)
+        assert checks["cartan_symmetric_posdef"].passed
+        assert not checks["det_per_block"].passed and checks["det_per_block"].witness == "block (3, 7)"
 
 
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):

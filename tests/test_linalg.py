@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verkit.errors import PrecisionExceeded, ShapeMismatch
+from verkit.errors import ShapeMismatch
 from verkit.linalg import (
     definiteness_witness,
     det,
-    leading_principal_minors,
     minors_and_det,
-    rank_mod_p,
     smith_normal_form,
 )
 
@@ -78,7 +76,9 @@ square_matrices = st.integers(0, 8).flatmap(lambda k: matrices(k, k))
 @given(symmetric_matrices())
 def test_minors_and_det_match_fraction_oracle(M):
     k = M.shape[0]
-    assert leading_principal_minors(M) == [fraction_det(M[:j, :j]) for j in range(1, k + 1)]
+    leading = [fraction_det(M[:j, :j]) for j in range(1, k + 1)]
+    cut = next((j + 1 for j, minor in enumerate(leading) if minor == 0), k)
+    assert minors_and_det(M) == (leading[:cut], fraction_det(M))
     assert det(M) == fraction_det(M)
 
 
@@ -114,7 +114,6 @@ def test_one_elimination_gives_det_minors_and_definiteness(M):
     minors, d = minors_and_det(M)
     assert d == fraction_det(M) == det(M)
     assert minors == leading[:cut]
-    assert leading_principal_minors(M) == leading
     symmetric = bool((M == M.T).all())
     witness = definiteness_witness(M)
     assert (witness == "") == (symmetric and all(minor > 0 for minor in leading))
@@ -127,27 +126,27 @@ def test_one_elimination_gives_det_minors_and_definiteness(M):
 @settings(deadline=None)
 @given(symmetric_matrices())
 def test_definite_iff_every_leading_minor_is_positive(M):
-    definite = all(m > 0 for m in leading_principal_minors(M))
+    definite = all(fraction_det(M[:j, :j]) > 0 for j in range(1, len(M) + 1))
     assert (definiteness_witness(M) == "") == definite
 
 
 def test_explicit_minors_and_definiteness():
     ones = np.array([[1, 1], [1, 1]], dtype=object)
-    assert leading_principal_minors(ones) == [1, 0]
+    assert minors_and_det(ones) == ([1, 0], 0)
     assert definiteness_witness(ones) == "leading minor 2 = 0"
 
     swap = np.array([[0, 1], [1, 0]], dtype=object)
-    assert leading_principal_minors(swap) == [0, -1]
-    assert leading_principal_minors(swap.tolist()) == [0, -1]
+    assert minors_and_det(swap) == ([0], -1)
+    assert minors_and_det(swap.tolist()) == ([0], -1)
     assert definiteness_witness(swap) == "leading minor 1 = 0"
 
     empty = np.zeros((0, 0), dtype=object)
-    assert leading_principal_minors(empty) == []
+    assert minors_and_det(empty) == ([], 1)
     assert det(empty) == 1
     assert definiteness_witness(empty) == ""
 
     skew = np.array([[2, 1], [0, 2]], dtype=object)
-    assert leading_principal_minors(skew) == [2, 4]
+    assert minors_and_det(skew) == ([2, 4], 4)
     assert definiteness_witness(skew) == "not symmetric at (0, 1)"
 
 
@@ -156,7 +155,7 @@ def test_inputs_are_left_untouched():
     M.flags.writeable = False
     before = M.copy()
     assert det(M) == 67
-    assert leading_principal_minors(M) == [4, 16, 67]
+    assert minors_and_det(M) == ([4, 16, 67], 67)
     assert definiteness_witness(M) == ""
     assert (M == before).all()
 
@@ -170,7 +169,7 @@ def test_inputs_are_left_untouched():
     ],
 )
 def test_non_square_matrices_are_refused(M):
-    for fn in (det, leading_principal_minors, definiteness_witness):
+    for fn in (det, minors_and_det, definiteness_witness):
         with pytest.raises(ShapeMismatch):
             fn(M)
 
@@ -230,45 +229,3 @@ def test_snf_certificate_and_factors_match_minor_gcds(M):
 def test_snf_refuses_anything_but_a_matrix(M):
     with pytest.raises(ShapeMismatch):
         smith_normal_form(M)
-
-
-@settings(deadline=None)
-@given(integer_matrices(), st.sampled_from([2, 3, 5, 43, 2**31 - 1]), st.data())
-def test_rank_mod_p_counts_the_smith_factors_prime_to_p(M, p, data):
-    """Also on M + p E, whose rank mod p is M's but whose rank over Q is
-    usually full."""
-    r, c = M.shape
-    E = data.draw(st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c))
-    shifted = M + p * np.array(E, dtype=object).reshape(r, c)
-    expected = sum(f % p != 0 for f in smith_normal_form(M)[0])
-    assert rank_mod_p(M, p) == expected
-    assert rank_mod_p(shifted, p) == sum(f % p != 0 for f in smith_normal_form(shifted)[0]) == expected
-
-
-def test_explicit_ranks_mod_p():
-    D = np.array([[2, 0], [0, 3]], dtype=object)
-    assert [rank_mod_p(D, p) for p in (2, 3, 5)] == [1, 1, 2]
-    assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
-    assert rank_mod_p([[2, 1], [4, 2], [1, 3]], 5) == 1
-    assert rank_mod_p([[3, 6, 9]], 3) == 0
-    assert rank_mod_p([[0, 1, 0], [0, 0, 1]], 2) == 2
-    assert rank_mod_p(np.zeros((0, 3), dtype=object), 5) == 0
-
-
-@pytest.mark.parametrize(
-    "M",
-    [
-        np.array([1, 2], dtype=object),
-        np.array(3, dtype=object),
-        np.zeros((2, 2, 2), dtype=object),
-    ],
-)
-def test_rank_mod_p_refuses_anything_but_a_matrix(M):
-    with pytest.raises(ShapeMismatch):
-        rank_mod_p(M, 3)
-
-
-def test_rank_mod_p_refuses_a_prime_whose_products_could_overflow():
-    assert rank_mod_p([[1, 1], [1, 2]], 2**31 - 1) == 2
-    with pytest.raises(PrecisionExceeded):
-        rank_mod_p([[1, 1], [1, 2]], 2147483659)

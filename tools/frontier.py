@@ -24,9 +24,12 @@ dimensions among them), so `outside_checks_s` is the rest: the context
 set-up before `verify_all` and the record's assembly after it (the
 decomposition supports, the simples' dimensions, values the checks already
 cached).
-The rungs climb toward the 2000-simple bound: Ver_343, Ver_729, Ver_1024,
-Ver_1331, Ver_1849, Ver_2048 and Ver_2187.  Runs go one at a time, rungs in
-order, trees alternating.
+The rungs climb to the 2000-simple bound: Ver_343, Ver_729, Ver_1024,
+Ver_1331, Ver_1849, Ver_2048 and Ver_2187; then past it, Ver_2197,
+Ver_2401, Ver_3125 and Ver_4096, for which each child raises
+`errors.DEFAULT_BOUND` to the rung's simple count (the bound of the
+library itself is unchanged).  Runs go one at a time, rungs in order; the
+tree order alternates from rung to rung, and each rung's row records it.
 """
 
 from __future__ import annotations
@@ -40,12 +43,18 @@ import subprocess
 import sys
 import tempfile
 
-RUNGS = [(7, 3), (3, 6), (2, 10), (11, 3), (43, 2), (2, 11), (3, 7)]
+RUNGS = [(7, 3), (3, 6), (2, 10), (11, 3), (43, 2), (2, 11), (3, 7), (13, 3), (7, 4), (5, 5), (2, 12)]
 
-COLD = """
+# In the child only: a rung past the build bound raises it to its own size.
+PREAMBLE = """
 import json, os, resource, sys, time
-from verkit import catalog, cli, cyclo
+from verkit import errors
 p, n, cache = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+errors.DEFAULT_BOUND = max(errors.DEFAULT_BOUND, p ** (n - 1) * (p - 1))
+"""
+
+COLD = PREAMBLE + """
+from verkit import catalog, cli, cyclo
 
 def mb():
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
@@ -78,10 +87,8 @@ print(json.dumps({
 }))
 """
 
-WARM = """
-import json, resource, sys, time
+WARM = PREAMBLE + """
 from verkit import cli
-p, n, cache = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 t0 = time.perf_counter()
 cli.load_or_build(p, n, cache, 100, 0)
 warm_s = time.perf_counter() - t0
@@ -119,16 +126,22 @@ def main() -> None:
     args = parser.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree)
     results = []
-    for p, n in RUNGS:
-        row = {"category": f"Ver_{p**n}", "p": p, "n": n}
-        for label, path in trees.items():
-            row[label] = run_one(os.path.join(os.path.abspath(path), "src"), p, n)
+    for index, (p, n) in enumerate(RUNGS):
+        order = list(trees)[:: -1 if index % 2 else 1]
+        row = {"category": f"Ver_{p**n}", "p": p, "n": n, "order": order}
+        for label in order:
+            row[label] = run_one(os.path.join(os.path.abspath(trees[label]), "src"), p, n)
             print(f"Ver_{p**n} {label}: {json.dumps(row[label])}", file=sys.stderr, flush=True)
         results.append(row)
     doc = {
         "what": (
             "cold cli.load_or_build per category (catalog.build, then the record written), "
-            "then a warm re-read; one fresh process each, imports excluded"
+            "then a warm re-read; one fresh process each, imports excluded; "
+            "trees in each rung's `order`, alternating by rung"
+        ),
+        "bound": (
+            "a rung past the 2000-simple bound (errors.DEFAULT_BOUND) raises it "
+            "to its own simple count, in its child processes only"
         ),
         "date": datetime.date.today().isoformat(),
         "host": {
