@@ -12,6 +12,7 @@ regression produces a full differential report.
 
 Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
 entry}}; the checks read the descendant route's, or dense blocks of them,
+and the block certificate the character route's, summed once per category,
 so a passing build forms no k x k array.  The Cartan matrix is block
 diagonal, one block per block of the category, and the exact linear
 algebra runs block by block.  Each solve block has one record,
@@ -23,8 +24,7 @@ certify gets one fraction-free elimination (leading minors and det) and
 (Z/p)^(p^(n-1)-1), joins the records' factors; `stable_rank_mod_p` checks
 that form on every block and p^(n-1) - 1 factors p in all.  The check
 `cartan_block_diagonal` licenses the per-block work: it runs first, and
-when it fails the same code runs on one block of all rows, which is the
-full-matrix computation.
+when it fails the same code runs on one block of all rows, the full matrix.
 """
 
 from __future__ import annotations
@@ -100,6 +100,11 @@ class CategoryContext:
         return digits.cartan_descendant_rows(self.p, self.n)
 
     @cached_property
+    def character_rows(self) -> Mapping[int, Mapping[int, int]]:
+        """The character route's Cartan rows, D D^T (`cartan_character`)."""
+        return cartan_character(self.p, self.n)
+
+    @cached_property
     def cartan(self) -> np.ndarray:
         """Read-only dense view of `cartan_rows` over `rows`; no check reads it."""
         cartan = digits.dense_matrix(self.cartan_rows, self.rows)
@@ -166,7 +171,7 @@ class CategoryContext:
         elimination and `smith_normal_form` for a block it does not certify."""
         p, records = self.p, []
         for b in self.solve_blocks:
-            r = block_certificate(p, self.n, b, self.cartan_rows)
+            r = block_certificate(self, b)
             if r is None:
                 C = self.block_cartan(b)
                 minors, d = minors_and_det(C)
@@ -330,15 +335,16 @@ def cartan_character(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
     return digits.read_only_rows(out)
 
 
-def block_certificate(p: int, n: int, block, cartan_rows) -> int | None:
+def block_certificate(ctx: CategoryContext, block) -> int | None:
     """r when the Cartan submatrix C_b on `block` (read from the sparse
-    `cartan_rows`) is certified positive definite with Smith form
+    `ctx.cartan_rows`) is certified positive definite with Smith form
     diag(1, ..., 1, p, ..., p), r copies of p; else None.
 
     D_b holds the Weyl rows (`extended_decomposition_row`) of the block's
     k tilting modules.  Its core D1 is the k columns labelled by the
     block's own rows; D2 is the r other columns.  The certificate checks:
-      (a) C_b = D_b D_b^T, summed here over each Weyl column's rows;
+      (a) C_b = D_b D_b^T: the block's part of `ctx.cartan_rows` equals
+          that of `ctx.character_rows`, the D D^T of all Weyl rows;
       (b) D1 is unitriangular: row s has a 1 at column s and nothing at a
           larger label of the block;
       (c) M = D1^-1 D2, by forward substitution, has M^T M = (p-1) I_r.
@@ -347,25 +353,17 @@ def block_certificate(p: int, n: int, block, cartan_rows) -> int | None:
     column operations reduce [[I_k, -M], [M^T, I_r]] both to
     diag(I_k + M M^T, I_r) and to diag(I_k, p I_r), so the Smith form of
     I_k + M M^T, and of C_b, has r factors p and k - r factors 1.  A label
-    that is no tilting index of Ver_{p^n} gives None.
+    that is no Cartan row of Ver_{p^n} gives None.
     """
-    if any(not 0 <= s <= p**n - 2 for s in block):
-        return None
-    members = set(block)
-    D = {s: digits.extended_decomposition_row(p, n, s) for s in block}
-    holders: dict[int, list[tuple[int, int]]] = {}
+    p, members = ctx.p, set(block)
     for s in block:
-        for j, c in D[s].items():
-            holders.setdefault(j, []).append((s, c))
-    product: dict[int, dict[int, int]] = {s: {} for s in block}
-    for column in holders.values():
-        for s, c in column:
-            row = product[s]
-            for t, d in column:
-                row[t] = row.get(t, 0) + c * d
-    for s in block:
-        if {t: c for t, c in cartan_rows.get(s, {}).items() if t in members and c} != product[s]:
+        cartan, character = ctx.cartan_rows.get(s, {}), ctx.character_rows.get(s, {})
+        if s not in ctx.character_rows or cartan != character and (
+            {t: c for t, c in cartan.items() if t in members and c}
+            != {t: c for t, c in character.items() if t in members and c}
+        ):
             return None
+    D = {s: digits.extended_decomposition_row(p, ctx.n, s) for s in block}
     M: dict[int, dict[int, int]] = {}
     for s in sorted(block):
         if D[s].get(s) != 1 or any(t > s for t in D[s] if t in members):
@@ -381,7 +379,7 @@ def block_certificate(p: int, n: int, block, cartan_rows) -> int | None:
         for j, a in row.items():
             for i, b in row.items():
                 gram[j, i] = gram.get((j, i), 0) + a * b
-    others = [j for j in holders if j not in members]
+    others = {j for row in D.values() for j in row if j not in members}
     if {ji: v for ji, v in gram.items() if v} != {(j, j): p - 1 for j in others}:
         return None
     return len(others)
@@ -467,8 +465,8 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     witness = ctx.block_diagonal_witness
     report.add("cartan_block_diagonal", not witness, witness)
 
-    kron, char = digits.cartan_kronecker_rows(p, n), cartan_character(p, n)
-    witness = _routes_witness({"descendant": ctx.cartan_rows, "kronecker": kron, "character": char})
+    witness = _routes_witness({"descendant": ctx.cartan_rows, "kronecker": digits.cartan_kronecker_rows(p, n),
+                               "character": ctx.character_rows})
     report.add("cartan_routes_agree", not witness, witness)
 
     witness = _definiteness_witness(ctx)

@@ -154,8 +154,8 @@ def cartan_kronecker_rows(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
     where the left Kronecker factor addresses the appended least significant
     digit: the row of kron(D, X) at position (d, a') describes the label
     a'*p + d, so after n-1 steps X holds the row of T_(label - 1) at each
-    label; no block is assumed.  The base matrices are held as their nonzero
-    (i, j, entry); at p=2, X and Z start as (1) and (0).
+    label; no block is assumed; the last step forms X only.  Base matrices are
+    held as their nonzero (i, j, entry); at p=2, X and Z start as (1), (0).
     """
     A = [(i, j, 1) for i in range(p) for j in (i - 1, i + 1) if 0 <= j < p]
     B = [(i, j, 1) for i in range(p) for j in (p - 1 - i, p + 1 - i) if 0 <= j < p]
@@ -174,9 +174,11 @@ def cartan_kronecker_rows(p: int, n: int) -> Mapping[int, Mapping[int, int]]:
 
     X = {a: {a: 1} for a in range(1, p)}
     Z = {a: {j: c for i, j, c in A if i == a and j} for a in range(1, p)}
-    for _ in range(n - 1):
+    for _ in range(n - 2):
         X, Z = kron((D, X), (S, Z)), kron(([(i, j, 2 * c) for i, j, c in A], X), (B, Z))
-    return read_only_rows({a - 1: {b - 1: c for b, c in row.items()} for a, row in X.items()})
+    if n >= 2:
+        X, Z = kron((D, X), (S, Z)), None
+    return read_only_rows({a - 1: {b - 1: c for b, c in X.pop(a).items()} for a in list(X)})
 
 
 def cartan_kronecker(p: int, n: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -805,7 +806,7 @@ def test_only_an_uncertified_solve_block_is_eliminated_and_only_once(monkeypatch
         assert ctx.solve_blocks == ctx.blocks
         # Ver_27 is certified block by block; in the planted Ver_9 the two
         # replaced blocks are not, and each gets one pass of each routine.
-        uncertified = [b for b in ctx.blocks if catalog.block_certificate(p, n, b, ctx.cartan_rows) is None]
+        uncertified = [b for b in ctx.blocks if catalog.block_certificate(ctx, b) is None]
         assert uncertified == ([] if p**n == 27 else [(3, 7), (4, 6)])
         expected = [(name, str(ctx.block_cartan(b).tolist())) for b in uncertified
                     for name in ("minors_and_det", "smith_normal_form")]
@@ -836,7 +837,7 @@ def test_block_certificate_equals_elimination_and_smith_form_up_to_729():
         ctx = catalog.category(p, n)
         total = 0
         for b in ctx.blocks:
-            r = catalog.block_certificate(p, n, b, ctx.cartan_rows)
+            r = catalog.block_certificate(ctx, b)
             assert r is not None, (p, n, b)
             total += r
             C = ctx.block_cartan(b)
@@ -868,7 +869,7 @@ def test_a_block_the_certificate_refuses_falls_back_with_the_eliminations_witnes
         D = {s: digits.extended_decomposition_row(3, 2, s) for s in (3, 7)}
         product = [[sum(D[s].get(j, 0) * D[t].get(j, 0) for j in range(8)) for t in (3, 7)] for s in (3, 7)]
         assert (product == planted) == weyl_row_planted
-        assert catalog.block_certificate(3, 2, (3, 7), ctx.cartan_rows) is None
+        assert catalog.block_certificate(ctx, (3, 7)) is None
         record = ctx.solved[0]
         assert (record.block, record.det, record.factors, record.minors) == ((3, 7), 9, (1, 9), (2, 9))
         assert not check.passed and check.witness == "block of T3: det 9, rank mod 3 1 of 2 rows"
@@ -876,6 +877,71 @@ def test_a_block_the_certificate_refuses_falls_back_with_the_eliminations_witnes
         checks = _checks_on(monkeypatch, ctx)
         assert checks["cartan_symmetric_posdef"].passed
         assert not checks["det_per_block"].passed and checks["det_per_block"].witness == "block (3, 7)"
+
+
+def test_a_block_whose_character_rows_differ_is_refused_and_falls_back(monkeypatch):
+    """Ver_27 with one entry of the character route's rows planted off, in
+    the first block: the certificate refuses that block alone, which gets
+    one elimination and one Smith form, the true det, minors and factors.
+    The routes check names the entry; every other check passes."""
+    passes = _counted_passes(monkeypatch)
+    ctx = catalog.CategoryContext(3, 3)
+    block = ctx.blocks[0]
+    s, t = block[:2]
+    rows = {r: dict(row) for r, row in ctx.character_rows.items()}
+    entry = rows[s].get(t, 0)
+    rows[s][t] = rows[t][s] = entry + 1
+    ctx.__dict__["character_rows"] = digits.read_only_rows(rows)
+    assert [catalog.block_certificate(ctx, b) is None for b in ctx.blocks] == [b == block for b in ctx.blocks]
+    checks = _checks_on(monkeypatch, ctx)
+    C = ctx.block_cartan(block)
+    minors, d = minors_and_det(C)
+    record = ctx.solved[0]
+    assert (record.block, record.det, record.minors) == (block, d, tuple(minors))
+    assert list(record.factors) == smith_normal_form(C)[0]
+    assert d == expected_block_det(3, 3, list(block)) and all(r.minors is None for r in ctx.solved[1:])
+    assert sorted(name for name, _ in passes) == ["minors_and_det", "smith_normal_form"]
+    assert [name for name, c in checks.items() if not c.passed] == ["cartan_routes_agree"]
+    routes = f"(T{s}, T{t}): descendant {entry}, kronecker {entry}, character {entry + 1}"
+    assert checks["cartan_routes_agree"].witness == routes
+
+
+def test_a_cold_build_sums_d_d_transpose_once(monkeypatch):
+    """The routes check and the block certificates read one character route."""
+    calls = Counter()
+    real_character = catalog.cartan_character
+    monkeypatch.setattr(catalog, "cartan_character", lambda p, n: calls.update([(p, n)]) or real_character(p, n))
+    fresh = {(p, n): catalog.CategoryContext(p, n) for p, n in ((3, 3), (2, 7), (5, 2))}
+    real = catalog.category
+    monkeypatch.setattr(catalog, "category", lambda p, n: fresh.get((p, n)) or real(p, n))
+    for p, n in fresh:
+        assert build(p, n, samples=20).verification.all_passed, (p, n)
+    assert calls == Counter(list(fresh))
+
+
+def test_the_kronecker_rows_are_freed_once_the_routes_check_returns(monkeypatch):
+    """No check after `cartan_routes_agree` runs with the Kronecker rows alive."""
+
+    class Rows(dict):
+        pass
+
+    made, alive = [], []
+    real_rows = digits.cartan_kronecker_rows
+    real_witness = catalog._definiteness_witness
+
+    def kronecker(p, n):
+        rows = Rows(real_rows(p, n))
+        made.append(weakref.ref(rows))
+        return rows
+
+    def witness(ctx):
+        alive.append(made[0]() is not None)
+        return real_witness(ctx)
+
+    monkeypatch.setattr(digits, "cartan_kronecker_rows", kronecker)
+    monkeypatch.setattr(catalog, "_definiteness_witness", witness)
+    assert verify_all(3, 3).all_passed
+    assert len(made) == 1 and alive == [False]
 
 
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
