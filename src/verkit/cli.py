@@ -325,11 +325,12 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
     Its verdict `all_passed` must be the conjunction of its checks.
 
     The views look labels up across keys, so the simples must be the
-    category's labels in order, the steinberg pairs must name them in that
-    order and the Cartan rows by their covers, and every block must list
-    some of them.  The stored matrices must have the shapes the views
-    expand (`_cartan_fits`, `_support_fits`), and each FPdim its terms in
-    the degree of the ring: 2^n at p = 2, (p - 1) p^(n-1) otherwise.
+    category's labels in order; the steinberg pairs, FP dimensions and
+    dims must name them in that order, the steinberg pairs the Cartan rows
+    by their covers; every block must list some of them, and each Ext^1
+    pair two, the smaller first.  The stored matrices must have the shapes
+    the views expand (`_cartan_fits`, `_support_fits`), and each FPdim its
+    terms in the degree of the ring: 2^n at p = 2, (p - 1) p^(n-1) otherwise.
     """
     verification = payload.get("verification")
     if not (
@@ -345,7 +346,7 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
     ):
         return False
     simples, steinberg, blocks = (payload.get(k) for k in ("simples", "steinberg", "blocks"))
-    ext1, stable, fpdim = payload.get("ext1"), payload.get("stable"), payload.get("fpdim")
+    ext1, stable, fpdim, dims = (payload.get(k) for k in ("ext1", "stable", "fpdim", "dims"))
     degree = 2**n if p == 2 else (p - 1) * p ** (n - 1)
     if not (
         _ints(simples)
@@ -355,6 +356,7 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
         and _support_fits(payload.get("decomposition"), p**n - 1)
         and _dicts_with(fpdim, label=int, simple_numeric=str, projective_numeric=str)
         and all(_terms_fit(entry, degree) for entry in fpdim)
+        and _pairs(dims)
         and isinstance(stable, dict)
         and isinstance(stable.get("order"), int)
         and (ext1 is None if p == 2 else _pairs(ext1))
@@ -364,6 +366,9 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
     return (
         simples == list(range((p - 1) * p ** (n - 1)))
         and [i for i, _ in steinberg] == simples
+        and [entry["label"] for entry in fpdim] == simples
+        and [i for i, _ in dims] == simples
+        and (ext1 is None or all(0 <= a < b < len(simples) for a, b in ext1))
         and set(payload["cartan"]["rows"]) == {f"T{s}" for _, s in steinberg}
         and all(b["simples"] and _ints(b["simples"]) and known >= set(b["simples"]) for b in blocks)
     )

@@ -553,6 +553,13 @@ def _planted_failure(record):
         pytest.param("decomp", _set(["decomposition", "support", 1, 0], 26), id="decomp-support-too-large"),
         pytest.param("decomp", _set(["decomposition", "support", 1, 0], -1), id="decomp-support-negative"),
         pytest.param("report", _pop(["fpdim", 4, "simple_coeffs"]), id="report-fpdim-terms-unequal"),
+        pytest.param("report", _pop(["fpdim"]), id="report-fpdim-entry-missing"),
+        pytest.param("report", _set(["fpdim", 1, "label"], 5), id="report-fpdim-relabelled"),
+        pytest.param("report", _drop("dims"), id="report-dims-missing"),
+        pytest.param("report", _set(["dims", 0], [0]), id="report-dims-not-a-pair"),
+        pytest.param("report", _set(["dims", 2, 0], 7), id="report-dims-relabelled"),
+        pytest.param("ext1", _set(["ext1", 0], [0, 999]), id="ext1-label-out-of-range"),
+        pytest.param("ext1", _set(["ext1", 0], [5, 1]), id="ext1-pair-reversed"),
         pytest.param("cartan", _dense_cartan, id="cartan-dense-entries"),
         pytest.param("table", _dense_cartan, id="table-dense-entries"),
         pytest.param("verify", _planted_failure, id="verify-verdict-disagrees-with-a-check"),
@@ -564,7 +571,8 @@ def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mut
     """A file that matches the request but lacks a key a command reads, or
     holds it with the wrong type or shape (a Cartan block too few or of the
     wrong size, a Weyl column out of range, FPdim terms of unequal lengths,
-    the dense Cartan matrix of the previous record, a verdict that all
+    FP dimensions or dims that are not the simples' in order, an Ext^1
+    pair that is not two simples, smaller first, the dense Cartan matrix of the previous record, a verdict that all
     passed over a failing check), is a miss: the command
     prints its cold output and rewrites the file."""
     runner = run_cli
