@@ -55,7 +55,6 @@ if TYPE_CHECKING:
     from . import cyclo
 
 INVARIANT_SERIES_DEPTH = 12
-FPDIM_TOLERANCE = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -536,7 +535,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     closed = cyclo.fpdim_category_closed_form(p, n)
     report.add(
         "fpdim_category",
-        abs(total - closed) < FPDIM_TOLERANCE,
+        abs(total - closed) <= cyclo.fpdim_category_error(p, n),
         f"|{cyclo.nstr(total, 15)} - {cyclo.nstr(closed, 15)}|",
     )
 

@@ -511,6 +511,35 @@ def fpdim_category(p: int, n: int) -> Fraction:
     return Fraction(total, scale * scale)
 
 
+def fpdim_category_error(p: int, n: int) -> Fraction:
+    """The error that `fpdim_category` and `fpdim_category_closed_form`
+    carry: when the FP dimensions are right, the two differ by at most this.
+
+    Let x_i, y_i be FPdim L_i and FPdim P_i, and x'_i, y'_i the context's
+    values.  By `CycloInt.numeric`, |x'_i - x_i| < a_i and |y'_i - y_i| < b_i,
+    where a_i is 2^-TABLE_BITS times one more than the absolute sum of the
+    coefficients of FPdim L_i, and b_i the same for FPdim P_i.  Then
+
+        |x'_i y'_i - x_i y_i| <= |x'_i| |y'_i - y_i| + |y_i| |x'_i - x_i|
+                              <= |x'_i| b_i + (|y'_i| + b_i) a_i,
+
+    so `fpdim_category` is within E = sum_i |x'_i| b_i + |y'_i| a_i + a_i b_i
+    of sum_i x_i y_i = p^n / (2 sin^2(pi/p^n)), and the closed form is within
+    2^-TABLE_BITS of that value.  The bound is E + 2^-TABLE_BITS, summed
+    exactly in units of 2^-(2 TABLE_BITS).
+    """
+    from .catalog import category
+
+    ctx = category(p, n)
+    scale = 1 << TABLE_BITS
+    error = scale
+    for fs, fp, values in zip(ctx.fpdim_simples, ctx.fpdim_projectives, ctx.fpdim_numeric):
+        a, b = (sum(map(abs, v.coeffs)) + 1 for v in (fs, fp))
+        x, y = (abs(v.numerator) * (scale // v.denominator) for v in values)
+        error += x * b + y * a + a * b
+    return Fraction(error, scale * scale)
+
+
 def fpdim_category_closed_form(p: int, n: int) -> Fraction:
     """p^n / (2 sin^2(pi / p^n)), within 2^-TABLE_BITS: the nearest multiple
     of 2^-TABLE_BITS to N 4^w / (2 s^2), with s = 2^w sin(pi/N) within

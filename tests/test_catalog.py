@@ -944,6 +944,21 @@ def test_the_kronecker_rows_are_freed_once_the_routes_check_returns(monkeypatch)
     assert len(made) == 1 and alive == [False]
 
 
+def test_an_fpdim_value_planted_1e_15_off_fails_the_category_dimension_check(monkeypatch):
+    """The check allows the error its two values carry, under 1e-48 at
+    Ver_9, where a fixed tolerance of 1e-9 let this value pass.  The plant
+    is a multiple of 2^-TABLE_BITS, as every value of the context is."""
+    assert cyclo.fpdim_category_error(3, 2) < Fraction(1, 10**48)
+    ctx = catalog.CategoryContext(3, 2)
+    values = list(ctx.fpdim_numeric)
+    simple, projective = values[1]
+    scale = 1 << cyclo.TABLE_BITS
+    values[1] = (simple + Fraction(scale // 10**15, scale), projective)
+    ctx.__dict__["fpdim_numeric"] = tuple(values)
+    checks = _checks_on(monkeypatch, ctx)
+    assert [name for name, c in checks.items() if not c.passed] == ["fpdim_category"]
+
+
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
     one = cyclo.context(3, 2).one()
     for shift, witness in ((one, "S_8(FPdim L_1) != 0"), (2**40 * one, "could overflow int64")):
