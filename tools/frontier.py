@@ -12,6 +12,8 @@ imports, and reports its own peak RSS from getrusage.
 The cold child times `catalog.build` inside `load_or_build` (the command
 line reads it as a module attribute at call time) and records:
   - build_s, and peak_rss_mb when the build returns;
+  - uncertified_blocks: the solve blocks that `catalog.block_certificate`
+    refused, each of which ran an elimination;
   - record_s: the cold `load_or_build` seconds beyond `catalog.build`, the
     payload's assembly and the file's write;
   - record_bytes, and record_peak_rss_mb when the file is written.
@@ -81,6 +83,7 @@ print(json.dumps({
     "check_s": {c.name: round(c.seconds, 4) for c in checks} if timed else None,
     "outside_checks_s": round(build_s - sum(c.seconds for c in checks), 3) if timed else None,
     "peak_rss_mb": built["mb"],
+    "uncertified_blocks": sum(r.minors is not None for r in catalog.category(p, n).solved),
     "record_s": round(total_s - build_s, 3),
     "record_bytes": sum(os.path.getsize(os.path.join(cache, f)) for f in os.listdir(cache)),
     "record_peak_rss_mb": mb(),
