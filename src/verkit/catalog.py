@@ -8,7 +8,10 @@ and numeric Frobenius-Perron dimensions, Ext^1 adjacency and the stable
 Grothendieck ring - into a single record, and `verify_all` runs every
 consistency check as a named entry of a VerificationReport, with the
 seconds each took.  Checks collect failures instead of aborting so a
-regression produces a full differential report.
+regression produces a full differential report.  Like the block
+certificate, the FP-dimension identities read the context: `C d = p`
+(`verify_cd_eq_p`) on the Cartan rows, and the category dimension with its
+error bound (`fpdim_category`) in one pass over the FP values.
 
 Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
 entry}}; the checks read the descendant route's, or dense blocks of them,
@@ -35,6 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -448,6 +452,68 @@ def _routes_witness(routes: Mapping[str, Mapping[int, Mapping[int, int]]]) -> st
     return ""
 
 
+def verify_cd_eq_p(ctx: CategoryContext) -> tuple[bool, int | None]:
+    """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
+
+    Each Cartan row T_s, summed as c_st FPdim L_t over its nonzero entries
+    in Python integers, must equal FPdim P of its simple.  No linear solve.
+    Returns (True, None) or (False, the offending projective of the first
+    offending Cartan row).
+    """
+    from . import cyclo
+
+    degree = cyclo.context(ctx.p, ctx.n).degree
+    offending = []
+    for block in ctx.solve_blocks:
+        terms = {}  # FPdim L's nonzero terms, held for one solve block at a time
+        for t in block:
+            coeffs = ctx.fpdim_simples[ctx.simple_of_proj[t]].coeffs
+            terms[t] = [(e, coeffs[e]) for e in compress(range(degree), coeffs)]
+        for s in block:
+            row = [0] * degree
+            for t, c in ctx.cartan_rows[s].items():
+                for e, d in terms[t]:
+                    row[e] += c * d
+            if tuple(row) != ctx.fpdim_projectives[ctx.simple_of_proj[s]].coeffs:
+                offending.append(s)
+    return not offending, min(offending, key=ctx.rows.index, default=None)
+
+
+def fpdim_category(ctx: CategoryContext) -> tuple[Fraction, Fraction]:
+    """The sum of FPdim(L_i) * FPdim(P_i) over all simples, from the
+    context's values, exactly; and the error it and
+    `cyclo.fpdim_category_closed_form` carry: when the FP dimensions are
+    right, the two differ by at most that bound.
+
+    Let x_i, y_i be FPdim L_i and FPdim P_i, and x'_i, y'_i the context's
+    values.  By `CycloInt.numeric`, |x'_i - x_i| < a_i and |y'_i - y_i| < b_i,
+    where a_i is 2^-TABLE_BITS times one more than the absolute sum of the
+    coefficients of FPdim L_i, and b_i the same for FPdim P_i.  Then
+
+        |x'_i y'_i - x_i y_i| <= |x'_i| |y'_i - y_i| + |y_i| |x'_i - x_i|
+                              <= |x'_i| b_i + (|y'_i| + b_i) a_i,
+
+    so the sum is within E = sum_i |x'_i| b_i + |y'_i| a_i + a_i b_i of
+    sum_i x_i y_i = p^n / (2 sin^2(pi/p^n)), and the closed form is within
+    2^-TABLE_BITS of that value.  The bound is E + 2^-TABLE_BITS.  Both
+    are summed exactly in units of 2^-(2 TABLE_BITS); a value that is no
+    multiple of 2^-TABLE_BITS raises PrecisionExceeded naming its simple.
+    """
+    from .cyclo import TABLE_BITS
+
+    scale = 1 << TABLE_BITS
+    total, error = 0, scale
+    for i, fs, fp, values in zip(ctx.simples, ctx.fpdim_simples, ctx.fpdim_projectives, ctx.fpdim_numeric):
+        for name, v in zip("LP", values):
+            if scale % v.denominator:
+                raise PrecisionExceeded(f"FPdim {name}{i} at q is no multiple of 2^-{TABLE_BITS}")
+        x, y = (v.numerator * (scale // v.denominator) for v in values)
+        a, b = (sum(map(abs, v.coeffs)) + 1 for v in (fs, fp))
+        total += x * y
+        error += abs(x) * b + abs(y) * a + a * b
+    return Fraction(total, scale * scale), Fraction(error, scale * scale)
+
+
 def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> VerificationReport:
     """Run every consistency check; a failing check never raises.
 
@@ -528,16 +594,17 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     witness = _stable_witness(ctx)
     report.add("stable_rank_mod_p", not witness, witness)
 
-    ok, row = cyclo.verify_cd_eq_p(p, n)
+    ok, row = verify_cd_eq_p(ctx)
     report.add("cd_eq_p", ok, "" if ok else f"row {row}")
 
-    total = cyclo.fpdim_category(p, n)
-    closed = cyclo.fpdim_category_closed_form(p, n)
-    report.add(
-        "fpdim_category",
-        abs(total - closed) <= cyclo.fpdim_category_error(p, n),
-        f"|{cyclo.nstr(total, 15)} - {cyclo.nstr(closed, 15)}|",
-    )
+    try:
+        total, error = fpdim_category(ctx)
+    except PrecisionExceeded as exc:
+        passed, witness = False, str(exc)
+    else:
+        closed = cyclo.fpdim_category_closed_form(p, n)
+        passed, witness = abs(total - closed) <= error, f"|{cyclo.nstr(total, 15)} - {cyclo.nstr(closed, 15)}|"
+    report.add("fpdim_category", passed, witness)
 
     if p**n > 2:
         # S_(p^n - 1) and S_(p^(n-1) - 1) at FPdim L_1, by their recurrence.

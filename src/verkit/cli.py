@@ -12,8 +12,8 @@ simples themselves and fold the products with the projective classes read
 from the record's Cartan blocks.  `--cache-dir`,
 `--samples` and `--rng-seed` select the record.  `tilting` and
 `invariants` print quantities the record does not hold and compute them.
-Each command returns a deterministic document; the registrars `_common`
-and `_matrix` record it with its formats and its own options, and `main`
+Each command returns a deterministic document; the table `COMMANDS` at
+the end records it with its formats and its own options, and `main`
 parses the arguments with argparse, streams the document in json, csv or
 text form and sets the exit code.  Text tables use the L_i / P_i / T_m
 notation of the printed tables so golden diffs stay readable; only the
@@ -501,39 +501,6 @@ def _fold_classes(p: int, n: int, record: dict) -> list[tuple[int, list[int]]]:
 # command registry and parser
 
 
-# Each command by name: (function, its --format choices, its own options).
-COMMANDS: dict[str, tuple] = {}
-
-
-def _opt(*flags: str, **kwargs) -> tuple:
-    """One option of a command: its flags and `add_argument` keywords."""
-    return flags, kwargs
-
-
-def _options(formats: list[str]):
-    """Registrar of a command that takes the shared options, `--format`
-    among `formats`, and its own options (`_opt`).
-
-    The command returns (kind, payload, render, passed).  `main` runs the
-    category guard, writes the document of that kind in the chosen format
-    (`_emit`; `render` yields the text lines), then exits with 1 unless it
-    passed.  A refused (p, n), format or file exits with 2.
-    """
-
-    def register(*own: tuple):
-        def decorate(command):
-            COMMANDS[command.__name__.removesuffix("_cmd")] = (command, formats, own)
-            return command
-
-        return decorate
-
-    return register
-
-
-_common = _options(["json", "text"])
-_matrix = _options(["json", "csv", "text"])
-
-
 class _Parser(argparse.ArgumentParser):
     """A parser that takes `--help` (no `-h`) and no abbreviated option."""
 
@@ -574,8 +541,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         sub.add_argument("--cache-dir", help="(default: $VERKIT_CACHE_DIR, else <XDG cache>/verkit)")
         sub.add_argument("--samples", type=int, default=100, help="(default: %(default)s)")
         sub.add_argument("--rng-seed", dest="seed", type=int, default=0, help="(default: %(default)s)")
-        for flags, kwargs in own:
-            sub.add_argument(*flags, **kwargs)
+        for flag, kwargs in own:
+            sub.add_argument(flag, **kwargs)
     options = vars(parser.parse_args(args))
     name, fmt, output = options.pop("command"), options.pop("fmt"), options.pop("output")
     try:
@@ -598,7 +565,6 @@ def _check_lines(checks: list[dict]) -> Iterator[str]:
         yield f"{c['name']}: " + ("pass" if c["passed"] else f"FAIL ({c['witness']})")
 
 
-@_common()
 def report(prime, level, cache_dir, samples, seed):
     """Full category report; exit 1 when a verification check fails."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)
@@ -631,10 +597,6 @@ def report(prime, level, cache_dir, samples, seed):
     return "category_report", payload, render, payload["verification"]["all_passed"]
 
 
-@_common(
-    _opt("-a", dest="label_a", type=int, required=True),
-    _opt("-b", dest="label_b", type=int, required=True),
-)
 def fuse(prime, level, cache_dir, samples, seed, label_a, label_b):
     """Tensor product of two simples, raw vector plus folded presentation."""
     from . import grring
@@ -662,7 +624,6 @@ def fuse(prime, level, cache_dir, samples, seed, label_a, label_b):
     return "fusion_product", payload, render, True
 
 
-@_common(_opt("--even-only", action="store_true"))
 def table(prime, level, cache_dir, samples, seed, even_only):
     """Full tensor table of simple objects."""
     from . import grring
@@ -701,7 +662,6 @@ def _render_matrix(pl: dict) -> Iterator[str]:
     yield from _aligned(([r, *map(str, row)] for r, row in zip(pl["rows"], entries)), widths)
 
 
-@_matrix(_opt("--even-only", action="store_true"))
 def cartan(prime, level, cache_dir, samples, seed, even_only):
     """Cartan matrix (use --even-only for the even-part block order)."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
@@ -716,7 +676,6 @@ def cartan(prime, level, cache_dir, samples, seed, even_only):
     return "matrix", payload, _render_matrix, True
 
 
-@_matrix()
 def decomp(prime, level, cache_dir, samples, seed):
     """Decomposition matrix (tilting rows, Weyl columns)."""
     stored = load_or_build(prime, level, cache_dir, samples, seed)["decomposition"]
@@ -731,7 +690,6 @@ def decomp(prime, level, cache_dir, samples, seed):
     return "matrix", payload, _render_matrix, True
 
 
-@_common()
 def blocks(prime, level, cache_dir, samples, seed):
     """Block partition with sizes and Cartan determinants."""
     record = load_or_build(prime, level, cache_dir, samples, seed)
@@ -745,7 +703,6 @@ def blocks(prime, level, cache_dir, samples, seed):
     return "block_report", payload, render, True
 
 
-@_common()
 def ext1(prime, level, cache_dir, samples, seed):
     """Ext^1 adjacency between simples (odd p only)."""
     if prime == 2:
@@ -762,7 +719,6 @@ def ext1(prime, level, cache_dir, samples, seed):
     return "ext1", payload, render, True
 
 
-@_common(_opt("-M", dest="depth", type=int, default=12, help="(default: %(default)s)"))
 def invariants(prime, level, cache_dir, samples, seed, depth):
     """Invariant dimensions in tensor powers, by both routes."""
     if depth < 0:
@@ -788,7 +744,6 @@ def invariants(prime, level, cache_dir, samples, seed, depth):
     return "series", payload, render, payload["equal"]
 
 
-@_common(_opt("-m", dest="index", type=int, required=True))
 def tilting_cmd(prime, level, cache_dir, samples, seed, index):
     """Weyl factors, dimension and character of one tilting module."""
     if not 0 <= index <= prime**level - 2:
@@ -816,7 +771,6 @@ def tilting_cmd(prime, level, cache_dir, samples, seed, index):
     return "tilting_module", payload, render, True
 
 
-@_common()
 def verify(prime, level, cache_dir, samples, seed):
     """Run the verification suite; exit 1 on any failure."""
     payload = load_or_build(prime, level, cache_dir, samples, seed)["verification"]
@@ -826,6 +780,30 @@ def verify(prime, level, cache_dir, samples, seed):
         yield "all passed" if pl["all_passed"] else "FAILURES PRESENT"
 
     return "verification", payload, render, payload["all_passed"]
+
+
+# Each command by name: (function, its --format choices, its own options as
+# (flag, `add_argument` keywords)).  The command takes the shared options
+# and its own, and returns (kind, payload, render, passed).  `main` runs the
+# category guard, writes the document of that kind in the chosen format
+# (`_emit`; `render` yields the text lines), then exits with 1 unless it
+# passed.  A refused (p, n), format or file exits with 2.
+_TEXT, _MATRIX = ["json", "text"], ["json", "csv", "text"]
+_EVEN_ONLY = ("--even-only", dict(action="store_true"))
+COMMANDS: dict[str, tuple] = {
+    "report": (report, _TEXT, ()),
+    "fuse": (fuse, _TEXT, (("-a", dict(dest="label_a", type=int, required=True)),
+                           ("-b", dict(dest="label_b", type=int, required=True)))),
+    "table": (table, _TEXT, (_EVEN_ONLY,)),
+    "cartan": (cartan, _MATRIX, (_EVEN_ONLY,)),
+    "decomp": (decomp, _MATRIX, ()),
+    "blocks": (blocks, _TEXT, ()),
+    "ext1": (ext1, _TEXT, ()),
+    "invariants": (invariants, _TEXT, (("-M", dict(dest="depth", type=int, default=12,
+                                                    help="(default: %(default)s)")),)),
+    "tilting": (tilting_cmd, _TEXT, (("-m", dict(dest="index", type=int, required=True)),)),
+    "verify": (verify, _TEXT, ()),
+}
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ divide x^(p^n) + 1 exactly (so q^(p^n) = -1 in the ring), and, when the
 power table is filled, it must vanish numerically at q.  Every element is
 formed by `CycloContext.element`, which folds each exponent into [0, p^n)
 by that relation and reduces the folded list modulo Phi once; products are
-reduced once by `CycloInt.__mul__`.  All Frobenius-Perron dimension
-identities are verified by substitution in this ring; nothing is ever
-solved for; `C d = p` is summed in Python integers, exact at any size.
+reduced once by `CycloInt.__mul__`.  The module holds the ring, the FP
+dimension of each object and the closed form of the category dimension;
+the identities over a whole category (`C d = p`, the category dimension)
+are checked where the category's quantities are held, by substitution in
+this ring, and nothing is ever solved for.
 Chebyshev polynomials are evaluated by their recurrence
 S_m = x S_(m-1) - S_(m-2) (`chebyshev_at`), each step reduced at once: multiplied by x's nonzero terms as shifts of an int64
 vector, folded by q^(p^n) = -1, and reduced modulo Phi by one pass over the
@@ -423,34 +425,6 @@ def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:
     return d, d % p
 
 
-def verify_cd_eq_p(p: int, n: int) -> tuple[bool, int | None]:
-    """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
-
-    Each Cartan row T_s, summed as c_st FPdim L_t over its nonzero entries
-    in Python integers, must equal FPdim P of its simple.  No linear solve.
-    Returns (True, None) or (False, the offending projective of the first
-    offending Cartan row).
-    """
-    from .catalog import category
-
-    ctx = category(p, n)
-    degree = context(p, n).degree
-    offending = []
-    for block in ctx.solve_blocks:
-        terms = {}  # FPdim L's nonzero terms, held for one solve block at a time
-        for t in block:
-            coeffs = ctx.fpdim_simples[ctx.simple_of_proj[t]].coeffs
-            terms[t] = [(e, coeffs[e]) for e in compress(range(degree), coeffs)]
-        for s in block:
-            row = [0] * degree
-            for t, c in ctx.cartan_rows[s].items():
-                for e, d in terms[t]:
-                    row[e] += c * d
-            if tuple(row) != ctx.fpdim_projectives[ctx.simple_of_proj[s]].coeffs:
-                offending.append(s)
-    return not offending, min(offending, key=ctx.rows.index, default=None)
-
-
 def chebyshev_Q(p: int, n: int) -> IntPoly:
     """Chebyshev polynomial whose roots include 2cos(pi/p^n): S at index p^n - 1."""
     return IntPoly(chebyshev_s(p**n - 1))
@@ -496,48 +470,6 @@ def chebyshev_at(x: CycloInt, *indices: int) -> tuple[CycloInt, ...]:
         if m in indices:
             found[m] = CycloInt(ctx, cur.tolist())
     return tuple(found[m] for m in indices)
-
-
-def fpdim_category(p: int, n: int) -> Fraction:
-    """Sum of FPdim(L_i) * FPdim(P_i) over all simples, exactly, from the
-    context's values (each a multiple of 2^-TABLE_BITS)."""
-    from .catalog import category
-
-    scale = 1 << TABLE_BITS
-    total = sum(
-        fs.numerator * (scale // fs.denominator) * fp.numerator * (scale // fp.denominator)
-        for fs, fp in category(p, n).fpdim_numeric
-    )
-    return Fraction(total, scale * scale)
-
-
-def fpdim_category_error(p: int, n: int) -> Fraction:
-    """The error that `fpdim_category` and `fpdim_category_closed_form`
-    carry: when the FP dimensions are right, the two differ by at most this.
-
-    Let x_i, y_i be FPdim L_i and FPdim P_i, and x'_i, y'_i the context's
-    values.  By `CycloInt.numeric`, |x'_i - x_i| < a_i and |y'_i - y_i| < b_i,
-    where a_i is 2^-TABLE_BITS times one more than the absolute sum of the
-    coefficients of FPdim L_i, and b_i the same for FPdim P_i.  Then
-
-        |x'_i y'_i - x_i y_i| <= |x'_i| |y'_i - y_i| + |y_i| |x'_i - x_i|
-                              <= |x'_i| b_i + (|y'_i| + b_i) a_i,
-
-    so `fpdim_category` is within E = sum_i |x'_i| b_i + |y'_i| a_i + a_i b_i
-    of sum_i x_i y_i = p^n / (2 sin^2(pi/p^n)), and the closed form is within
-    2^-TABLE_BITS of that value.  The bound is E + 2^-TABLE_BITS, summed
-    exactly in units of 2^-(2 TABLE_BITS).
-    """
-    from .catalog import category
-
-    ctx = category(p, n)
-    scale = 1 << TABLE_BITS
-    error = scale
-    for fs, fp, values in zip(ctx.fpdim_simples, ctx.fpdim_projectives, ctx.fpdim_numeric):
-        a, b = (sum(map(abs, v.coeffs)) + 1 for v in (fs, fp))
-        x, y = (abs(v.numerator) * (scale // v.denominator) for v in values)
-        error += x * b + y * a + a * b
-    return Fraction(error, scale * scale)
 
 
 def fpdim_category_closed_form(p: int, n: int) -> Fraction:

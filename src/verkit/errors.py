@@ -7,7 +7,7 @@ messages name an integer too long to print in decimal by its size.
 """
 
 # Largest number of simple objects `catalog.build` and the command line accept.
-DEFAULT_BOUND = 2000
+DEFAULT_BOUND = 2500
 
 
 class VerkitError(Exception):
@@ -111,7 +111,8 @@ def check_pn(p: int, n: int) -> None:
 
 def check_category(p: int, n: int) -> None:
     """Refuse a (p, n) that names no category, or one with more than
-    DEFAULT_BOUND simple objects.
+    DEFAULT_BOUND simple objects: Ver_{5^5} (2500) and Ver_{47^2} (2162)
+    are admitted, Ver_{53^2} (2756) and Ver_{3^8} (4374) are not.
 
     Quick on any integers: n is tested first, the p - 1 simples of level
     one are compared with the bound before the primality test, and the

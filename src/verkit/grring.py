@@ -29,7 +29,7 @@ map (`_times_v`), the same rule with x = L_1: a term of lowest digit
 m < p-1 moves to m-1 and m+1, and m = p-1 gives 2 L_{p-2} plus V carried
 one level down.  The low digits of each digit pair are read from a table
 built once per p (`_digit_rule`, p^2 short tuples); the category bound
-keeps p <= 45 wherever n >= 2.
+keeps p <= 47 wherever n >= 2.
 
 Elements of different rings never mix: `+`, `-` and `*` refuse an operand of
 another Ver_{p^n} with ShapeMismatch, and one that is no GrElement with
@@ -167,7 +167,7 @@ def base_fusion(p: int, i: int, j: int) -> list[int]:
 def _digit_rule(p: int) -> tuple[tuple[tuple[tuple[tuple[int, int], ...], int], ...], ...]:
     """The rule's low digits per digit pair, built once per p: entry [m][r]
     is ((k, coefficient) pairs of the first term of L_m L_r, m + r).
-    Read only for n >= 2, where the category bound keeps p <= 45.
+    Read only for n >= 2, where the category bound keeps p <= 47.
     """
     rule = []
     for m in range(p):

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 
 from verkit import cyclo, digits, grring, tilting
-from verkit.catalog import cartan_character, category, expected_block_det
+from verkit.catalog import cartan_character, category, expected_block_det, fpdim_category, verify_cd_eq_p
 from verkit.cli import fold_text
 from verkit.linalg import det, permutation_equivalent, smith_normal_form
 
@@ -247,9 +247,9 @@ def test_criterion_07_snf_cokernel():
 
 def test_criterion_08_fpdim_identities():
     for p, n in PN_SET:
-        ok, witness = cyclo.verify_cd_eq_p(p, n)
+        ok, witness = verify_cd_eq_p(category(p, n))
         assert ok, (p, n, witness)
-        total = cyclo.fpdim_category(p, n)
+        total, _ = fpdim_category(category(p, n))
         closed = cyclo.fpdim_category_closed_form(p, n)
         assert abs(mpf(total) - mpf(closed)) < mpmath.mpf("1e-9"), (p, n)
     print(f"criterion 8: C.d = p exact and category dim within 1e-9 on {len(PN_SET)} categories")

@@ -28,6 +28,7 @@ from verkit.errors import (
     BoundExceeded,
     InvalidCategory,
     OutOfRange,
+    PrecisionExceeded,
     UnsupportedPrime,
 )
 from verkit.linalg import (
@@ -375,6 +376,15 @@ def test_build_guards(monkeypatch):
     for samples in (-1, 0):
         with pytest.raises(OutOfRange):
             build(3, 2, samples=samples)
+
+
+def test_the_bound_admits_ver_3125_and_ver_2209_and_refuses_ver_6561():
+    """The bound is 2500 simples: Ver_{5^5} has exactly 2500 and Ver_{47^2}
+    2162, and Ver_{3^8}, with 4374, is refused by its count."""
+    errors.check_category(5, 5)
+    errors.check_category(47, 2)
+    with pytest.raises(BoundExceeded, match="^4374 simple objects exceeds the bound 2500$"):
+        errors.check_category(3, 8)
 
 
 def test_build_computes_each_quantity_once(monkeypatch):
@@ -948,7 +958,7 @@ def test_an_fpdim_value_planted_1e_15_off_fails_the_category_dimension_check(mon
     """The check allows the error its two values carry, under 1e-48 at
     Ver_9, where a fixed tolerance of 1e-9 let this value pass.  The plant
     is a multiple of 2^-TABLE_BITS, as every value of the context is."""
-    assert cyclo.fpdim_category_error(3, 2) < Fraction(1, 10**48)
+    assert catalog.fpdim_category(catalog.CategoryContext(3, 2))[1] < Fraction(1, 10**48)
     ctx = catalog.CategoryContext(3, 2)
     values = list(ctx.fpdim_numeric)
     simple, projective = values[1]
@@ -957,6 +967,22 @@ def test_an_fpdim_value_planted_1e_15_off_fails_the_category_dimension_check(mon
     ctx.__dict__["fpdim_numeric"] = tuple(values)
     checks = _checks_on(monkeypatch, ctx)
     assert [name for name, c in checks.items() if not c.passed] == ["fpdim_category"]
+
+
+def test_an_fpdim_value_off_the_dyadic_grid_is_named_not_floored(monkeypatch):
+    """A value that is no multiple of 2^-TABLE_BITS cannot be summed
+    exactly in the check's units: the check fails and names the value,
+    where flooring it summed Ver_9's dimension to 29.53, not 38.47."""
+    ctx = catalog.CategoryContext(3, 2)
+    values = list(ctx.fpdim_numeric)
+    simple, projective = values[1]
+    values[1] = (simple + Fraction(1, 10**15), projective)
+    ctx.__dict__["fpdim_numeric"] = tuple(values)
+    with pytest.raises(PrecisionExceeded, match="L1 .* 2\\^-168$"):
+        catalog.fpdim_category(ctx)
+    checks = _checks_on(monkeypatch, ctx)
+    assert [name for name, c in checks.items() if not c.passed] == ["fpdim_category"]
+    assert checks["fpdim_category"].witness == "FPdim L1 at q is no multiple of 2^-168"
 
 
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
@@ -1035,7 +1061,7 @@ def test_cd_eq_p_names_the_first_offending_row_in_row_order(monkeypatch, p, n, f
     expected = _cd_witness_by_rows(ctx)
     assert expected is not None
     checks = _checks_on(monkeypatch, ctx)
-    assert cyclo.verify_cd_eq_p(p, n) == (False, expected)
+    assert catalog.verify_cd_eq_p(ctx) == (False, expected)
     assert not checks["cd_eq_p"].passed
     assert checks["cd_eq_p"].witness == f"row {expected}"
     if field != "cartan":
@@ -1052,7 +1078,7 @@ def test_cd_eq_p_is_exact_at_any_entry_size(monkeypatch):
     C[1, 5] = C[5, 1] = 2**70
     ctx = _fresh_context(3, 2, C)
     checks = _checks_on(monkeypatch, ctx)
-    assert cyclo.verify_cd_eq_p(3, 2) == (False, 3) == (False, _cd_witness_by_rows(ctx))
+    assert catalog.verify_cd_eq_p(ctx) == (False, 3) == (False, _cd_witness_by_rows(ctx))
     assert not checks["cd_eq_p"].passed
     assert checks["cd_eq_p"].witness == "row 3"
     assert checks["cartan_block_diagonal"].passed
@@ -1069,7 +1095,7 @@ def test_cd_eq_p_forms_no_dense_block(monkeypatch):
     catalog.category.cache_clear()
     try:
         for p, n in ((3, 3), (2, 5), (7, 2)):
-            assert cyclo.verify_cd_eq_p(p, n) == (True, None), (p, n)
+            assert catalog.verify_cd_eq_p(catalog.category(p, n)) == (True, None), (p, n)
     finally:
         catalog.category.cache_clear()
 
@@ -1162,14 +1188,12 @@ def test_cd_eq_p_on_every_category_up_to_300_simples(pn, field, data):
     reference names."""
     p, n = pn
     ctx = catalog.CategoryContext(p, n)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(catalog, "category", lambda p, n: ctx)
-        assert cyclo.verify_cd_eq_p(p, n) == (True, None), pn
-        values = list(getattr(ctx, field))
-        i = data.draw(st.integers(0, len(values) - 1), label="simple")
-        e = data.draw(st.integers(0, 2 * p**n - 1), label="exponent")
-        values[i] = values[i] + cyclo.context(p, n).q_power(e)
-        ctx.__dict__[field] = tuple(values)
-        expected = _cd_witness_by_rows(ctx)
-        assert expected is not None
-        assert cyclo.verify_cd_eq_p(p, n) == (False, expected), (pn, field, i, e)
+    assert catalog.verify_cd_eq_p(ctx) == (True, None), pn
+    values = list(getattr(ctx, field))
+    i = data.draw(st.integers(0, len(values) - 1), label="simple")
+    e = data.draw(st.integers(0, 2 * p**n - 1), label="exponent")
+    values[i] = values[i] + cyclo.context(p, n).q_power(e)
+    ctx.__dict__[field] = tuple(values)
+    expected = _cd_witness_by_rows(ctx)
+    assert expected is not None
+    assert catalog.verify_cd_eq_p(ctx) == (False, expected), (pn, field, i, e)

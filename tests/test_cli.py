@@ -61,13 +61,13 @@ def test_report_rejects_bad_level(runner):
 def test_every_command_refuses_a_category_above_the_bound(runner):
     result = invoke(runner, "fuse", "-p", "3", "-n", "9", "-a", "0", "-b", "0")
     assert result.exit_code == 2
-    assert "13122 simple objects exceeds the bound 2000" in result.output
+    assert "13122 simple objects exceeds the bound 2500" in result.output
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["verify", "-p", "3", "-n", "3000000"], "more than 2^64 simple objects exceeds the bound 2000"),
+        (["verify", "-p", "3", "-n", "3000000"], "more than 2^64 simple objects exceeds the bound 2500"),
         (["fuse", "-p", "3", "-n", "100000000", "-a", "0", "-b", "0"], "more than 2^64 simple objects"),
         (["verify", "-p", "1000000000000000003", "-n", "1"], "1000000000000000002 simple objects"),
     ],

@@ -20,15 +20,13 @@ from verkit.cyclo import (
     chebyshev_Q,
     context,
     dim_simple,
-    fpdim_category,
     fpdim_category_closed_form,
     fpdim_projective,
     fpdim_simple,
     nstr,
     qint,
-    verify_cd_eq_p,
 )
-from verkit import cyclo
+from verkit import catalog, cyclo
 from verkit.digits import descendants, simple_range, steinberg_label, to_digits
 from verkit.errors import InvalidCategory, NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
 from verkit.tilting import chebyshev_s
@@ -169,7 +167,7 @@ def test_dim_simple():
 
 def test_cd_eq_p_exact():
     for p, n in PAIRS:
-        ok, witness = verify_cd_eq_p(p, n)
+        ok, witness = catalog.verify_cd_eq_p(catalog.category(p, n))
         assert ok, (p, n, witness)
 
 
@@ -258,7 +256,7 @@ def test_chebyshev_guard_raises_under_python_O():
 
 def test_fpdim_category():
     for p, n in PAIRS:
-        total = fpdim_category(p, n)
+        total, _ = catalog.fpdim_category(catalog.category(p, n))
         closed = fpdim_category_closed_form(p, n)
         assert abs(mpf(total) - mpf(closed)) < mpmath.mpf("1e-9"), (p, n)
     with mpmath.workdps(30):

@@ -26,12 +26,14 @@ dimensions among them), so `outside_checks_s` is the rest: the context
 set-up before `verify_all` and the record's assembly after it (the
 decomposition supports, the simples' dimensions, values the checks already
 cached).
-The rungs climb to the 2000-simple bound: Ver_343, Ver_729, Ver_1024,
-Ver_1331, Ver_1849, Ver_2048 and Ver_2187; then past it, Ver_2197,
-Ver_2401, Ver_3125 and Ver_4096, for which each child raises
-`errors.DEFAULT_BOUND` to the rung's simple count (the bound of the
-library itself is unchanged).  Runs go one at a time, rungs in order; the
-tree order alternates from rung to rung, and each rung's row records it.
+The rungs climb to the 2500-simple bound: Ver_343, Ver_729, Ver_1024,
+Ver_1331, Ver_1849, Ver_1999, Ver_2048, Ver_2187, Ver_2197, Ver_2209,
+Ver_2401, Ver_2477, Ver_3125 (2500 simples) and Ver_4096.  In a tree whose
+bound is lower (2000, before it was raised), each child raises
+`errors.DEFAULT_BOUND` to the rung's simple count, so both trees build
+every rung; the bound of the library itself is unchanged.  Runs go one at
+a time, rungs in order; the tree order alternates from rung to rung, and
+each rung's row records it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ import subprocess
 import sys
 import tempfile
 
-RUNGS = [(7, 3), (3, 6), (2, 10), (11, 3), (43, 2), (2, 11), (3, 7), (13, 3), (7, 4), (5, 5), (2, 12)]
+RUNGS = [
+    (7, 3), (3, 6), (2, 10), (11, 3), (43, 2), (1999, 1), (2, 11), (3, 7),
+    (13, 3), (47, 2), (7, 4), (2477, 1), (5, 5), (2, 12),
+]
 
 # In the child only: a rung past the build bound raises it to its own size.
 PREAMBLE = """
@@ -143,7 +148,7 @@ def main() -> None:
             "trees in each rung's `order`, alternating by rung"
         ),
         "bound": (
-            "a rung past the 2000-simple bound (errors.DEFAULT_BOUND) raises it "
+            "a rung past a tree's build bound (errors.DEFAULT_BOUND) raises it "
             "to its own simple count, in its child processes only"
         ),
         "date": datetime.date.today().isoformat(),
