@@ -14,20 +14,20 @@ certificate, the FP-dimension identities read the context: `C d = p`
 error bound (`fpdim_category`) in one pass over the FP values.
 
 Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
-entry}}; the checks read the descendant route's, or dense blocks of them,
-and the block certificate the character route's, summed once per category,
-so a passing build forms no k x k array.  The Cartan matrix is block
-diagonal, one block per block of the category, and the exact linear
-algebra runs block by block.  Each solve block has one record,
-`SolveBlock`: its determinant and Smith factors.  `block_certificate`
-proves from the block's tilting characters that it is positive definite
-with Smith form diag(1, ..., 1, p, ..., p); only a block it does not
-certify gets one fraction-free elimination (leading minors and det) and
-`smith_normal_form`.  The stable ring, the Cartan cokernel
-(Z/p)^(p^(n-1)-1), joins the records' factors; `stable_rank_mod_p` checks
-that form on every block and p^(n-1) - 1 factors p in all.  The check
-`cartan_block_diagonal` licenses the per-block work: it runs first, and
-when it fails the same code runs on one block of all rows, the full matrix.
+entry}}; the checks read the descendant route's, and the block certificate
+the character route's, summed once per category, so a passing build forms
+no k x k array.  The Cartan matrix is block diagonal, one block per block
+of the category, and the exact linear algebra runs block by block.  Each
+solve block has one record, `SolveBlock`: its determinant and Smith
+factors.  `block_certificate` proves from the block's tilting characters
+that it is positive definite with Smith form diag(1, ..., 1, p, ..., p);
+only a block it does not certify gets one fraction-free elimination
+(leading minors and det) and `smith_normal_form`.  The stable ring, the
+Cartan cokernel (Z/p)^(p^(n-1)-1), joins the records' factors;
+`stable_rank_mod_p` checks that form on every block and p^(n-1) - 1 factors
+p in all.  The check `cartan_block_diagonal` licenses the per-block work:
+it runs first, and when it fails the same code runs on one block of all
+rows, the full matrix.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from itertools import compress
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import digits
 from .errors import PrecisionExceeded, UnsupportedPrime, check_category, check_pn
 from .errors import is_prime  # re-exported
@@ -51,11 +49,12 @@ from .linalg import (
     definiteness_witness,
     det,
     minors_and_det,
-    permutation_equivalent,
     smith_normal_form,
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import cyclo
 
 INVARIANT_SERIES_DEPTH = 12
@@ -452,6 +451,63 @@ def _routes_witness(routes: Mapping[str, Mapping[int, Mapping[int, int]]]) -> st
     return ""
 
 
+def _block_rows(ctx: CategoryContext, block) -> tuple[list[int], list[dict[int, int]]]:
+    """The block's labels, sorted, and each one's Cartan row restricted to
+    the block, as {position in that order: nonzero entry}."""
+    labels = sorted(block)
+    at = {s: a for a, s in enumerate(labels)}
+    return labels, [{at[t]: c for t, c in ctx.cartan_rows.get(s, {}).items() if t in at and c} for s in labels]
+
+
+def _first_difference(want: list[dict[int, int]], rows: list[dict[int, int]]) -> tuple[int, int] | None:
+    """(a, b) of the first entry, row-major, where two lists of rows
+    {column: entry} differ; None when they agree."""
+    for a, (x, y) in enumerate(zip(want, rows)):
+        if x != y:
+            return a, min(b for b in x.keys() | y.keys() if x.get(b, 0) != y.get(b, 0))
+    return None
+
+
+def _same_class_witness(ctx: CategoryContext) -> str:
+    """"" when the blocks of each divisibility class (size and expected det:
+    at p = 2 the semisimple blocks and the smallest non-semisimple ones both
+    have one member) have one Cartan block under the sorted-label map: the
+    a-th smallest label of the class's first block goes to the a-th smallest
+    of each other one, and the mapped rows of `ctx.cartan_rows`, restricted
+    to their blocks, are equal.  That is stricter than equality up to some
+    permutation, and needs no dense block and no search.  Else the first
+    differing entry in label order, with both T labels and both values."""
+    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for b in ctx.blocks:
+        classes.setdefault((len(b), expected_block_det(ctx.p, ctx.n, b)), []).append(b)
+    for first, *others in classes.values():
+        labels, want = _block_rows(ctx, first)
+        for other in others:
+            mapped, rows = _block_rows(ctx, other)
+            found = _first_difference(want, rows)
+            if found:
+                a, b = found
+                return f"(T{labels[a]}, T{labels[b]}) {want[a].get(b, 0)} vs (T{mapped[a]}, T{mapped[b]}) {rows[a].get(b, 0)}"
+    return ""
+
+
+def _brauer_line_witness(ctx: CategoryContext) -> str:
+    """"" when every block of p - 1 members and determinant p has the Cartan
+    block of the Brauer line: in sorted-label order, row a is exactly
+    {a: 2, a +- 1: 1}.  Else the first offending block and its first wrong
+    entry in label order."""
+    p = ctx.p
+    line = [{b: 2 - abs(a - b) for b in range(max(a - 1, 0), min(a + 2, p - 1))} for a in range(p - 1)]
+    for block in ctx.blocks:
+        if len(block) == p - 1 and expected_block_det(p, ctx.n, block) == p:
+            labels, rows = _block_rows(ctx, block)
+            found = _first_difference(line, rows)
+            if found:
+                a, b = found
+                return f"block {list(block)}: (T{labels[a]}, T{labels[b]}) {rows[a].get(b, 0)}, not {line[a].get(b, 0)}"
+    return ""
+
+
 def verify_cd_eq_p(ctx: CategoryContext) -> tuple[bool, int | None]:
     """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
 
@@ -557,34 +613,14 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     )
     report.add("block_sizes", sizes == expected_sizes, f"got {sizes}")
 
-    # Group by divisibility class, not raw size: at p=2 the semisimple
-    # blocks and the smallest non-semisimple ones both have one member.
-    same = True
-    witness = ""
-    by_size: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for b in blocks:
-        by_size.setdefault((len(b), expected_block_det(p, n, b)), []).append(b)
-    for size, group in by_size.items():
-        first = group[0]
-        ref = ctx.block_cartan(first)
-        for other in group[1:]:
-            if permutation_equivalent(ref, ctx.block_cartan(other)) is None:
-                same = False
-                witness = f"blocks {list(first)} vs {list(other)}"
-    report.add("same_size_blocks_identical", same, witness)
+    witness = _same_class_witness(ctx)
+    report.add("same_size_blocks_identical", not witness, witness)
 
     # Level one has no non-semisimple block of p - 1 members and no smaller
     # category, and Ver_2 no simple L_1: the report omits those checks.
     if n >= 2:
-        ok = True
-        witness = ""
-        line = 2 * np.eye(p - 1, dtype=int) + np.eye(p - 1, k=1, dtype=int) + np.eye(p - 1, k=-1, dtype=int)
-        for block in blocks:
-            if expected_block_det(p, n, block) == p and len(block) == p - 1:
-                if (ctx.block_cartan(block) != line).any():
-                    ok = False
-                    witness = f"block {list(block)}"
-        report.add("p2_nonsemisimple_block_is_brauer_line", ok, witness)
+        witness = _brauer_line_witness(ctx)
+        report.add("p2_nonsemisimple_block_is_brauer_line", not witness, witness)
 
     report.add("det_total", math.prod(r.det for r in ctx.solved) == p ** (p ** (n - 1) - 1))
 

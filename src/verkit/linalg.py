@@ -3,8 +3,7 @@
 Matrices are numpy arrays with dtype=object holding Python integers, so all
 results are exact regardless of entry growth.  Provided here: fraction-free
 (Bareiss) determinants, leading principal minors and the definiteness test,
-the Smith normal form with a transformation certificate, and equality of
-symmetric matrices up to a simultaneous row/column permutation.
+and the Smith normal form with a transformation certificate.
 
 Determinants and minors come from one elimination, `minors_and_det`, each
 step applied to the whole trailing block at once.  Without row exchanges
@@ -169,43 +168,3 @@ def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]
             U[s] += U[s + 1 + bad[0, 0]]
     factors = [int(A[s, s]) for s in range(min(rows, cols))]
     return factors, U, V
-
-
-def permutation_equivalent(A: np.ndarray, B: np.ndarray) -> list[int] | None:
-    """Permutation f with B[f(i), f(j)] = A[i, j], or None.
-
-    Backtracking over index assignments, pruned by row signatures; meant for
-    the small symmetric matrices appearing as block Cartan matrices.
-    """
-    k = A.shape[0]
-    if B.shape != A.shape:
-        return None
-
-    def signature(M, v):
-        return (M[v, v], tuple(sorted(int(x) for x in M[v, :])))
-
-    siga = [signature(A, v) for v in range(k)]
-    sigb = [signature(B, v) for v in range(k)]
-    if sorted(siga) != sorted(sigb):
-        return None
-
-    assignment: list[int] = []
-    used = [False] * k
-
-    def extend(v: int) -> bool:
-        if v == k:
-            return True
-        for w in range(k):
-            if used[w] or siga[v] != sigb[w]:
-                continue
-            if any(A[v, u] != B[w, assignment[u]] for u in range(v)):
-                continue
-            used[w] = True
-            assignment.append(w)
-            if extend(v + 1):
-                return True
-            assignment.pop()
-            used[w] = False
-        return False
-
-    return assignment if extend(0) else None

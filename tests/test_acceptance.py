@@ -15,7 +15,7 @@ import numpy as np
 from verkit import cyclo, digits, grring, tilting
 from verkit.catalog import cartan_character, category, expected_block_det, fpdim_category, verify_cd_eq_p
 from verkit.cli import fold_text
-from verkit.linalg import det, permutation_equivalent, smith_normal_form
+from verkit.linalg import det, smith_normal_form
 
 def mpf(x: Fraction) -> mpmath.mpf:
     """A numeric value of verkit as an mpf, exactly: its denominator is a power of two."""
@@ -41,13 +41,17 @@ def _blockdiag(*blocks):
 def test_criterion_01_golden_cartan_3_2():
     start = time.perf_counter()
     C = digits.cartan_descendant(3, 2)
+    # Rows and columns in block order: (T3, T7), (T4, T6), (T2,), (T5,).
+    rows = digits.projective_range(3, 2)
+    order = [rows.index(s) for block in digits.block_partition(3, 2) for s in block]
+    assert sorted(order) == list(range(len(C)))
     expected = _blockdiag(
-        np.array([[1]], dtype=object),
-        np.array([[1]], dtype=object),
         np.array([[2, 1], [1, 2]], dtype=object),
         np.array([[2, 1], [1, 2]], dtype=object),
+        np.array([[1]], dtype=object),
+        np.array([[1]], dtype=object),
     )
-    assert permutation_equivalent(expected, C) is not None
+    assert (C[np.ix_(order, order)] == expected).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"took {elapsed:.3f}s"
     print(f"criterion 1: Cartan(3,2) matches block form in {elapsed * 1000:.1f}ms")

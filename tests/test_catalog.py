@@ -35,7 +35,6 @@ from verkit.linalg import (
     definiteness_witness,
     det,
     minors_and_det,
-    permutation_equivalent,
     smith_normal_form,
 )
 
@@ -235,21 +234,6 @@ def test_snf_divisibility_fixup():
     factors, U, V = smith_normal_form(M)
     assert factors == [1, 6]
     assert (U @ M @ V == np.diag(np.array(factors, dtype=object))).all()
-
-
-def test_permutation_equivalent():
-    A = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=object)
-    P = [2, 0, 1]
-    B = np.zeros((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            B[P[i], P[j]] = A[i, j]
-    assert permutation_equivalent(A, B) is not None
-    # A path is equivalent to any relabelled path but never to a triangle.
-    relabelled = np.array([[2, 1, 1], [1, 2, 0], [1, 0, 2]], dtype=object)
-    assert permutation_equivalent(A, relabelled) is not None
-    triangle = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=object)
-    assert permutation_equivalent(A, triangle) is None
 
 
 def test_stable_gr():
@@ -504,14 +488,15 @@ def test_every_filled_context_value_is_immutable():
 def _fresh_context(p, n, cartan, rows=None, blocks=None):
     """A CategoryContext of Ver_{p^n} whose Cartan matrix (and optionally
     row labels and blocks) are replaced before anything is computed: the
-    dense matrix becomes the context's rows of nonzero entries."""
+    dense matrix, or rows {s: {t: nonzero entry}}, becomes the context's
+    rows of nonzero entries."""
     ctx = catalog.CategoryContext(p, n)
     if rows is not None:
         ctx.rows = rows
-    cartan = np.array(cartan, dtype=object)
-    ctx.__dict__["cartan_rows"] = digits.read_only_rows(
-        {s: {t: int(c) for t, c in zip(ctx.rows, row) if c} for s, row in zip(ctx.rows, cartan)}
-    )
+    if not isinstance(cartan, Mapping):
+        cartan = np.array(cartan, dtype=object)
+        cartan = {s: {t: int(c) for t, c in zip(ctx.rows, row) if c} for s, row in zip(ctx.rows, cartan)}
+    ctx.__dict__["cartan_rows"] = digits.read_only_rows(cartan)
     if blocks is not None:
         ctx.__dict__["blocks"] = blocks
     return ctx
@@ -676,6 +661,87 @@ def test_a_block_label_that_is_no_cartan_row_is_reported_not_raised(monkeypatch)
         "det_per_block": "block (5, 8)",
     }
     assert ctx.block_dets[(5, 8)] == 0
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit for the test, restored after it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_same_class_blocks_of_ver_6561_compare_at_the_default_recursion_limit(default_recursion_limit):
+    """Ver_6561 has two blocks of 1458 members in one class.  The search the
+    sorted-label map replaced recursed once per member and raised
+    RecursionError there; the category is past the build bound, but its
+    context checks none."""
+    try:
+        ctx = catalog.category(3, 8)
+        assert sorted(map(len, ctx.blocks))[-2:] == [1458, 1458]
+        assert catalog._same_class_witness(ctx) == ""
+        assert catalog._brauer_line_witness(ctx) == ""
+    finally:
+        catalog.category.cache_clear()
+
+
+def test_a_planted_entry_in_a_class_of_1100_member_blocks_is_named(default_recursion_limit):
+    """Two blocks of 1100 members in one class (expected det 3 at Ver_9):
+    the even and the odd labels below 2200, each a Brauer line in label
+    order.  One entry of the second, changed symmetrically, is named."""
+    k = 1100
+    blocks = (tuple(range(0, 2 * k, 2)), tuple(range(1, 2 * k, 2)))
+    rows = {}
+    for block in blocks:
+        for a, s in enumerate(block):
+            rows[s] = {block[b]: 2 - abs(a - b) for b in range(max(a - 1, 0), min(a + 2, k))}
+    ctx = _fresh_context(3, 2, rows, rows=range(2 * k), blocks=blocks)
+    assert catalog._same_class_witness(ctx) == ""
+    rows[1401][1403] = rows[1403][1401] = 3
+    ctx = _fresh_context(3, 2, rows, rows=range(2 * k), blocks=blocks)
+    assert catalog._same_class_witness(ctx) == "(T1400, T1402) 1 vs (T1401, T1403) 3"
+
+
+def test_block_checks_pass_on_every_odd_category_within_the_bound():
+    """Every same-class pair of blocks is equal under the sorted-label map,
+    and every block of p - 1 members and det p is a Brauer line, at each
+    odd p^n with n >= 2 that the build bound admits."""
+    within = [
+        (p, n)
+        for p in range(3, errors.DEFAULT_BOUND + 2)
+        if is_prime(p)
+        for n in range(2, errors.DEFAULT_BOUND.bit_length() + 2)
+        if p ** (n - 1) * (p - 1) <= errors.DEFAULT_BOUND
+    ]
+    assert {(3, 7), (5, 5), (47, 2)} <= set(within)
+    for p, n in within:
+        ctx = catalog.CategoryContext(p, n)
+        assert catalog._same_class_witness(ctx) == "", (p, n)
+        assert catalog._brauer_line_witness(ctx) == "", (p, n)
+
+
+@pytest.mark.parametrize(
+    "check, p, n, entry, witness",
+    [
+        # (T16, T24) of the second 6-member block of Ver_27 is 1, and so is
+        # (T15, T25) of the first.
+        ("same_size_blocks_identical", 3, 3, (16, 24, 3), "(T15, T25) 1 vs (T16, T24) 3"),
+        # The last Brauer line of Ver_25 against the first.
+        ("same_size_blocks_identical", 5, 2, (10, 20, 1), "(T13, T23) 0 vs (T10, T20) 1"),
+        ("p2_nonsemisimple_block_is_brauer_line", 3, 2, (7, 7, 3), "block [3, 7]: (T7, T7) 3, not 2"),
+        # The third line of Ver_25 is the first that is broken.
+        ("p2_nonsemisimple_block_is_brauer_line", 5, 2, (7, 17, 1), "block [7, 11, 17, 21]: (T7, T17) 1, not 0"),
+    ],
+)
+def test_a_wrong_block_entry_is_named_by_its_check(monkeypatch, check, p, n, entry, witness):
+    C = cartan_descendant(p, n)
+    rows = list(digits.projective_range(p, n))
+    s, t, value = entry
+    C[rows.index(s), rows.index(t)] = C[rows.index(t), rows.index(s)] = value
+    found = _checks_on(monkeypatch, _fresh_context(p, n, C))[check]
+    assert not found.passed
+    assert found.witness == witness
 
 
 def test_posdef_witness_names_full_matrix_rows_inside_a_block(monkeypatch):
@@ -1122,6 +1188,7 @@ def test_a_build_reads_no_dense_cartan_matrix(monkeypatch):
     monkeypatch.setattr(digits, "cartan_descendant", refuse)
     monkeypatch.setattr(digits, "cartan_kronecker", refuse)
     monkeypatch.setattr(catalog.CategoryContext, "cartan", property(refuse))
+    monkeypatch.setattr(catalog.CategoryContext, "block_cartan", refuse)
     catalog.category.cache_clear()
     try:
         for p, n in ((3, 3), (2, 5), (7, 2)):

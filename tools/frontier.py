@@ -28,12 +28,13 @@ decomposition supports, the simples' dimensions, values the checks already
 cached).
 The rungs climb to the 2500-simple bound: Ver_343, Ver_729, Ver_1024,
 Ver_1331, Ver_1849, Ver_1999, Ver_2048, Ver_2187, Ver_2197, Ver_2209,
-Ver_2401, Ver_2477, Ver_3125 (2500 simples) and Ver_4096.  In a tree whose
-bound is lower (2000, before it was raised), each child raises
-`errors.DEFAULT_BOUND` to the rung's simple count, so both trees build
-every rung; the bound of the library itself is unchanged.  Runs go one at
-a time, rungs in order; the tree order alternates from rung to rung, and
-each rung's row records it.
+Ver_2401, Ver_2477, Ver_3125 (2500 simples) and Ver_4096; then past it,
+Ver_6561 (4374 simples) and Ver_8192 (4096).  For a rung past a tree's
+bound, each child raises `errors.DEFAULT_BOUND` to the rung's simple
+count, so every tree builds every rung; the bound of the library itself
+is unchanged.  A child that raises leaves its last stderr line as the
+row's `error`.  Runs go one at a time, rungs in order; the tree order
+alternates from rung to rung, and each rung's row records it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import tempfile
 
 RUNGS = [
     (7, 3), (3, 6), (2, 10), (11, 3), (43, 2), (1999, 1), (2, 11), (3, 7),
-    (13, 3), (47, 2), (7, 4), (2477, 1), (5, 5), (2, 12),
+    (13, 3), (47, 2), (7, 4), (2477, 1), (5, 5), (2, 12), (3, 8), (2, 13),
 ]
 
 # In the child only: a rung past the build bound raises it to its own size.
