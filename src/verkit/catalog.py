@@ -3,15 +3,15 @@
 `category(p, n)` is the context of one category: each quantity that several
 callers need is computed there once, on first use.  `build` collects
 everything the rest of the package computes - decomposition
-and Cartan matrices by independent routes, blocks, Steinberg labels, exact
-and numeric Frobenius-Perron dimensions, Ext^1 adjacency and the stable
+and Cartan matrices by independent routes, blocks, Steinberg labels, the
+values of the Frobenius-Perron dimensions, Ext^1 adjacency and the stable
 Grothendieck ring - into a single record, and `verify_all` runs every
 consistency check as a named entry of a VerificationReport, with the
 seconds each took.  Checks collect failures instead of aborting so a
-regression produces a full differential report.  Like the block
-certificate, the FP-dimension identities read the context: `C d = p`
-(`verify_cd_eq_p`) on the Cartan rows, and the category dimension with its
-error bound (`fpdim_category`) in one pass over the FP values.
+regression produces a full differential report.  One context pass,
+`fp_pass`, is the only place FPdim P is formed: `C d = p`
+(`verify_cd_eq_p`) and the category dimension with its error bound
+(`fpdim_category`) read what it keeps, so no exact FPdim P outlives it.
 
 Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
 entry}}; the checks read the descendant route's, and the block certificate
@@ -38,12 +38,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from . import digits
-from .errors import PrecisionExceeded, UnsupportedPrime, check_category, check_pn
+from .errors import NotReal, PrecisionExceeded, UnsupportedPrime, VerkitError, check_category, check_pn
 from .errors import is_prime  # re-exported
 from .linalg import (
     definiteness_witness,
@@ -71,6 +71,25 @@ class SolveBlock:
     det: int
     factors: tuple[int, ...]
     minors: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class FPPass:
+    """What `CategoryContext.fp_pass` keeps: the Cartan rows where C d = p
+    fails, in pass order, and per simple label the real values of (FPdim L,
+    FPdim P), or the error evaluating one raised, and their weights."""
+
+    offending: tuple[int, ...]
+    values: tuple[tuple[Fraction | VerkitError, Fraction | VerkitError], ...]
+    weights: tuple[tuple[int, int], ...]
+
+
+def _real_value(name: str, x: cyclo.CycloInt) -> Fraction | VerkitError:
+    """x's real value, or the error evaluating it raised, naming FPdim `name`."""
+    try:
+        return x.numeric_real()
+    except (NotReal, PrecisionExceeded) as exc:
+        return type(exc)(f"FPdim {name}: {exc}")
 
 
 class CategoryContext:
@@ -189,18 +208,41 @@ class CategoryContext:
         return tuple(cyclo.fpdim_simple(self.p, self.n, i) for i in self.simples)
 
     @cached_property
-    def fpdim_projectives(self) -> tuple[cyclo.CycloInt, ...]:
+    def fp_pass(self) -> FPPass:
+        """The one pass over the FP dimensions, and the only place FPdim P is
+        formed.  Solve block by solve block, with FPdim L's nonzero terms
+        listed for that block, each row T_s forms FPdim P of its simple,
+        compares it with the row's sum of c_st FPdim L_t in Python integers,
+        keeps both values and weights of that simple and drops FPdim P."""
         from . import cyclo
 
-        return tuple(cyclo.fpdim_projective(self.p, self.n, i) for i in self.simples)
+        degree = cyclo.context(self.p, self.n).degree
+        offending, found = [], {}
+        for block in self.solve_blocks:
+            coeffs = {t: self.fpdim_simples[self.simple_of_proj[t]].coeffs for t in block}
+            terms = {t: [(e, c[e]) for e in compress(range(degree), c)] for t, c in coeffs.items()}
+            for s in block:
+                row = [0] * degree
+                for t, c in self.cartan_rows[s].items():
+                    for e, d in terms[t]:
+                        row[e] += c * d
+                i = self.simple_of_proj[s]
+                fs, fp = self.fpdim_simples[i], cyclo.fpdim_projective(self.p, self.n, i)
+                if tuple(row) != fp.coeffs:
+                    offending.append(s)
+                found[i] = (_real_value(f"L{i}", fs), _real_value(f"P{i}", fp)), (fs.weight, fp.weight)
+        values, weights = zip(*(found[i] for i in self.simples))
+        return FPPass(tuple(offending), values, weights)
 
     @cached_property
     def fpdim_numeric(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Real values of (FPdim L_i, FPdim P_i), indexed by simple label."""
-        return tuple(
-            (fs.numeric_real(), fp.numeric_real())
-            for fs, fp in zip(self.fpdim_simples, self.fpdim_projectives)
-        )
+        """Real values of (FPdim L_i, FPdim P_i), indexed by simple label,
+        from `fp_pass`; the first one it could not evaluate raises its error."""
+        values = self.fp_pass.values
+        for v in chain.from_iterable(values):
+            if isinstance(v, VerkitError):
+                raise v
+        return values
 
     @cached_property
     def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
@@ -296,7 +338,7 @@ class CategoryData:
 
     `decomposition` holds, per Cartan row T_i, the increasing Weyl columns j
     with d_ij = 1: those where j + 1 is a descendant of i + 1.  `cartan` is
-    the context's `cartan_rows`.
+    the context's `cartan_rows`.  Of the FP dimensions it holds the values.
     """
 
     p: int
@@ -310,8 +352,6 @@ class CategoryData:
     blocks: tuple[tuple[int, ...], ...]
     block_dets: dict[tuple[int, ...], int]
     dims: dict[int, int]
-    fpdim_simples: tuple[cyclo.CycloInt, ...]
-    fpdim_projectives: tuple[cyclo.CycloInt, ...]
     fpdim_numeric: tuple[tuple[Fraction, Fraction], ...]
     ext1_edges: tuple[tuple[int, int], ...] | None
     stable: dict
@@ -509,35 +549,16 @@ def _brauer_line_witness(ctx: CategoryContext) -> str:
 
 
 def verify_cd_eq_p(ctx: CategoryContext) -> tuple[bool, int | None]:
-    """Check C * (FPdim of simples) = (FPdim of projectives), exactly.
-
-    Each Cartan row T_s, summed as c_st FPdim L_t over its nonzero entries
-    in Python integers, must equal FPdim P of its simple.  No linear solve.
-    Returns (True, None) or (False, the offending projective of the first
-    offending Cartan row).
-    """
-    from . import cyclo
-
-    degree = cyclo.context(ctx.p, ctx.n).degree
-    offending = []
-    for block in ctx.solve_blocks:
-        terms = {}  # FPdim L's nonzero terms, held for one solve block at a time
-        for t in block:
-            coeffs = ctx.fpdim_simples[ctx.simple_of_proj[t]].coeffs
-            terms[t] = [(e, coeffs[e]) for e in compress(range(degree), coeffs)]
-        for s in block:
-            row = [0] * degree
-            for t, c in ctx.cartan_rows[s].items():
-                for e, d in terms[t]:
-                    row[e] += c * d
-            if tuple(row) != ctx.fpdim_projectives[ctx.simple_of_proj[s]].coeffs:
-                offending.append(s)
+    """Check C * (FPdim of simples) = (FPdim of projectives), exactly, as
+    the FP pass (`fp_pass`) compared them, row by row.  Returns (True, None)
+    or (False, the offending projective of the first offending Cartan row)."""
+    offending = ctx.fp_pass.offending
     return not offending, min(offending, key=ctx.rows.index, default=None)
 
 
 def fpdim_category(ctx: CategoryContext) -> tuple[Fraction, Fraction]:
-    """The sum of FPdim(L_i) * FPdim(P_i) over all simples, from the
-    context's values, exactly; and the error it and
+    """The sum of FPdim(L_i) * FPdim(P_i) over all simples, from the values
+    and weights the FP pass kept (`fp_pass`), exactly; and the error it and
     `cyclo.fpdim_category_closed_form` carry: when the FP dimensions are
     right, the two differ by at most that bound.
 
@@ -559,12 +580,12 @@ def fpdim_category(ctx: CategoryContext) -> tuple[Fraction, Fraction]:
 
     scale = 1 << TABLE_BITS
     total, error = 0, scale
-    for i, fs, fp, values in zip(ctx.simples, ctx.fpdim_simples, ctx.fpdim_projectives, ctx.fpdim_numeric):
+    for i, values, weights in zip(ctx.simples, ctx.fpdim_numeric, ctx.fp_pass.weights):
         for name, v in zip("LP", values):
             if scale % v.denominator:
                 raise PrecisionExceeded(f"FPdim {name}{i} at q is no multiple of 2^-{TABLE_BITS}")
         x, y = (v.numerator * (scale // v.denominator) for v in values)
-        a, b = (sum(map(abs, v.coeffs)) + 1 for v in (fs, fp))
+        a, b = (w + 1 for w in weights)
         total += x * y
         error += abs(x) * b + abs(y) * a + a * b
     return Fraction(total, scale * scale), Fraction(error, scale * scale)
@@ -635,7 +656,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
 
     try:
         total, error = fpdim_category(ctx)
-    except PrecisionExceeded as exc:
+    except (NotReal, PrecisionExceeded) as exc:
         passed, witness = False, str(exc)
     else:
         closed = cyclo.fpdim_category_closed_form(p, n)
@@ -717,8 +738,6 @@ def build(p: int, n: int, samples: int = 100, seed: int = 0) -> CategoryData:
         blocks=ctx.blocks,
         block_dets=dict(ctx.block_dets),
         dims={i: cyclo.dim_simple(p, n, i)[0] for i in simples},
-        fpdim_simples=ctx.fpdim_simples,
-        fpdim_projectives=ctx.fpdim_projectives,
         fpdim_numeric=ctx.fpdim_numeric,
         ext1_edges=ctx.ext1_edges,
         stable={"order": ctx.stable["order"], "invariant_factors": list(ctx.stable["invariant_factors"])},

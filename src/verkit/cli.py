@@ -3,9 +3,9 @@
 Most commands are views of one verified record per Ver_{p^n}: the payload
 of its CategoryData, read from the JSON cache (`load_or_build`) or, on a
 miss, built, verified and written there first.  The record is block-sparse
-(`category_payload`): the Cartan matrix one block at a time, the
-decomposition matrix by the support of each row, and FPdim L_i by its
-nonzero terms, all in flat int lists.  `report`, `verify`, `cartan`,
+(`category_payload`): the Cartan matrix one block at a time and the
+decomposition matrix by the support of each row, in flat int lists, and
+the FP dimensions by their decimal values only.  `report`, `verify`, `cartan`,
 `decomp`, `blocks` and `ext1` print parts of the record, and the views
 expand the matrices again as they print them; `fuse` and `table` multiply
 simples themselves and fold the products with the projective classes read
@@ -54,11 +54,11 @@ if TYPE_CHECKING:
 
     from . import catalog, grring
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # Part of every cache file name; raised whenever the payload of a category
 # changes (new or renamed checks included), so files of an older payload are
 # rebuilt.
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 NUMERIC_DIGITS = 20
 
 
@@ -150,26 +150,18 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
       are 0 when `cartan_block_diagonal` passes.
     - "decomposition": the T labels of the rows, the number of Weyl columns
       (p^n - 1) and, per row, the increasing columns j with d_ij = 1.
-    - "fpdim": per simple L_i, the nonzero terms of FPdim L_i (the exponents
-      of q and their coefficients, in parallel lists) and the decimal values
-      of FPdim L_i and FPdim P_i.
+    - "fpdim": per simple L_i, the decimal values of FPdim L_i and
+      FPdim P_i.  The exact FPdim L_i follows from the label
+      (`cyclo.fpdim_simple`), so the record holds no exact FP dimension.
 
     The views expand the matrices on read (`_cartan_entries`, `decomp`).
     """
     p, n = data.p, data.n
     rows = [f"T{i}" for i in data.projectives]
-    fpdim = []
-    for i, fs, (xs, xp) in zip(data.simples, data.fpdim_simples, data.fpdim_numeric):
-        terms = [(e, c) for e, c in enumerate(fs.coeffs) if c]
-        fpdim.append(
-            {
-                "label": i,
-                "simple_exponents": [e for e, _ in terms],
-                "simple_coeffs": [c for _, c in terms],
-                "simple_numeric": _nstr(xs),
-                "projective_numeric": _nstr(xp),
-            }
-        )
+    fpdim = [
+        {"label": i, "simple_numeric": _nstr(xs), "projective_numeric": _nstr(xp)}
+        for i, (xs, xp) in zip(data.simples, data.fpdim_numeric)
+    ]
     cartan_blocks = [[[data.cartan[s].get(t, 0) for t in block] for s in block] for block in data.blocks]
     return {
         "p": p,
@@ -293,11 +285,6 @@ def _cartan_fits(cartan, blocks: list[dict]) -> bool:
     )
 
 
-def _indexes(value, bound: int) -> bool:
-    """A list of ints in [0, bound)."""
-    return _ints(value) and (not value or 0 <= min(value) and max(value) < bound)
-
-
 def _support_fits(decomposition, weyl_count: int) -> bool:
     """The decomposition matrix as the record stores it: row labels, the
     Weyl column count and one list of columns in [0, weyl_count) per row."""
@@ -309,14 +296,8 @@ def _support_fits(decomposition, weyl_count: int) -> bool:
         and decomposition["weyl_count"] == weyl_count
         and _list_of(decomposition["support"], list)
         and len(decomposition["support"]) == len(decomposition["rows"])
-        and all(_indexes(s, weyl_count) for s in decomposition["support"])
+        and all(_ints(s) and (not s or 0 <= min(s) and max(s) < weyl_count) for s in decomposition["support"])
     )
-
-
-def _terms_fit(entry: dict, degree: int) -> bool:
-    """FPdim L_i's nonzero terms: exponents in [0, degree) and as many coefficients."""
-    exponents, coeffs = entry.get("simple_exponents"), entry.get("simple_coeffs")
-    return _indexes(exponents, degree) and _ints(coeffs) and len(exponents) == len(coeffs)
 
 
 def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool:
@@ -329,8 +310,8 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
     dims must name them in that order, the steinberg pairs the Cartan rows
     by their covers; every block must list some of them, and each Ext^1
     pair two, the smaller first.  The stored matrices must have the shapes
-    the views expand (`_cartan_fits`, `_support_fits`), and each FPdim its
-    terms in the degree of the ring: 2^n at p = 2, (p - 1) p^(n-1) otherwise.
+    the views expand (`_cartan_fits`, `_support_fits`), and each FPdim entry
+    its two decimal values as strings.
     """
     verification = payload.get("verification")
     if not (
@@ -347,7 +328,6 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
         return False
     simples, steinberg, blocks = (payload.get(k) for k in ("simples", "steinberg", "blocks"))
     ext1, stable, fpdim, dims = (payload.get(k) for k in ("ext1", "stable", "fpdim", "dims"))
-    degree = 2**n if p == 2 else (p - 1) * p ** (n - 1)
     if not (
         _ints(simples)
         and _pairs(steinberg)
@@ -355,7 +335,6 @@ def _record_fits(payload: dict, p: int, n: int, samples: int, seed: int) -> bool
         and _cartan_fits(payload.get("cartan"), blocks)
         and _support_fits(payload.get("decomposition"), p**n - 1)
         and _dicts_with(fpdim, label=int, simple_numeric=str, projective_numeric=str)
-        and all(_terms_fit(entry, degree) for entry in fpdim)
         and _pairs(dims)
         and isinstance(stable, dict)
         and isinstance(stable.get("order"), int)

@@ -190,9 +190,10 @@ def context(p: int, n: int) -> CycloContext:
 
 
 class CycloInt:
-    """Element of Z[x]/Phi, fully reduced; treated as immutable."""
+    """Element of Z[x]/Phi, fully reduced; treated as immutable.  `weight`
+    is sum |c_j| over its coefficients, summed once, as it is formed."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "weight")
 
     def __init__(self, ctx: CycloContext, coeffs):
         coeffs = tuple(coeffs)
@@ -200,6 +201,7 @@ class CycloInt:
             raise ShapeMismatch(f"{len(coeffs)} coefficients for a ring of degree {ctx.degree}")
         self.ctx = ctx
         self.coeffs = coeffs
+        self.weight = sum(map(abs, compress(coeffs, coeffs)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -255,11 +257,10 @@ class CycloInt:
         Two integer dot products of the nonzero coefficients with the
         context's table, divided exactly by 2^TABLE_BITS.  Each table entry
         is within one unit of its scaled value, so the error is below
-        (sum |c_j| + 1) * 2^-TABLE_BITS.
+        (`weight` + 1) * 2^-TABLE_BITS.
         """
-        coeffs = self.coeffs
+        coeffs, weight = self.coeffs, self.weight
         nonzero = list(compress(coeffs, coeffs))
-        weight = sum(map(abs, nonzero))
         if weight + 1 >= _WEIGHT_LIMIT:
             raise PrecisionExceeded(
                 f"coefficients of absolute sum {weight} are too large to evaluate within 1.0e-25"

@@ -9,6 +9,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from verkit.digits import cartan_descendant
 from verkit.errors import (
     BoundExceeded,
     InvalidCategory,
+    NotReal,
     OutOfRange,
     PrecisionExceeded,
     UnsupportedPrime,
@@ -399,24 +401,63 @@ def test_build_computes_each_quantity_once(monkeypatch):
     }
 
 
+def _reachable(value):
+    """`value` and everything it holds: items of tuples, lists and sets, keys
+    and values of mappings, fields of dataclasses."""
+    yield value
+    if isinstance(value, Mapping):
+        for k, v in value.items():
+            yield from _reachable(k)
+            yield from _reachable(v)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for v in value:
+            yield from _reachable(v)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _reachable(getattr(value, f.name))
+
+
 def test_cold_build_and_payload_evaluate_each_fpdim_once(monkeypatch):
-    evaluated = Counter()
+    """Over a cold build and its payload, FPdim P_i is formed once per
+    simple and each exact FP element is evaluated once; its weight, summed
+    as it was formed, is the one the category dimension reads, which reads
+    no element.  No attribute of the context or of the record holds an
+    FPdim P afterwards."""
+    formed, labels, evaluated = [], [], Counter()
+
+    def form(p, n, i, _orig=cyclo.fpdim_projective):
+        labels.append(i)
+        formed.append(_orig(p, n, i))
+        return formed[-1]
 
     def counted(self, _orig=cyclo.CycloInt.numeric):
         evaluated[id(self)] += 1
         return _orig(self)
 
+    monkeypatch.setattr(cyclo, "fpdim_projective", form)
     monkeypatch.setattr(cyclo.CycloInt, "numeric", counted)
     catalog.category.cache_clear()
     try:
         data = build(3, 3)
         payload = cli.category_payload(data, 100, 0)
+        ctx = catalog.category(3, 3)
     finally:
         catalog.category.cache_clear()
-    exact = data.fpdim_simples + data.fpdim_projectives
+    assert sorted(labels) == list(range(18))
+    exact = ctx.fpdim_simples + tuple(formed)
     assert len(evaluated) == len(exact) == 36
     assert evaluated == Counter(id(x) for x in exact)
     assert payload["fpdim"][1]["simple_numeric"] == cli._nstr(data.fpdim_numeric[1][0])
+    projectives = [formed[labels.index(i)] for i in ctx.simples]
+    assert ctx.fp_pass.weights == tuple((fs.weight, fp.weight) for fs, fp in zip(ctx.fpdim_simples, projectives))
+    held = {id(x) for where in (vars(ctx), vars(data)) for x in _reachable(where)}
+    assert len(held) > 100
+    assert not held & {id(x) for x in formed}
+    assert not hasattr(ctx, "fpdim_projectives")
+    assert not {"fpdim_simples", "fpdim_projectives"} & {f.name for f in dataclasses.fields(data)}
+    dimension = catalog.fpdim_category(ctx)
+    ctx.__dict__["fpdim_simples"] = None
+    assert catalog.fpdim_category(ctx) == dimension
 
 
 def test_fusion_check_refuses_fewer_than_one_sample():
@@ -448,7 +489,7 @@ def _assert_immutable(value, where):
         for k, v in value.items():
             _assert_immutable(k, where)
             _assert_immutable(v, f"{where}[{k!r}]")
-    elif isinstance(value, catalog.SolveBlock):
+    elif isinstance(value, (catalog.SolveBlock, catalog.FPPass)):
         for f in dataclasses.fields(value):
             _assert_immutable(getattr(value, f.name), f"{where}.{f.name}")
     elif isinstance(value, cyclo.CycloInt):
@@ -1051,6 +1092,44 @@ def test_an_fpdim_value_off_the_dyadic_grid_is_named_not_floored(monkeypatch):
     assert checks["fpdim_category"].witness == "FPdim L1 at q is no multiple of 2^-168"
 
 
+@pytest.mark.parametrize(
+    "element, shift, error, failed",
+    [
+        ("L", "q", NotReal, ["cd_eq_p", "fpdim_category", "chebyshev_roots"]),
+        ("L", "10^30", PrecisionExceeded, ["cd_eq_p", "fpdim_category", "chebyshev_roots"]),
+        ("P", "q", NotReal, ["cd_eq_p", "fpdim_category"]),
+        ("P", "10^30", PrecisionExceeded, ["cd_eq_p", "fpdim_category"]),
+    ],
+)
+def test_an_fp_value_that_cannot_be_evaluated_fails_its_checks_and_never_raises(monkeypatch, element, shift, error, failed):
+    """FPdim L_1 or FPdim P_1 of Ver_9 plus q (not real) or plus 10^30 (past
+    the precision guard): the FP pass still compares every row, so C d = p
+    names its row, and the category dimension check fails with the error
+    evaluating that value raised, naming it.  verify_all returns, though
+    the record's values cannot be formed."""
+    ring = cyclo.context(3, 2)
+    shift = ring.q_power(1) if shift == "q" else 10**30 * ring.one()
+    ctx = catalog.CategoryContext(3, 2)
+    if element == "L":
+        values = list(ctx.fpdim_simples)
+        values[1] = values[1] + shift
+        ctx.__dict__["fpdim_simples"] = tuple(values)
+    else:
+        monkeypatch.setattr(cyclo, "fpdim_projective", _planted_projective({1}, shift))
+    checks = _checks_on(monkeypatch, ctx)
+    assert [name for name, c in checks.items() if not c.passed] == failed
+    assert checks["cd_eq_p"].witness == "row 3" == f"row {_cd_witness_by_rows(ctx)}"
+    witness = checks["fpdim_category"].witness
+    assert witness.startswith(f"FPdim {element}1: ")
+    with pytest.raises(error) as raised:
+        ctx.fpdim_numeric
+    assert str(raised.value) == witness
+    if error is NotReal:
+        assert witness == f"FPdim {element}1: imaginary part 0.34202 at q"
+    else:
+        assert witness.endswith("are too large to evaluate within 1.0e-25")
+
+
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
     one = cyclo.context(3, 2).one()
     for shift, witness in ((one, "S_8(FPdim L_1) != 0"), (2**40 * one, "could overflow int64")):
@@ -1087,16 +1166,24 @@ def test_pairs_that_name_no_category_are_refused():
 
 def _cd_witness_by_rows(ctx):
     """C d = p row by row in Cyclo arithmetic, the way `verify_cd_eq_p` once
-    ran: the projective of the first offending row, or None."""
+    ran, with FPdim P formed here by `cyclo.fpdim_projective`: the
+    projective of the first offending row, or None."""
     dims = [ctx.fpdim_simples[ctx.simple_of_proj[s]] for s in ctx.rows]
     for a, s in enumerate(ctx.rows):
         lhs = cyclo.context(ctx.p, ctx.n).zero()
         for b, c in enumerate(ctx.cartan[a]):
             if c:
                 lhs = lhs + int(c) * dims[b]
-        if lhs != ctx.fpdim_projectives[ctx.simple_of_proj[s]]:
+        if lhs != cyclo.fpdim_projective(ctx.p, ctx.n, ctx.simple_of_proj[s]):
             return s
     return None
+
+
+def _planted_projective(labels, shift):
+    """`cyclo.fpdim_projective` with `shift` added to FPdim P_i for each i in
+    `labels`: a wrong FPdim P planted where it is formed."""
+    real = cyclo.fpdim_projective
+    return lambda p, n, i: real(p, n, i) + shift if i in labels else real(p, n, i)
 
 
 @pytest.mark.parametrize(
@@ -1118,12 +1205,16 @@ def test_cd_eq_p_names_the_first_offending_row_in_row_order(monkeypatch, p, n, f
         for a, b, entry in corrupt:
             C[a, b] = C[b, a] = entry
     ctx = _fresh_context(p, n, C)
-    if field != "cartan":
-        values = list(getattr(ctx, field))
+    one = cyclo.context(p, n).one()
+    if field == "fpdim_simples":
+        values = list(ctx.fpdim_simples)
         for s in corrupt:
             i = ctx.simple_of_proj[s]
-            values[i] = values[i] + cyclo.context(p, n).one()
+            values[i] = values[i] + one
         ctx.__dict__[field] = tuple(values)
+    elif field == "fpdim_projectives":
+        planted = _planted_projective({ctx.simple_of_proj[s] for s in corrupt}, one)
+        monkeypatch.setattr(cyclo, "fpdim_projective", planted)
     expected = _cd_witness_by_rows(ctx)
     assert expected is not None
     checks = _checks_on(monkeypatch, ctx)
@@ -1252,15 +1343,24 @@ def test_cartan_rows_and_ext1_edges_on_every_category_up_to_300_simples(pn):
 def test_cd_eq_p_on_every_category_up_to_300_simples(pn, field, data):
     """C d = p holds on every category up to 300 simples, and one FPdim L_t
     or FPdim P_i raised by a power of q fails it at the row the Cyclo
-    reference names."""
+    reference names.  FPdim P is planted where it is formed."""
     p, n = pn
     ctx = catalog.CategoryContext(p, n)
     assert catalog.verify_cd_eq_p(ctx) == (True, None), pn
-    values = list(getattr(ctx, field))
-    i = data.draw(st.integers(0, len(values) - 1), label="simple")
+    i = data.draw(st.integers(0, len(ctx.simples) - 1), label="simple")
     e = data.draw(st.integers(0, 2 * p**n - 1), label="exponent")
-    values[i] = values[i] + cyclo.context(p, n).q_power(e)
-    ctx.__dict__[field] = tuple(values)
-    expected = _cd_witness_by_rows(ctx)
-    assert expected is not None
-    assert catalog.verify_cd_eq_p(ctx) == (False, expected), (pn, field, i, e)
+    shift = cyclo.context(p, n).q_power(e)
+    # A second context sharing the first one's fills, all but the FP pass.
+    ctx2 = catalog.CategoryContext(p, n)
+    ctx2.__dict__.update((k, v) for k, v in vars(ctx).items() if k != "fp_pass")
+    planted = cyclo.fpdim_projective
+    if field == "fpdim_simples":
+        values = list(ctx.fpdim_simples)
+        values[i] = values[i] + shift
+        ctx2.__dict__[field] = tuple(values)
+    else:
+        planted = _planted_projective({i}, shift)
+    with mock.patch.object(cyclo, "fpdim_projective", planted):
+        expected = _cd_witness_by_rows(ctx2)
+        assert expected is not None
+        assert catalog.verify_cd_eq_p(ctx2) == (False, expected), (pn, field, i, e)

@@ -35,7 +35,7 @@ def test_report_json_shape(runner):
     result = invoke(runner, "report", "-p", "3", "-n", "2", "--format", "json")
     assert result.exit_code == 0
     doc = json.loads(result.output)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["kind"] == "category_report"
     payload = doc["payload"]
     assert payload["p"] == 3 and payload["n"] == 2
@@ -376,7 +376,7 @@ def test_a_failed_check_in_a_valid_record_is_printed_and_exits_1(tmp_path):
         assert line in text.output.splitlines()
         doc = invoke(runner, *args, "--format", "json")
         assert doc.exit_code == 1, doc.output
-        assert json.loads(doc.output) == {"schema_version": 2, "kind": kind, "payload": payload}
+        assert json.loads(doc.output) == {"schema_version": 3, "kind": kind, "payload": payload}
     assert "FAILURES PRESENT" in text.output
     assert target.read_text() == planted
 
@@ -487,9 +487,14 @@ def test_cache_file_for_another_category_is_rebuilt(tmp_path):
             assert rebuilt["p"] == 3 and isinstance(rebuilt["verification"], dict)
 
 
-def _drop(key):
+def _drop(*path):
+    """Delete the key at the end of `path`."""
+
     def mutate(record):
-        del record[key]
+        *head, last = path
+        for k in head:
+            record = record[k]
+        del record[last]
 
     return mutate
 
@@ -552,7 +557,8 @@ def _planted_failure(record):
         pytest.param("fuse", _pop(["cartan", "blocks"]), id="fuse-cartan-block-missing"),
         pytest.param("decomp", _set(["decomposition", "support", 1, 0], 26), id="decomp-support-too-large"),
         pytest.param("decomp", _set(["decomposition", "support", 1, 0], -1), id="decomp-support-negative"),
-        pytest.param("report", _pop(["fpdim", 4, "simple_coeffs"]), id="report-fpdim-terms-unequal"),
+        pytest.param("report", _drop("fpdim", 4, "projective_numeric"), id="report-fpdim-projective-missing"),
+        pytest.param("report", _set(["fpdim", 4, "projective_numeric"], 1.5), id="report-fpdim-projective-not-a-string"),
         pytest.param("report", _pop(["fpdim"]), id="report-fpdim-entry-missing"),
         pytest.param("report", _set(["fpdim", 1, "label"], 5), id="report-fpdim-relabelled"),
         pytest.param("report", _drop("dims"), id="report-dims-missing"),
@@ -570,8 +576,8 @@ def _planted_failure(record):
 def test_a_record_that_lacks_what_a_view_reads_is_rebuilt(tmp_path, command, mutate):
     """A file that matches the request but lacks a key a command reads, or
     holds it with the wrong type or shape (a Cartan block too few or of the
-    wrong size, a Weyl column out of range, FPdim terms of unequal lengths,
-    FP dimensions or dims that are not the simples' in order, an Ext^1
+    wrong size, a Weyl column out of range, an FPdim value missing or not a
+    string, FP dimensions or dims that are not the simples' in order, an Ext^1
     pair that is not two simples, smaller first, the dense Cartan matrix of the previous record, a verdict that all
     passed over a failing check), is a miss: the command
     prints its cold output and rewrites the file."""

@@ -5,7 +5,7 @@ record of their category.  Each document here is rebuilt from
 `catalog.category`, `digits.decomposition_matrix` and
 `grring.fold_projectives` instead, and the command's stdout must equal it
 in json and in text.  The block-sparse record itself, read back from its
-file, must expand to the same matrices and FP dimensions.
+file, must expand to the same matrices and hold the same FP values.
 """
 
 import functools
@@ -156,8 +156,8 @@ ROUND_TRIP = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5
 @pytest.mark.parametrize("p, n", ROUND_TRIP, ids=lambda v: str(v))
 def test_the_block_sparse_record_holds_the_library_matrices(tmp_path, p, n):
     """The written record, read back, expands to the context's Cartan
-    matrix, the descendant decomposition matrix and the nonzero terms of
-    each FPdim L_i."""
+    matrix and the descendant decomposition matrix, and holds the decimal
+    values of each FPdim L_i and FPdim P_i and no exact FP dimension."""
     import numpy as np
 
     cold = cli.load_or_build(p, n, str(tmp_path), 100, 0)
@@ -179,7 +179,6 @@ def test_the_block_sparse_record_holds_the_library_matrices(tmp_path, p, n):
     assert dec["support"] == [np.flatnonzero(row).tolist() for row in D]
 
     assert [e["label"] for e in record["fpdim"]] == list(cat.simples)
-    for entry, fs in zip(record["fpdim"], cat.fpdim_simples, strict=True):
-        terms = [(e, c) for e, c in enumerate(fs.coeffs) if c]
-        assert list(zip(entry["simple_exponents"], entry["simple_coeffs"])) == terms
-        assert "projective_coeffs" not in entry
+    for entry, (xs, xp) in zip(record["fpdim"], cat.fpdim_numeric, strict=True):
+        assert entry.keys() == {"label", "simple_numeric", "projective_numeric"}
+        assert (entry["simple_numeric"], entry["projective_numeric"]) == (cli._nstr(xs), cli._nstr(xp))
