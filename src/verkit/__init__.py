@@ -14,8 +14,10 @@ in `__all__` is looked up in its defining module on first access (PEP 562),
 so `from verkit import build` loads `catalog` and what it needs, and
 `import verkit.cli` loads only the command line and `errors`.  Inside the package, an
 import that only a build or a check needs sits in the function that needs
-it, so a warm command line call loads no numpy.  No module imports mpmath;
-the tests use it as an independent oracle.
+it, and numpy only in the functions that take or return arrays, so no warm
+command line call and no passing build loads numpy: only a Cartan block
+the certificate refuses, a dense view and `fold_projectives` do.  No
+module imports mpmath; the tests use it as an independent oracle.
 """
 
 import importlib

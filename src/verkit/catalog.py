@@ -338,7 +338,9 @@ class CategoryData:
 
     `decomposition` holds, per Cartan row T_i, the increasing Weyl columns j
     with d_ij = 1: those where j + 1 is a descendant of i + 1.  `cartan` is
-    the context's `cartan_rows`.  Of the FP dimensions it holds the values.
+    the context's `cartan_rows`.  Of the FP dimensions it holds the values,
+    and in place of a value that cannot be evaluated the error naming it
+    (`fp_pass`), so a build with such a value returns its failed checks.
     """
 
     p: int
@@ -352,7 +354,7 @@ class CategoryData:
     blocks: tuple[tuple[int, ...], ...]
     block_dets: dict[tuple[int, ...], int]
     dims: dict[int, int]
-    fpdim_numeric: tuple[tuple[Fraction, Fraction], ...]
+    fpdim_numeric: tuple[tuple[Fraction | VerkitError, Fraction | VerkitError], ...]
     ext1_edges: tuple[tuple[int, int], ...] | None
     stable: dict
     verification: VerificationReport
@@ -664,12 +666,13 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
     report.add("fpdim_category", passed, witness)
 
     if p**n > 2:
-        # S_(p^n - 1) and S_(p^(n-1) - 1) at FPdim L_1, by their recurrence.
-        try:
-            at_level, below = cyclo.chebyshev_at(ctx.fpdim_simples[1], p**n - 1, p ** (n - 1) - 1)
-        except PrecisionExceeded as exc:
-            witness = str(exc)
+        # FPdim L_1 must be q + q^-1; then S_(p^n - 1) and S_(p^(n-1) - 1) at
+        # that two-term element, by their recurrence in Python integers.
+        ring = cyclo.context(p, n)
+        if ctx.fpdim_simples[1] != ring.element([(1, 1), (-1, 1)]):
+            witness = "FPdim L_1 != q + q^-1"
         else:
+            at_level, below = cyclo.chebyshev_at(ring, p**n - 1, p ** (n - 1) - 1)
             if at_level:
                 witness = f"S_{p**n - 1}(FPdim L_1) != 0"
             else:
@@ -738,7 +741,7 @@ def build(p: int, n: int, samples: int = 100, seed: int = 0) -> CategoryData:
         blocks=ctx.blocks,
         block_dets=dict(ctx.block_dets),
         dims={i: cyclo.dim_simple(p, n, i)[0] for i in simples},
-        fpdim_numeric=ctx.fpdim_numeric,
+        fpdim_numeric=ctx.fp_pass.values,
         ext1_edges=ctx.ext1_edges,
         stable={"order": ctx.stable["order"], "invariant_factors": list(ctx.stable["invariant_factors"])},
         verification=verification,

@@ -27,13 +27,12 @@ Import policy: this module imports only the standard library (argparse
 among it, no click) and `errors` at the top; `tempfile` is imported by
 `_atomic_write`, so only a build or `--output` loads it.  Each command
 imports the modules it uses in its body, and `load_or_build` imports
-`catalog` only on a cache miss, so a warm record view loads neither numpy
-nor `cyclo` nor `catalog`; `fuse` and `table` load `grring` and `digits`,
-which import numpy only inside the functions that return arrays.
-`tilting` and `invariants` compute on Python integers, so only a build
-loads numpy.  The record's decimal strings come from `cyclo.nstr`, which
-`_nstr` imports only after a build, so no warm command loads the
-formatter, and no module loads mpmath.
+`catalog` only on a cache miss, so a warm record view loads neither
+`cyclo` nor `catalog`.  No command loads numpy unless a build refuses a
+Cartan block: `digits` and `linalg` import it only inside the functions
+that return or take arrays.  The record's decimal strings come from
+`cyclo.nstr`, which `_nstr` imports only after a build, so no warm command
+loads the formatter, and no module loads mpmath.
 `catalog.build` is read as a module attribute at call time, so a
 replacement (a test double, a tracing wrapper) is what runs.
 """
@@ -138,7 +137,7 @@ def _batches(chunks: Iterable[str]) -> Iterator[str]:
 def _nstr(x) -> str:
     from .cyclo import nstr
 
-    return nstr(x, NUMERIC_DIGITS)
+    return str(x) if isinstance(x, VerkitError) else nstr(x, NUMERIC_DIGITS)
 
 
 def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dict:
@@ -151,8 +150,9 @@ def category_payload(data: catalog.CategoryData, samples: int, seed: int) -> dic
     - "decomposition": the T labels of the rows, the number of Weyl columns
       (p^n - 1) and, per row, the increasing columns j with d_ij = 1.
     - "fpdim": per simple L_i, the decimal values of FPdim L_i and
-      FPdim P_i.  The exact FPdim L_i follows from the label
-      (`cyclo.fpdim_simple`), so the record holds no exact FP dimension.
+      FPdim P_i, or the message of the error evaluating one raised.  The
+      exact FPdim L_i follows from the label (`cyclo.fpdim_simple`), so the
+      record holds no exact FP dimension.
 
     The views expand the matrices on read (`_cartan_entries`, `decomp`).
     """

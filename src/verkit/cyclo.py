@@ -16,13 +16,12 @@ dimension of each object and the closed form of the category dimension;
 the identities over a whole category (`C d = p`, the category dimension)
 are checked where the category's quantities are held, by substitution in
 this ring, and nothing is ever solved for.
-Chebyshev polynomials are evaluated by their recurrence
-S_m = x S_(m-1) - S_(m-2) (`chebyshev_at`), each step reduced at once: multiplied by x's nonzero terms as shifts of an int64
-vector, folded by q^(p^n) = -1, and reduced modulo Phi by one pass over the
-top p^(n-1) coefficients.  The values stay small (at FPdim L_1 every
-coefficient stayed within 1 from Ver_9 to Ver_2187), and each step is
-guarded by `check_int64_products`; Horner's rule on the coefficients of
-`chebyshev_Q`, which grow like 2^(p^n), is the test suite's oracle.
+The Chebyshev check confirms that FPdim L_1 is the two-term element
+q + q^-1 and then runs S_m = x S_(m-1) - S_(m-2) at that x in Z[q, q^-1]
+(`chebyshev_at`): one Python integer per S_m, and only the S_m asked for
+are reduced modulo Phi.  Horner's rule on the coefficients of
+`chebyshev_Q`, which grow like 2^(p^n), is the test suite's oracle.  The
+module loads neither numpy nor `linalg`.
 Quantum integers are
 
     [m]_(q^s) = sum_{k=0}^{m-1} q^(s(m-1-2k)),
@@ -54,11 +53,8 @@ from functools import lru_cache
 from itertools import compress
 from operator import mul
 
-import numpy as np
-
 from .digits import check_pn, check_simple, descendants, steinberg_label, to_digits
 from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
-from .linalg import check_int64_products
 from .tilting import chebyshev_s
 
 NUMERIC_TOL = Fraction(1, 10**25)
@@ -431,45 +427,28 @@ def chebyshev_Q(p: int, n: int) -> IntPoly:
     return IntPoly(chebyshev_s(p**n - 1))
 
 
-def chebyshev_at(x: CycloInt, *indices: int) -> tuple[CycloInt, ...]:
-    """S_m(x) for each m in `indices` (m >= 0), in that order.
+def chebyshev_at(ring: CycloContext, *indices: int) -> tuple[CycloInt, ...]:
+    """S_m(q + q^-1) for each m in `indices` (m >= 0), in that order, reduced.
 
-    Runs S_0 = 1, S_1 = x, S_m = x S_(m-1) - S_(m-2) on int64 coefficient
-    vectors.  Each product by x is a sum of shifted copies, one per nonzero
-    term of x, folded by q^(p^n) = -1 and reduced modulo Phi in one pass
-    over the top p^(n-1) coefficients (for odd p, q^((p-1)p^(n-1) + t) is
-    the alternating sum of q^(t + k p^(n-1)), k < p - 1, all below the
-    degree).  So every S_m is the reduced element `CycloContext.element`
-    would give.  Before each step `check_int64_products` raises
-    PrecisionExceeded if a coefficient could overflow.
+    Runs S_0 = 1, S_1 = x, S_m = x S_(m-1) - S_(m-2) at x = q + q^-1 in
+    Z[q, q^-1], on the polynomials P_m = q^m S_m of degree 2m:
+    P_m = (q^2 + 1) P_(m-1) - q^2 P_(m-2).  Each P_m is one Python integer,
+    its value at q = 2, with one bit per coefficient: evaluation is a ring
+    homomorphism, so these integers follow the recurrence exactly and a
+    product by q^2 is a shift by two bits.  One bit holds a coefficient
+    because each is 0 or 1: S_m(q + q^-1) = [m+1]_q, so P_m = 1 + q^2 + ...
+    + q^(2m), and the bits of the value are its coefficients.  Only the
+    requested S_m are read back, bit j as the coefficient of q^(j - m), and
+    reduced modulo Phi by `CycloContext.element`.
     """
     if any(m < 0 for m in indices):
         raise OutOfRange(f"Chebyshev indices must be >= 0, got {indices}")
-    ctx = x.ctx
-    N, d = ctx.p**ctx.n, ctx.degree
-    top = N // ctx.p
-    low = np.array(ctx.modulus[: d : top], dtype=np.int64)  # Phi's terms below x^d
-    terms = [(e, c) for e, c in enumerate(x.coeffs) if c]
-    xmax = max((abs(c) for _, c in terms), default=0)
-    found = {m: ctx.one() for m in indices if m == 0}
-    older = np.zeros(d, dtype=np.int64)  # S_(m-2), from S_(-1) = 0
-    cur = np.zeros(d, dtype=np.int64)  # S_(m-1), from S_0 = 1
-    cur[0] = amax = 1
-    buf = np.zeros(2 * N, dtype=np.int64)
-    for m in range(1, max(indices, default=0) + 1):
-        # |x S - S'| <= 4 |terms| amax xmax + amax: the shifted sum, the fold
-        # and the reduction each at most double a coefficient's bound.
-        check_int64_products(amax, xmax, 4 * len(terms) + 1, f"Chebyshev S_{m}")
-        buf[:] = 0
-        for e, c in terms:
-            buf[e : e + d] += c * cur
-        v = buf[:N] - buf[N:]
-        if d < N:
-            v[:d].reshape(-1, top)[:] -= np.outer(low, v[d:])
-        older, cur = cur, v[:d] - older
-        amax = max(int(np.abs(cur).max()), int(np.abs(older).max()), 1)
+    found, older, cur = {}, 0, 1  # P_(m-1), from P_(-1) = 0, and P_m from P_0 = 1
+    for m in range(max(indices, default=0) + 1):
         if m in indices:
-            found[m] = CycloInt(ctx, cur.tolist())
+            bits = bin(cur)[:1:-1]
+            found[m] = ring.element((j - m, 1) for j, b in enumerate(bits) if b == "1")
+        older, cur = cur, (cur << 2) + cur - (older << 2)
     return tuple(found[m] for m in indices)
 
 

@@ -44,8 +44,7 @@ class NotReal(VerkitError):
 
 
 class PrecisionExceeded(VerkitError):
-    """A numeric evaluation cannot meet its stated error bound, or an int64
-    product could overflow."""
+    """A numeric evaluation cannot meet its stated error bound."""
 
 
 # Miller-Rabin with every prime base up to 41 decides primality exactly

@@ -25,31 +25,25 @@ These routines work on whatever matrix they are given.  `catalog` calls
 full-matrix calls, and `smith_normal_form` with its certificate, as the
 oracles the per-block results must reproduce.
 
-`check_int64_products` raises before an int64 sum of products could
-overflow; the Chebyshev recurrence `cyclo.chebyshev_at` calls it.
+numpy is imported only inside these routines, so importing the module
+(as `catalog` does) loads no numpy, and a build whose blocks are all
+certified never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from .errors import PrecisionExceeded, ShapeMismatch
+from .errors import ShapeMismatch
 
-
-def check_int64_products(amax: int, bmax: int, terms: int, what: str) -> None:
-    """Refuse int64 work whose sums of `terms` products could overflow.
-
-    `amax` and `bmax` bound the absolute values of the two factors; raises
-    PrecisionExceeded when amax * bmax * terms >= 2^63.
-    """
-    if int(amax) * int(bmax) * int(terms) >= 2**63:
-        raise PrecisionExceeded(
-            f"{what}: {amax} * {bmax} * {terms} could overflow int64"
-        )
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _square_copy(M: np.ndarray) -> np.ndarray:
     """A Python-int copy of M; ShapeMismatch unless M is a square matrix."""
+    import numpy as np
+
     A = np.array(M, dtype=object)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
@@ -65,6 +59,8 @@ def minors_and_det(M: np.ndarray) -> tuple[list[int], int]:
     exchanges rows and goes on to the determinant.  The divisions are exact,
     so the entries stay Python ints.
     """
+    import numpy as np
+
     A = _square_copy(M)
     minors: list[int] = []
     sign, prev = 1, 1
@@ -100,6 +96,8 @@ def definiteness_witness(M: np.ndarray, rows=None, minors=None) -> str:
     rows: a leading minor of M on rows other than the larger matrix's first
     ones is named as a principal minor on its rows.
     """
+    import numpy as np
+
     A = _square_copy(M)
     rows = range(len(A)) if rows is None else list(rows)
     asymmetric = np.argwhere(A != A.T)
@@ -126,6 +124,8 @@ def smith_normal_form(M: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]
     it only for a solve block that `catalog.block_certificate` does not
     certify; the test suite uses it as the oracle for the certified factors.
     """
+    import numpy as np
+
     A = np.array(M, dtype=object)
     if A.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {A.shape}")

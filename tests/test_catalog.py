@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from verkit import catalog, cli, cyclo, digits, errors, grring
 from verkit.catalog import (
     build,
@@ -1131,14 +1132,54 @@ def test_an_fp_value_that_cannot_be_evaluated_fails_its_checks_and_never_raises(
 
 
 def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
+    """The recurrence runs at q + q^-1, so any other FPdim L_1 fails the
+    lift comparison first, which names it."""
     one = cyclo.context(3, 2).one()
-    for shift, witness in ((one, "S_8(FPdim L_1) != 0"), (2**40 * one, "could overflow int64")):
+    for shift in (one, 2**40 * one):
         ctx = _fresh_context(3, 2, cartan_descendant(3, 2))
         values = list(ctx.fpdim_simples)
         values[1] = values[1] + shift
         ctx.__dict__["fpdim_simples"] = tuple(values)
         check = _checks_on(monkeypatch, ctx)["chebyshev_roots"]
-        assert not check.passed and witness in check.witness
+        assert not check.passed and check.witness == "FPdim L_1 != q + q^-1"
+
+
+@pytest.mark.parametrize(
+    "shift, witness",
+    [("q", "FPdim P1: imaginary part 0.34202 at q"),
+     ("10^30", "FPdim P1: coefficients of absolute sum 1000000000000000000000000000007 are too large to evaluate within 1.0e-25")],
+    ids=["q", "10^30"],
+)
+def test_a_build_with_an_fp_value_that_cannot_be_evaluated_exits_1_and_reads_back_warm(tmp_path, monkeypatch, shift, witness):
+    """FPdim P_1 of Ver_9 plus q or plus 10^30: `verify` prints the failed
+    checks and exits 1, where `build` raised and the command line took it
+    for a usage error (exit 2).  The record holds the error's message in
+    place of the decimal, and reads back warm with the same stdout."""
+    ring = cyclo.context(3, 2)
+    shift = ring.q_power(1) if shift == "q" else 10**30 * ring.one()
+    monkeypatch.setattr(cyclo, "fpdim_projective", _planted_projective({1}, shift))
+    args = ["verify", "-p", "3", "-n", "2", "--cache-dir", str(tmp_path)]
+    catalog.category.cache_clear()
+    try:
+        cold = run_cli(args)
+    finally:
+        catalog.category.cache_clear()
+    assert (cold.exit_code, cold.stderr) == (1, "")
+    lines = cold.stdout.splitlines()
+    assert [line for line in lines if "FAIL" in line] == [
+        "cd_eq_p: FAIL (row 3)", f"fpdim_category: FAIL ({witness})", "FAILURES PRESENT"
+    ]
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the record was rebuilt")
+
+    monkeypatch.setattr(catalog, "build", refuse)
+    warm = run_cli(args)
+    assert (warm.exit_code, warm.stdout, warm.stderr) == (1, cold.stdout, "")
+    entry = cli.load_or_build(3, 2, str(tmp_path), 100, 0)["fpdim"][1]
+    assert entry["projective_numeric"] == witness
+    assert entry["simple_numeric"] == cli._nstr(cyclo.fpdim_simple(3, 2, 1).numeric_real())
 
 
 def test_check_seconds_are_filled_and_stay_out_of_equality_and_the_payload():

@@ -191,62 +191,70 @@ HORNER_PAIRS = [(p, n) for p, n in UP_TO_343 if (n >= 2 or p < 128) and p**n > 2
 
 
 def test_chebyshev_recurrence_equals_horner():
+    """At the two-term element q + q^-1, which FPdim L_1 is."""
     for p, n in HORNER_PAIRS:
         x = fpdim_simple(p, n, 1)
-        at_level, below = chebyshev_at(x, p**n - 1, p ** (n - 1) - 1)
+        assert x == context(p, n).element([(1, 1), (-1, 1)]), (p, n)
+        at_level, below = chebyshev_at(context(p, n), p**n - 1, p ** (n - 1) - 1)
         assert at_level == chebyshev_Q(p, n)(x) and not at_level, (p, n)
         assert below == chebyshev_Q(p, n - 1)(x) and below, (p, n)
 
 
-SMALL_TERMS = st.lists(st.tuples(st.integers(-100, 100), st.integers(-2, 2)), max_size=6)
-
-
 @settings(deadline=None, max_examples=80)
-@given(st.sampled_from(PAIRS), SMALL_TERMS, st.lists(st.integers(0, 40), max_size=4))
-def test_chebyshev_recurrence_equals_horner_at_any_element(pn, terms, indices):
-    """Equal to Horner, or refused exactly where the int64 guard must trip:
-    at the first step m whose inputs S_(m-1), S_(m-2) could overflow."""
-    ctx = context(*pn)
-    x = ctx.element(terms)
-    horner = [IntPoly(chebyshev_s(m))(x) for m in range(max(indices, default=0) + 1)]
-    nonzero = sum(1 for c in x.coeffs if c)
-    xmax = max(map(abs, x.coeffs))
-    tripped = [
-        m
-        for m in range(1, len(horner))
-        if max(map(abs, horner[m - 1].coeffs + (horner[m - 2].coeffs if m > 1 else ()) + (1,)))
-        * xmax
-        * (4 * nonzero + 1)
-        >= 2**63
-    ]
-    if tripped:
-        with pytest.raises(PrecisionExceeded, match=f"S_{tripped[0]}:"):
-            chebyshev_at(x, *indices)
-        return
-    got = chebyshev_at(x, *indices)
-    assert got == tuple(horner[m] for m in indices)
-    assert all(isinstance(v, CycloInt) and v.ctx is ctx for v in got)
+@given(st.data())
+def test_chebyshev_recurrence_equals_horner_at_any_element(data):
+    """Any indices up to 2p^n, in any order and repeated, at q + q^-1 of
+    any of the pairs: each S_m equal to Horner on chebyshev_s(m)."""
+    p, n = data.draw(st.sampled_from(PAIRS))
+    indices = data.draw(st.lists(st.integers(0, 2 * p**n), max_size=4))
+    ring = context(p, n)
+    x = ring.element([(1, 1), (-1, 1)])
+    got = chebyshev_at(ring, *indices)
+    assert got == tuple(IntPoly(chebyshev_s(m))(x) for m in indices)
+    assert all(isinstance(v, CycloInt) and v.ctx is ring for v in got)
 
 
 def test_chebyshev_recurrence_refuses_overflow_and_negative_indices():
-    x = context(3, 2).element([(1, 2**40)])
-    with pytest.raises(PrecisionExceeded):
-        chebyshev_at(x, 8)
-    assert chebyshev_at(x, 0, 1) == (context(3, 2).one(), x)
+    """Negative indices are refused.  Nothing overflows: the recurrence runs
+    on Python integers, which pass 2^63 from S_32 on."""
+    ring = context(3, 2)
+    x = ring.element([(1, 1), (-1, 1)])
+    assert chebyshev_at(ring) == ()
+    assert chebyshev_at(ring, 0, 1) == (ring.one(), x)
     with pytest.raises(OutOfRange):
-        chebyshev_at(x, -1)
+        chebyshev_at(ring, -1)
+    with pytest.raises(OutOfRange):
+        chebyshev_at(ring, 3, -2)
+    # [m+1]_q has period 2p^n = 18 in m, so S_1000 = S_10.
+    assert chebyshev_at(ring, 1000, 10) == 2 * (IntPoly(chebyshev_s(10))(x),)
 
 
 def test_chebyshev_guard_raises_under_python_O():
+    """The Chebyshev check, its lift comparison and its refusal of a
+    negative index hold under -O, which strips asserts."""
     code = (
-        "from verkit import cyclo\n"
-        "from verkit.errors import PrecisionExceeded\n"
-        "x = cyclo.context(3, 2).element([(1, 2**40)])\n"
+        "from verkit import catalog, cyclo\n"
+        "from verkit.errors import OutOfRange\n"
+        "ring = cyclo.context(3, 2)\n"
+        "checks = {c.name: c for c in catalog.verify_all(3, 2, samples=5).checks}\n"
+        "if not checks['chebyshev_roots'].passed:\n"
+        "    raise SystemExit(checks['chebyshev_roots'].witness)\n"
+        "if cyclo.chebyshev_at(ring, 8, 2) != (ring.zero(), cyclo.fpdim_simple(3, 2, 2)):\n"
+        "    raise SystemExit('S_8, S_2 at q + q^-1')\n"
+        "ctx = catalog.CategoryContext(3, 2)\n"
+        "values = list(ctx.fpdim_simples)\n"
+        "values[1] = values[1] + ring.one()\n"
+        "ctx.__dict__['fpdim_simples'] = tuple(values)\n"
+        "real = catalog.category\n"
+        "catalog.category = lambda p, n: ctx if (p, n) == (3, 2) else real(p, n)\n"
+        "checks = {c.name: c for c in catalog.verify_all(3, 2, samples=5).checks}\n"
+        "if checks['chebyshev_roots'].witness != 'FPdim L_1 != q + q^-1':\n"
+        "    raise SystemExit(checks['chebyshev_roots'].witness)\n"
         "try:\n"
-        "    cyclo.chebyshev_at(x, 8)\n"
-        "except PrecisionExceeded:\n"
+        "    cyclo.chebyshev_at(ring, -1)\n"
+        "except OutOfRange:\n"
         "    raise SystemExit(0)\n"
-        "raise SystemExit('no PrecisionExceeded')\n"
+        "raise SystemExit('no OutOfRange')\n"
     )
     src = os.path.dirname(os.path.dirname(cyclo.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

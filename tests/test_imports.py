@@ -77,43 +77,59 @@ def test_a_small_command_loads_neither_mpmath_nor_cyclo(primed, args):
     "args", [["tilting", "-m", "7"], ["invariants", "-M", "12"]], ids=lambda args: args[0]
 )
 def test_the_computing_commands_load_neither_numpy_nor_mpmath(primed, args):
-    # Tilting characters are Python integers; only a build loads numpy.
+    # Tilting characters are Python integers, so these load no numpy.
     loaded = _loaded(args + ["-p", "3", "-n", "3", "--format", "json", "--cache-dir", primed])
     assert not loaded & {"numpy", "mpmath"}, loaded
 
 
-# A cold `verify` of Ver_27 and of Ver_64 into the cache directory argv[1],
-# with mpmath made unimportable.
+# Cold commands into the cache directory argv[1] with the module argv[2]
+# made unimportable: each further argument is "command p n".
 BLOCKED = """
 import sys
-sys.modules["mpmath"] = None
+sys.modules[sys.argv[2]] = None
 import verkit.cli
-for p, n in ((3, 3), (2, 6)):
+for spec in sys.argv[3:]:
+    command, p, n = spec.split()
     try:
-        verkit.cli.main(args=["verify", "-p", str(p), "-n", str(n), "--cache-dir", sys.argv[1]], prog_name="verkit")
+        verkit.cli.main(args=[command, "-p", p, "-n", n, "--cache-dir", sys.argv[1]], prog_name="verkit")
     except SystemExit as exc:
         if exc.code:
             raise
 """
 
 
-def test_a_cold_build_needs_no_mpmath(tmp_path, monkeypatch):
+def _cold_without(blocked: str, specs: list[str], cache: str, monkeypatch) -> None:
+    """Run the cold commands with `blocked` unimportable, then read each
+    record back warm in this process, failing if it is rebuilt."""
     from verkit import catalog, cli
 
-    cache = str(tmp_path / "cache")
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run(
-        [sys.executable, "-c", BLOCKED, cache], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", BLOCKED, cache, blocked, *specs],
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr + done.stdout
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the cache written without mpmath was rebuilt")
+        raise AssertionError(f"the cache written without {blocked} was rebuilt")
 
     monkeypatch.setattr(catalog, "build", refuse)
-    for p, n in ((3, 3), (2, 6)):
+    for spec in specs:
+        p, n = map(int, spec.split()[1:])
         payload = cli.load_or_build(p, n, cache, 100, 0)
         assert payload["verification"]["all_passed"], (p, n)
+
+
+def test_a_cold_build_needs_no_mpmath(tmp_path, monkeypatch):
+    _cold_without("mpmath", ["verify 3 3", "verify 2 6"], str(tmp_path / "cache"), monkeypatch)
+
+
+def test_a_cold_build_whose_blocks_are_certified_needs_no_numpy(tmp_path, monkeypatch):
+    """Every block of these is certified, and the Chebyshev check runs on
+    Python integers, so neither a cold `verify` nor a cold `report` imports
+    numpy; only a refused block, the dense views and `fold_projectives` do."""
+    specs = ["verify 3 3", "verify 2 6", "verify 7 1", "report 5 2"]
+    _cold_without("numpy", specs, str(tmp_path / "cache"), monkeypatch)
 
 
 def test_importing_tilting_loads_no_numpy():
