@@ -16,8 +16,10 @@ so `from verkit import build` loads `catalog` and what it needs, and
 import that only a build or a check needs sits in the function that needs
 it, and numpy only in the functions that take or return arrays, so no warm
 command line call and no passing build loads numpy: only a Cartan block
-the certificate refuses, a dense view and `fold_projectives` do.  No
-module imports mpmath; the tests use it as an independent oracle.
+the certificate refuses, a dense view and `fold_projectives` do.  Nor
+does a passing build load `dataclasses` (the records are NamedTuples and
+plain classes) or `charring` (only the dense tilting characters import
+it).  No module imports mpmath; the tests use it as an independent oracle.
 """
 
 import importlib

@@ -28,6 +28,10 @@ Cartan cokernel (Z/p)^(p^(n-1)-1), joins the records' factors;
 p in all.  The check `cartan_block_diagonal` licenses the per-block work:
 it runs first, and when it fails the same code runs on one block of all
 rows, the full matrix.
+
+The records are `typing.NamedTuple`s (`SolveBlock`, `FPPass`,
+`CategoryData`) and two plain classes (`Check`, `VerificationReport`), so
+the module loads no `dataclasses` (nor `inspect`, which that imports).
 """
 
 from __future__ import annotations
@@ -35,12 +39,11 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 from types import MappingProxyType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import digits
 from .errors import NotReal, PrecisionExceeded, UnsupportedPrime, VerkitError, check_category, check_pn
@@ -60,8 +63,7 @@ if TYPE_CHECKING:
 INVARIANT_SERIES_DEPTH = 12
 
 
-@dataclass(frozen=True)
-class SolveBlock:
+class SolveBlock(NamedTuple):
     """The exact linear algebra of the Cartan submatrix on one solve block:
     its determinant and Smith factors.  `minors` is None for a block that
     `block_certificate` certifies, else the leading minors up to the first
@@ -73,8 +75,7 @@ class SolveBlock:
     minors: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class FPPass:
+class FPPass(NamedTuple):
     """What `CategoryContext.fp_pass` keeps: the Cartan rows where C d = p
     fails, in pass order, and per simple label the real values of (FPdim L,
     FPdim P), or the error evaluating one raised, and their weights."""
@@ -299,25 +300,43 @@ def category(p: int, n: int) -> CategoryContext:
     return CategoryContext(p, n)
 
 
-@dataclass
 class Check:
     """One named check.  `seconds` is the wall time it took; it takes no
     part in equality and is not written to the cache payload."""
 
-    name: str
-    passed: bool
-    witness: str = ""
-    seconds: float = field(default=0.0, compare=False)
+    __slots__ = ("name", "passed", "witness", "seconds")
+
+    def __init__(self, name: str, passed: bool, witness: str = "", seconds: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.seconds = seconds
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Check):
+            return NotImplemented
+        return (self.name, self.passed, self.witness) == (other.name, other.passed, other.witness)
+
+    def __repr__(self) -> str:
+        return f"Check(name={self.name!r}, passed={self.passed!r}, witness={self.witness!r}, seconds={self.seconds!r})"
 
 
-@dataclass
 class VerificationReport:
     """Checks in the order they ran.  Each check's seconds run from the
     previous `add` (or the report's creation) to its own, so they include
     whatever context quantity it was the first to need."""
 
-    checks: list[Check] = field(default_factory=list)
-    _mark: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
+        self._mark = time.perf_counter()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(checks={self.checks!r})"
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         now = time.perf_counter()
@@ -332,8 +351,7 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-@dataclass
-class CategoryData:
+class CategoryData(NamedTuple):
     """The record of Ver_{p^n}; fields shared with its context are read-only.
 
     `decomposition` holds, per Cartan row T_i, the increasing Weyl columns j

@@ -498,7 +498,10 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     SystemExit: 0 on success, 1 on a failed verification, 2 on a usage error.
 
     Only the command argparse will run gets its options: the first argument
-    that names a command, since the top-level parser takes no values.
+    that names a command, since the top-level parser takes no values.  When
+    that is the first argument, no other command is reachable, so only its
+    parser is built; otherwise (`--help`, an unknown command) every
+    command's is, for the listing and the choices.
     """
     args = sys.argv[1:] if args is None else list(args)
     named = next((a for a in args if a in COMMANDS), None)
@@ -506,7 +509,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         prog=prog_name, description="Exact invariants of the symmetric tensor categories Ver_{p^n}."
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (command, formats, own) in COMMANDS.items():
+    built = [named] if args[:1] == [named] else COMMANDS
+    for name in built:
+        command, formats, own = COMMANDS[name]
         doc = command.__doc__
         sub = commands.add_parser(name, help=doc, description=doc)
         if name != named:

@@ -9,9 +9,12 @@ order 2p^n:
 The modulus is constructed directly and then self-checked two ways: it must
 divide x^(p^n) + 1 exactly (so q^(p^n) = -1 in the ring), and, when the
 power table is filled, it must vanish numerically at q.  Every element is
-formed by `CycloContext.element`, which folds each exponent into [0, p^n)
-by that relation and reduces the folded list modulo Phi once; products are
-reduced once by `CycloInt.__mul__`.  The module holds the ring, the FP
+reduced modulo Phi once, by `CycloContext.reduce`, the one reduction loop,
+from a list of at most p^n coefficients: `CycloContext.element` folds each
+exponent into [0, p^n) by that relation, and `CycloInt.__mul__` folds its
+product the same way.  Each context lists the modulus's nonzero lower
+terms once, and the reduction takes all the top coefficients off in one
+step with them.  The module holds the ring, the FP
 dimension of each object and the closed form of the category dimension;
 the identities over a whole category (`C d = p`, the category dimension)
 are checked where the category's quantities are held, by substitution in
@@ -27,8 +30,9 @@ Quantum integers are
     [m]_(q^s) = sum_{k=0}^{m-1} q^(s(m-1-2k)),
 
 and the dimension of the simple object with digit string i_1...i_n is the
-product of [i_k + 1] at q^(p^(n-k)).  It and each projective dimension, a
-sum of [b], are formed from their weights by one `element` call.
+product of [i_k + 1] at q^(p^(n-k)), formed from its weights by one
+`element` call.  Each projective dimension, a sum of [b], is formed from
+its multiplicity profile, already folded, and reduced once.
 
 The numeric embedding is the last step, and it too is exact integer
 arithmetic.  Each context fills, on first use, a table of cos(pi j/p^n) and
@@ -47,11 +51,10 @@ decimal strings of the record keep mpmath's form without mpmath.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from operator import mul
+from itertools import compress, cycle
+from operator import mul, sub
 
 from .digits import check_pn, check_simple, descendants, steinberg_label, to_digits
 from .errors import NotReal, OutOfRange, PrecisionExceeded, ShapeMismatch
@@ -91,9 +94,17 @@ class IntPoly:
 
 class CycloContext:
     """Per-(p, n) context holding the reduction modulus and, once filled, the
-    integer table of q's powers; the modulus is immutable."""
+    integer table of q's powers; the modulus is immutable.
 
-    __slots__ = ("p", "n", "degree", "modulus", "_table")
+    The modulus's nonzero lower terms are listed once, at construction, as
+    `_tail`: each term m x^j spread over the `_gap` positions j, ..., j +
+    gap - 1, where gap is the distance from its highest lower term to its
+    degree.  The terms sit gap apart from x^0 (every k p^(n-1) for odd p,
+    x^0 alone for p = 2), so the spreads tile [0, degree) and `reduce`
+    takes the top coefficients off in one step.
+    """
+
+    __slots__ = ("p", "n", "degree", "modulus", "_gap", "_tail", "_table")
 
     def __init__(self, p: int, n: int):
         self.p = p
@@ -108,15 +119,42 @@ class CycloContext:
             for k in range(p):
                 modulus[k * p ** (n - 1)] = (-1) ** k
         self.modulus = tuple(modulus)
+        lower = [(j, m) for j, m in enumerate(modulus[: self.degree]) if m]
+        self._gap = self.degree - lower[-1][0]
+        self._tail = tuple(m for _, m in lower for _ in range(self._gap))
         self._table = None
-        self._self_check()
+        self._self_check([j for j, _ in lower])
 
-    def _self_check(self) -> None:
-        # Exact: modulus | x^(p^n) + 1, the relation `element` folds by.
+    def _self_check(self, lower: list[int]) -> None:
+        # The lower terms tile [0, degree), so `reduce` is exact modulo the
+        # modulus; then x * (x^(p^n - 1) reduced), reduced, must be -1:
+        # modulus | x^(p^n) + 1, the relation `element` folds by.
         half = self.p**self.n
-        rem = _poly_mod([1] + [0] * (half - 1) + [1], self.modulus)
-        if any(rem):
+        if lower != list(range(0, self.degree, self._gap)):
+            raise AssertionError(f"modulus for (p={self.p}, n={self.n}) has lower terms at {lower}")
+        top = self.reduce([0] * (half - 1) + [1])
+        if self.reduce((0,) + top) != (-1,) + (0,) * (self.degree - 1):
             raise AssertionError(f"modulus for (p={self.p}, n={self.n}) does not divide x^{half} + 1")
+
+    def reduce(self, poly) -> tuple[int, ...]:
+        """poly (ascending) modulo the modulus, as `degree` coefficients;
+        poly has at most degree + gap of them, which is p^n for odd p and
+        2^(n+1) for p = 2.
+
+        With gap = degree - (highest lower term), x^(degree + t) for t < gap
+        is minus the sum of m x^(j + t) over the lower terms m x^j, and
+        none of those reaches x^degree.  So the top coefficients T come off
+        at once: coefficient r loses `_tail`[r] T[r mod gap].
+        """
+        deg, gap = self.degree, self._gap
+        rem, top = list(poly[:deg]), list(poly[deg:])
+        if len(top) > gap:
+            raise ShapeMismatch(f"{len(poly)} coefficients to reduce in a ring of degree {deg}")
+        rem += [0] * (deg - len(rem))
+        if any(top):
+            top += [0] * (gap - len(top))
+            rem[:] = map(sub, rem, map(mul, self._tail, cycle(top)))
+        return tuple(rem)
 
     def power_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """round(2^TABLE_BITS cos(pi j/p^n)) and the same for sin, j < degree.
@@ -156,26 +194,11 @@ class CycloContext:
         for e, c in terms:
             k, r = divmod(e, half)
             folded[r] += -c if k % 2 else c
-        return CycloInt(self, _poly_mod(folded, self.modulus))
+        return CycloInt(self, self.reduce(folded))
 
     def q_power(self, e: int) -> "CycloInt":
         """The element q^e for any integer e."""
         return self.element([(e, 1)])
-
-
-def _poly_mod(poly, modulus) -> tuple[int, ...]:
-    """Remainder of poly (ascending) modulo the monic modulus, as a tuple."""
-    deg = len(modulus) - 1
-    lower = [(j, m) for j, m in enumerate(modulus[:deg]) if m]
-    rem = list(poly)
-    for k in range(len(rem) - 1, deg - 1, -1):
-        c = rem[k]
-        if c:
-            for j, m in lower:
-                rem[k - deg + j] -= c * m
-    rem = rem[:deg]
-    rem += [0] * (deg - len(rem))
-    return tuple(rem)
 
 
 @lru_cache(maxsize=None)
@@ -231,13 +254,18 @@ class CycloInt:
         return CycloInt(self.ctx, tuple(scalar * a for a in self.coeffs))
 
     def __mul__(self, other: "CycloInt") -> "CycloInt":
+        ctx = self.ctx
         right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        prod = [0] * (2 * self.ctx.degree - 1)
+        prod = [0] * (2 * ctx.degree - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in right:
                     prod[i + j] += a * b
-        return CycloInt(self.ctx, _poly_mod(prod, self.ctx.modulus))
+        # q^(p^n + r) = -q^r, and 2 degree - 1 < 2 p^n: one fold suffices.
+        half = ctx.p**ctx.n
+        folded, high = prod[:half], prod[half:]
+        folded[: len(high)] = map(sub, folded, high)
+        return CycloInt(ctx, ctx.reduce(folded))
 
     def conjugate(self) -> "CycloInt":
         """Image under q -> q^(-1)."""
@@ -406,11 +434,28 @@ def fpdim_simple(p: int, n: int, i: int) -> CycloInt:
 
 
 def fpdim_projective(p: int, n: int, i: int) -> CycloInt:
-    """FPdim of the projective cover of L_i: sum of [b] over descendants b,
-    which share one parity, so weight e has multiplicity #{b : b > |e|}."""
+    """FPdim of the projective cover of L_i: the sum of [b] over its
+    descendants b, from its multiplicity profile.
+
+    The b share one parity, so q^e has multiplicity #{b : b > |e|} at every
+    e of the other parity with |e| < max b, and none elsewhere.  One sweep
+    over a = |e|, up through the b in order, fills that profile: a run of
+    one multiplicity between neighbouring b.  The multiplicity at a goes in
+    at exponent a and at -a, where q^-a = -q^(p^n - a); every b is below
+    p^n, so that is the whole fold, and the list of length p^n is reduced
+    modulo Phi once.
+    """
     bs = sorted(descendants(steinberg_label(p, n, i) + 1, p, n))
-    terms = ((e, len(bs) - bisect_right(bs, abs(e))) for e in range(1 - bs[-1], bs[-1], 2))
-    return context(p, n).element(terms)
+    top, half = bs[-1], p**n
+    profile = [0] * top  # profile[a]: the multiplicity of q^a and of q^-a
+    a = (top - 1) % 2
+    for k, b in enumerate(bs):
+        profile[a:b:2] = [len(bs) - k] * ((b - a + 1) // 2)
+        a = b + 1
+    folded = profile + [0] * (half - top)
+    folded[half - top + 1 :] = map(sub, folded[half - top + 1 :], profile[:0:-1])
+    ring = context(p, n)
+    return CycloInt(ring, ring.reduce(folded))
 
 
 def dim_simple(p: int, n: int, i: int) -> tuple[int, int]:

@@ -216,11 +216,20 @@ def _times_v(p: int, n: int, w: dict[int, int]) -> dict[int, int]:
 def _product(p: int, n: int, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
     """x * y on sparse {label: coeff} dicts, x = sum lift(X_m) L_m by lowest digit.
 
-    Each digit pair (m, r) adds X_m Y_r, one level down, times its digits
-    from `_digit_rule`; those of one digit sum m + r >= p are summed first
-    and multiplied by V once.  At level two, X_m Y_r is one base range per
-    pair of terms.
+    An operand of one term c L_0 or c L_1, on either side, gives c y or
+    c (y V) (`_times_v`) at once: a class-table row is a head times a lift,
+    so every digit group it recurses on is such a term.  Otherwise each
+    digit pair (m, r) adds X_m Y_r, one level down, times its digits from
+    `_digit_rule`; those of one digit sum m + r >= p are summed first and
+    multiplied by V once.  At level two, X_m Y_r is one base range per pair
+    of terms.
     """
+    for one, other in ((x, y), (y, x)):
+        if len(one) == 1:
+            ((k, c),) = one.items()
+            if k <= 1:
+                w = other if k == 0 else _times_v(p, n, other)
+                return {j: c * cj for j, cj in w.items() if c * cj}
     out: dict[int, int] = {}
     top = 2 * (p - 2)
     if n == 1:

@@ -26,7 +26,9 @@ tilting-to-Weyl transition matrix is unitriangular, and the top Weyl
 coefficient of a symmetric character is its top multiplicity.  The Weyl
 coefficients of T_i (x) T_j come from the Clebsch-Gordan rule applied to the
 two Weyl rows.  All arithmetic is on Python integers, so it is exact at any
-size.
+size.  Only the dense characters need `charring`: `tilting_char`,
+`decompose_tilting` and `TiltingSum.character` import it in their bodies,
+so a build, which reads the Weyl rows only, never loads it.
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from typing import TYPE_CHECKING
 
-from .charring import SymChar, weyl_expand
 from .digits import donkin_split
 from .errors import NegativeLeadingCoefficient, OutOfRange, _decimal, check_pn, check_prime
+
+if TYPE_CHECKING:
+    from .charring import SymChar
 
 
 class TiltingSum:
@@ -58,6 +63,8 @@ class TiltingSum:
         return f"TiltingSum({{{inside}}})"
 
     def character(self, p: int) -> SymChar:
+        from .charring import SymChar
+
         out = SymChar({})
         for m, c in self.mults.items():
             out = out + c * tilting_char(p, m)
@@ -93,6 +100,8 @@ def _weyl_row(p: int, m: int) -> tuple[tuple[int, int], ...]:
 
 def tilting_char(p: int, m: int) -> SymChar:
     """Character of the indecomposable tilting module T_m."""
+    from .charring import SymChar
+
     _check_index(m)
     weyl = [0] * (m // 2 + 1)
     for k, c in _weyl_row(p, m):
@@ -131,6 +140,8 @@ def decompose_tilting(p: int, a: SymChar) -> TiltingSum:
     symmetric or some stage exposes a negative top coefficient, i.e. the
     input was not the character of a tilting module.
     """
+    from .charring import weyl_expand
+
     coeffs = weyl_expand(a)
     mults: dict[int, int] = {}
     for parity in (0, 1):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -403,8 +402,9 @@ def test_build_computes_each_quantity_once(monkeypatch):
 
 
 def _reachable(value):
-    """`value` and everything it holds: items of tuples, lists and sets, keys
-    and values of mappings, fields of dataclasses."""
+    """`value` and everything it holds: items of tuples (the NamedTuple
+    records among them), lists and sets, keys and values of mappings, and
+    the checks of a report."""
     yield value
     if isinstance(value, Mapping):
         for k, v in value.items():
@@ -413,9 +413,8 @@ def _reachable(value):
     elif isinstance(value, (tuple, list, set, frozenset)):
         for v in value:
             yield from _reachable(v)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
-            yield from _reachable(getattr(value, f.name))
+    elif isinstance(value, catalog.VerificationReport):
+        yield from _reachable(value.checks)
 
 
 def test_cold_build_and_payload_evaluate_each_fpdim_once(monkeypatch):
@@ -451,11 +450,11 @@ def test_cold_build_and_payload_evaluate_each_fpdim_once(monkeypatch):
     assert payload["fpdim"][1]["simple_numeric"] == cli._nstr(data.fpdim_numeric[1][0])
     projectives = [formed[labels.index(i)] for i in ctx.simples]
     assert ctx.fp_pass.weights == tuple((fs.weight, fp.weight) for fs, fp in zip(ctx.fpdim_simples, projectives))
-    held = {id(x) for where in (vars(ctx), vars(data)) for x in _reachable(where)}
+    held = {id(x) for where in (vars(ctx), data) for x in _reachable(where)}
     assert len(held) > 100
     assert not held & {id(x) for x in formed}
     assert not hasattr(ctx, "fpdim_projectives")
-    assert not {"fpdim_simples", "fpdim_projectives"} & {f.name for f in dataclasses.fields(data)}
+    assert not {"fpdim_simples", "fpdim_projectives"} & set(data._fields)
     dimension = catalog.fpdim_category(ctx)
     ctx.__dict__["fpdim_simples"] = None
     assert catalog.fpdim_category(ctx) == dimension
@@ -491,8 +490,8 @@ def _assert_immutable(value, where):
             _assert_immutable(k, where)
             _assert_immutable(v, f"{where}[{k!r}]")
     elif isinstance(value, (catalog.SolveBlock, catalog.FPPass)):
-        for f in dataclasses.fields(value):
-            _assert_immutable(getattr(value, f.name), f"{where}.{f.name}")
+        for name, v in value._asdict().items():
+            _assert_immutable(v, f"{where}.{name}")
     elif isinstance(value, cyclo.CycloInt):
         _assert_immutable(value.coeffs, f"{where}.coeffs")
     elif isinstance(value, (list, set, dict, bytearray)):

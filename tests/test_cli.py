@@ -201,6 +201,16 @@ def test_help_names_every_command_and_option():
         assert ("(default: 12)" in shown.stdout) == (command == "invariants")
 
 
+def test_help_before_a_command_still_lists_all_ten_commands():
+    # A call whose first argument names a command builds only that parser;
+    # `--help verify` names one later, and the listing must not shrink to it.
+    top = run_cli(["--help"])
+    shown = run_cli(["--help", "verify"])
+    assert shown == top
+    listed = [m[1] for m in re.finditer(r"^    (\S+)", shown.stdout, re.MULTILINE)]
+    assert listed == list(cli.COMMANDS), shown.stdout
+
+
 def test_report_correspondence_table(runner):
     result = invoke(runner, "report", "-p", "3", "-n", "3")
     assert result.exit_code == 0

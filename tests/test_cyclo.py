@@ -15,7 +15,6 @@ from verkit.cyclo import (
     CycloContext,
     CycloInt,
     IntPoly,
-    _poly_mod,
     chebyshev_at,
     chebyshev_Q,
     context,
@@ -69,13 +68,24 @@ def mpc(value: tuple[Fraction, Fraction]) -> mpmath.mpc:
         return mpmath.mpc(re, im)
 
 
+def long_division(poly, modulus) -> list[int]:
+    """Remainder of poly (ascending) by the monic modulus, term by term from the top."""
+    deg, rem = len(modulus) - 1, list(poly) + [0] * (len(modulus) - 1)
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = rem[k]
+        for j, m in enumerate(modulus):
+            rem[k - deg + j] -= c * m
+    return rem[:deg]
+
+
 def unfolded_reduction(ctx, terms) -> tuple[int, ...]:
-    """Sum of c * q^e, each q^e the monomial x^(e mod 2p^n) reduced modulo Phi."""
+    """Sum of c * q^e, each q^e the monomial x^(e mod 2p^n) reduced modulo Phi
+    by long division, with no fold by q^(p^n) = -1."""
     order = 2 * ctx.p**ctx.n
     total = [0] * ctx.degree
     for e, c in terms:
         mono = [0] * (e % order) + [1]
-        total = [t + c * r for t, r in zip(total, _poly_mod(mono, ctx.modulus))]
+        total = [t + c * r for t, r in zip(total, long_division(mono, ctx.modulus))]
     return tuple(total)
 
 
@@ -352,8 +362,9 @@ def test_numeric_refuses_coefficients_beyond_its_error_bound():
 
 def test_fpdims_equal_their_term_by_term_definitions():
     # FPdim L_i as the product of quantum integers and FPdim P_i as the sum
-    # of [b] expanded term by term, on every label of every p^n <= 343.
-    for p, n in UP_TO_343:
+    # of [b] expanded term by term, on every label of every p^n <= 343 and
+    # of Ver_2477, where the modulus is dense and each profile one run long.
+    for p, n in UP_TO_343 + [(2477, 1)]:
         ctx = context(p, n)
         for i in simple_range(p, n):
             product = ctx.one()

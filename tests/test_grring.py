@@ -519,6 +519,25 @@ def test_times_v_on_every_basis_vector(p, n):
         assert _times_v(2, 1, {0: 5}) == {}
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_term_operands_equal_the_reference(p):
+    """c L_0 and c L_1 on either side of `_product`, against the reference,
+    on random y at every level up to n = 4."""
+    rng = random.Random(p)
+    for n in range(1, 5):
+        size = p ** (n - 1) * (p - 1)
+        for k in range(min(size, 2)):
+            for _ in range(6):
+                c = rng.choice([-3, -1, 1, 2, 5])
+                y = {rng.randrange(size): rng.randint(-4, 4) for _ in range(rng.randint(1, 5))}
+                expected = [0] * size
+                for b, cb in y.items():
+                    for t, ct in enumerate(reference_fuse(p, n, k, b)):
+                        expected[t] += c * cb * ct
+                assert _product(p, n, {k: c}, y) == sparse(expected), (p, n, k, c, y)
+                assert _product(p, n, y, {k: c}) == sparse(expected), (p, n, k, c, y)
+
+
 @lru_cache(maxsize=None)
 def sparse_reference(p: int, n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(sparse(reference_fuse(p, n, a, b)).items())

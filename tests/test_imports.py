@@ -83,10 +83,12 @@ def test_the_computing_commands_load_neither_numpy_nor_mpmath(primed, args):
 
 
 # Cold commands into the cache directory argv[1] with the module argv[2]
-# made unimportable: each further argument is "command p n".
+# made unimportable: each further argument is "command p n".  The last line
+# printed lists the modules the commands loaded.
 BLOCKED = """
-import sys
+import json, sys
 sys.modules[sys.argv[2]] = None
+started = set(sys.modules)
 import verkit.cli
 for spec in sys.argv[3:]:
     command, p, n = spec.split()
@@ -95,12 +97,14 @@ for spec in sys.argv[3:]:
     except SystemExit as exc:
         if exc.code:
             raise
+print(json.dumps(sorted(set(sys.modules) - started)))
 """
 
 
-def _cold_without(blocked: str, specs: list[str], cache: str, monkeypatch) -> None:
+def _cold_without(blocked: str, specs: list[str], cache: str, monkeypatch) -> set[str]:
     """Run the cold commands with `blocked` unimportable, then read each
-    record back warm in this process, failing if it is rebuilt."""
+    record back warm in this process, failing if it is rebuilt.  Returns
+    the modules the cold commands loaded."""
     from verkit import catalog, cli
 
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -118,6 +122,7 @@ def _cold_without(blocked: str, specs: list[str], cache: str, monkeypatch) -> No
         p, n = map(int, spec.split()[1:])
         payload = cli.load_or_build(p, n, cache, 100, 0)
         assert payload["verification"]["all_passed"], (p, n)
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_a_cold_build_needs_no_mpmath(tmp_path, monkeypatch):
@@ -130,6 +135,15 @@ def test_a_cold_build_whose_blocks_are_certified_needs_no_numpy(tmp_path, monkey
     numpy; only a refused block, the dense views and `fold_projectives` do."""
     specs = ["verify 3 3", "verify 2 6", "verify 7 1", "report 5 2"]
     _cold_without("numpy", specs, str(tmp_path / "cache"), monkeypatch)
+
+
+def test_a_cold_build_needs_neither_dataclasses_nor_charring(tmp_path, monkeypatch):
+    """The records are NamedTuples and plain classes, and `tilting` loads
+    `charring` only for the dense characters, which no build reads."""
+    specs = ["verify 3 3", "verify 2 6", "verify 7 1"]
+    loaded = _cold_without("dataclasses", specs, str(tmp_path / "cache"), monkeypatch)
+    assert "verkit.catalog" in loaded
+    assert not loaded & {"verkit.charring", "inspect", "numpy"}, sorted(loaded)
 
 
 def test_importing_tilting_loads_no_numpy():
