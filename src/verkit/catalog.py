@@ -9,9 +9,9 @@ Grothendieck ring - into a single record, and `verify_all` runs every
 consistency check as a named entry of a VerificationReport, with the
 seconds each took.  Checks collect failures instead of aborting so a
 regression produces a full differential report.  One context pass,
-`fp_pass`, is the only place FPdim P is formed: `C d = p`
+`fp_pass`, is the only place either FP dimension is formed: `C d = p`
 (`verify_cd_eq_p`) and the category dimension with its error bound
-(`fpdim_category`) read what it keeps, so no exact FPdim P outlives it.
+(`fpdim_category`) read what it keeps, and only FPdim L_1 outlives it.
 
 Each Cartan route gives read-only sparse rows {T label: {T label: nonzero
 entry}}; the checks read the descendant route's, and the block certificate
@@ -77,12 +77,13 @@ class SolveBlock(NamedTuple):
 
 class FPPass(NamedTuple):
     """What `CategoryContext.fp_pass` keeps: the Cartan rows where C d = p
-    fails, in pass order, and per simple label the real values of (FPdim L,
-    FPdim P), or the error evaluating one raised, and their weights."""
+    fails, in pass order, per simple label the real values of (FPdim L,
+    FPdim P) or the error evaluating one raised, their weights, and FPdim L_1."""
 
     offending: tuple[int, ...]
     values: tuple[tuple[Fraction | VerkitError, Fraction | VerkitError], ...]
     weights: tuple[tuple[int, int], ...]
+    fpdim_l1: cyclo.CycloInt | None
 
 
 def _real_value(name: str, x: cyclo.CycloInt) -> Fraction | VerkitError:
@@ -203,47 +204,39 @@ class CategoryContext:
         return tuple(records)
 
     @cached_property
-    def fpdim_simples(self) -> tuple[cyclo.CycloInt, ...]:
-        from . import cyclo
-
-        return tuple(cyclo.fpdim_simple(self.p, self.n, i) for i in self.simples)
-
-    @cached_property
     def fp_pass(self) -> FPPass:
-        """The one pass over the FP dimensions, and the only place FPdim P is
-        formed.  Solve block by solve block, with FPdim L's nonzero terms
-        listed for that block, each row T_s forms FPdim P of its simple,
-        compares it with the row's sum of c_st FPdim L_t in Python integers,
-        keeps both values and weights of that simple and drops FPdim P."""
+        """The one pass over the FP dimensions, and the only place either is
+        formed.  Solve block by solve block, each simple forms FPdim L and
+        lists its nonzero terms for the block; each row T_s forms FPdim P of
+        its simple and compares it with the row's sum of c_st FPdim L_t in
+        Python integers.  Each keeps its value and weight, and only FPdim L_1
+        (`chebyshev_roots` reads it) outlives the pass."""
         from . import cyclo
 
         degree = cyclo.context(self.p, self.n).degree
-        offending, found = [], {}
+        offending, found, l1 = [], {}, None
         for block in self.solve_blocks:
-            coeffs = {t: self.fpdim_simples[self.simple_of_proj[t]].coeffs for t in block}
-            terms = {t: [(e, c[e]) for e in compress(range(degree), c)] for t, c in coeffs.items()}
+            terms = {}
+            for t in block:
+                i = self.simple_of_proj[t]
+                fs = cyclo.fpdim_simple(self.p, self.n, i)
+                terms[t] = [(e, fs.coeffs[e]) for e in compress(range(degree), fs.coeffs)]
+                found[i] = _real_value(f"L{i}", fs), fs.weight
+                if i == 1:
+                    l1 = fs
             for s in block:
                 row = [0] * degree
                 for t, c in self.cartan_rows[s].items():
                     for e, d in terms[t]:
                         row[e] += c * d
                 i = self.simple_of_proj[s]
-                fs, fp = self.fpdim_simples[i], cyclo.fpdim_projective(self.p, self.n, i)
+                fp = cyclo.fpdim_projective(self.p, self.n, i)
                 if tuple(row) != fp.coeffs:
                     offending.append(s)
-                found[i] = (_real_value(f"L{i}", fs), _real_value(f"P{i}", fp)), (fs.weight, fp.weight)
+                xs, ws = found[i]
+                found[i] = (xs, _real_value(f"P{i}", fp)), (ws, fp.weight)
         values, weights = zip(*(found[i] for i in self.simples))
-        return FPPass(tuple(offending), values, weights)
-
-    @cached_property
-    def fpdim_numeric(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Real values of (FPdim L_i, FPdim P_i), indexed by simple label,
-        from `fp_pass`; the first one it could not evaluate raises its error."""
-        values = self.fp_pass.values
-        for v in chain.from_iterable(values):
-            if isinstance(v, VerkitError):
-                raise v
-        return values
+        return FPPass(tuple(offending), values, weights, l1)
 
     @cached_property
     def ext1_edges(self) -> tuple[tuple[int, int], ...] | None:
@@ -593,14 +586,19 @@ def fpdim_category(ctx: CategoryContext) -> tuple[Fraction, Fraction]:
     so the sum is within E = sum_i |x'_i| b_i + |y'_i| a_i + a_i b_i of
     sum_i x_i y_i = p^n / (2 sin^2(pi/p^n)), and the closed form is within
     2^-TABLE_BITS of that value.  The bound is E + 2^-TABLE_BITS.  Both
-    are summed exactly in units of 2^-(2 TABLE_BITS); a value that is no
-    multiple of 2^-TABLE_BITS raises PrecisionExceeded naming its simple.
+    are summed exactly in units of 2^-(2 TABLE_BITS).  The first value the
+    pass could not evaluate raises its error; one that is no multiple of
+    2^-TABLE_BITS raises PrecisionExceeded naming its simple.
     """
     from .cyclo import TABLE_BITS
 
+    fp = ctx.fp_pass
+    for v in chain.from_iterable(fp.values):
+        if isinstance(v, VerkitError):
+            raise v
     scale = 1 << TABLE_BITS
     total, error = 0, scale
-    for i, values, weights in zip(ctx.simples, ctx.fpdim_numeric, ctx.fp_pass.weights):
+    for i, values, weights in zip(ctx.simples, fp.values, fp.weights):
         for name, v in zip("LP", values):
             if scale % v.denominator:
                 raise PrecisionExceeded(f"FPdim {name}{i} at q is no multiple of 2^-{TABLE_BITS}")
@@ -687,7 +685,7 @@ def verify_all(p: int, n: int, samples: int = 100, seed: int = 0) -> Verificatio
         # FPdim L_1 must be q + q^-1; then S_(p^n - 1) and S_(p^(n-1) - 1) at
         # that two-term element, by their recurrence in Python integers.
         ring = cyclo.context(p, n)
-        if ctx.fpdim_simples[1] != ring.element([(1, 1), (-1, 1)]):
+        if ctx.fp_pass.fpdim_l1 != ring.element([(1, 1), (-1, 1)]):
             witness = "FPdim L_1 != q + q^-1"
         else:
             at_level, below = cyclo.chebyshev_at(ring, p**n - 1, p ** (n - 1) - 1)

@@ -418,23 +418,26 @@ def _reachable(value):
 
 
 def test_cold_build_and_payload_evaluate_each_fpdim_once(monkeypatch):
-    """Over a cold build and its payload, FPdim P_i is formed once per
-    simple and each exact FP element is evaluated once; its weight, summed
-    as it was formed, is the one the category dimension reads, which reads
-    no element.  No attribute of the context or of the record holds an
-    FPdim P afterwards."""
-    formed, labels, evaluated = [], [], Counter()
+    """Over a cold build and its payload, FPdim L_i and FPdim P_i are each
+    formed once per simple and each exact FP element is evaluated once; its
+    weight, summed as it was formed, is the one the category dimension
+    reads, which reads no element.  Of the formed elements no attribute of
+    the context or of the record holds any but FPdim L_1 afterwards."""
+    formed, calls, evaluated = {"L": {}, "P": {}}, Counter(), Counter()
 
-    def form(p, n, i, _orig=cyclo.fpdim_projective):
-        labels.append(i)
-        formed.append(_orig(p, n, i))
-        return formed[-1]
+    def former(kind, real):
+        def form(p, n, i):
+            calls[kind] += 1
+            formed[kind][i] = real(p, n, i)
+            return formed[kind][i]
+        return form
 
     def counted(self, _orig=cyclo.CycloInt.numeric):
         evaluated[id(self)] += 1
         return _orig(self)
 
-    monkeypatch.setattr(cyclo, "fpdim_projective", form)
+    monkeypatch.setattr(cyclo, "fpdim_simple", former("L", cyclo.fpdim_simple))
+    monkeypatch.setattr(cyclo, "fpdim_projective", former("P", cyclo.fpdim_projective))
     monkeypatch.setattr(cyclo.CycloInt, "numeric", counted)
     catalog.category.cache_clear()
     try:
@@ -443,21 +446,32 @@ def test_cold_build_and_payload_evaluate_each_fpdim_once(monkeypatch):
         ctx = catalog.category(3, 3)
     finally:
         catalog.category.cache_clear()
-    assert sorted(labels) == list(range(18))
-    exact = ctx.fpdim_simples + tuple(formed)
+    simples, projectives = ([formed[kind][i] for i in ctx.simples] for kind in "LP")
+    assert calls == {"L": 18, "P": 18}
+    assert sorted(formed["L"]) == sorted(formed["P"]) == list(range(18))
+    exact = simples + projectives
     assert len(evaluated) == len(exact) == 36
     assert evaluated == Counter(id(x) for x in exact)
     assert payload["fpdim"][1]["simple_numeric"] == cli._nstr(data.fpdim_numeric[1][0])
-    projectives = [formed[labels.index(i)] for i in ctx.simples]
-    assert ctx.fp_pass.weights == tuple((fs.weight, fp.weight) for fs, fp in zip(ctx.fpdim_simples, projectives))
+    assert ctx.fp_pass.weights == tuple((fs.weight, fp.weight) for fs, fp in zip(simples, projectives))
     held = {id(x) for where in (vars(ctx), data) for x in _reachable(where)}
     assert len(held) > 100
-    assert not held & {id(x) for x in formed}
-    assert not hasattr(ctx, "fpdim_projectives")
+    assert held & {id(x) for x in exact} == {id(simples[1])}
+    assert ctx.fp_pass.fpdim_l1 is simples[1]
+    assert not any(hasattr(ctx, name) for name in ("fpdim_simples", "fpdim_projectives", "fpdim_numeric"))
     assert not {"fpdim_simples", "fpdim_projectives"} & set(data._fields)
     dimension = catalog.fpdim_category(ctx)
-    ctx.__dict__["fpdim_simples"] = None
+    ctx.__dict__["fp_pass"] = ctx.fp_pass._replace(fpdim_l1=None)
     assert catalog.fpdim_category(ctx) == dimension
+
+
+def test_the_fp_pass_keeps_fpdim_l1_and_none_where_there_is_no_l1():
+    """The one exact element the pass keeps is FPdim L_1 = q + q^-1, which
+    `chebyshev_roots` reads; Ver_2 has no L_1."""
+    assert catalog.CategoryContext(2, 1).fp_pass.fpdim_l1 is None
+    for p, n in ((2, 2), (3, 1), (5, 2), (2, 5)):
+        kept = catalog.CategoryContext(p, n).fp_pass.fpdim_l1
+        assert kept == cyclo.fpdim_simple(p, n, 1) == cyclo.context(p, n).element([(1, 1), (-1, 1)]), (p, n)
 
 
 def test_fusion_check_refuses_fewer_than_one_sample():
@@ -475,7 +489,8 @@ def test_category_context_is_lazy_and_shared():
     assert catalog.category(3, 2) is ctx
     assert vars(ctx).keys() == {"p", "n", "simples", "rows"}
     assert ctx.block_dets == {(2,): 1, (3, 7): 3, (4, 6): 3, (5,): 1}
-    assert "fpdim_simples" not in vars(ctx)
+    assert "fp_pass" not in vars(ctx)
+    assert not hasattr(ctx, "fpdim_simples") and not hasattr(ctx, "fpdim_numeric")
     with pytest.raises(ValueError):
         ctx.cartan[0, 0] = 5
 
@@ -1067,11 +1082,11 @@ def test_an_fpdim_value_planted_1e_15_off_fails_the_category_dimension_check(mon
     is a multiple of 2^-TABLE_BITS, as every value of the context is."""
     assert catalog.fpdim_category(catalog.CategoryContext(3, 2))[1] < Fraction(1, 10**48)
     ctx = catalog.CategoryContext(3, 2)
-    values = list(ctx.fpdim_numeric)
+    values = list(ctx.fp_pass.values)
     simple, projective = values[1]
     scale = 1 << cyclo.TABLE_BITS
     values[1] = (simple + Fraction(scale // 10**15, scale), projective)
-    ctx.__dict__["fpdim_numeric"] = tuple(values)
+    ctx.__dict__["fp_pass"] = ctx.fp_pass._replace(values=tuple(values))
     checks = _checks_on(monkeypatch, ctx)
     assert [name for name, c in checks.items() if not c.passed] == ["fpdim_category"]
 
@@ -1081,10 +1096,10 @@ def test_an_fpdim_value_off_the_dyadic_grid_is_named_not_floored(monkeypatch):
     exactly in the check's units: the check fails and names the value,
     where flooring it summed Ver_9's dimension to 29.53, not 38.47."""
     ctx = catalog.CategoryContext(3, 2)
-    values = list(ctx.fpdim_numeric)
+    values = list(ctx.fp_pass.values)
     simple, projective = values[1]
     values[1] = (simple + Fraction(1, 10**15), projective)
-    ctx.__dict__["fpdim_numeric"] = tuple(values)
+    ctx.__dict__["fp_pass"] = ctx.fp_pass._replace(values=tuple(values))
     with pytest.raises(PrecisionExceeded, match="L1 .* 2\\^-168$"):
         catalog.fpdim_category(ctx)
     checks = _checks_on(monkeypatch, ctx)
@@ -1110,19 +1125,15 @@ def test_an_fp_value_that_cannot_be_evaluated_fails_its_checks_and_never_raises(
     ring = cyclo.context(3, 2)
     shift = ring.q_power(1) if shift == "q" else 10**30 * ring.one()
     ctx = catalog.CategoryContext(3, 2)
-    if element == "L":
-        values = list(ctx.fpdim_simples)
-        values[1] = values[1] + shift
-        ctx.__dict__["fpdim_simples"] = tuple(values)
-    else:
-        monkeypatch.setattr(cyclo, "fpdim_projective", _planted_projective({1}, shift))
+    former = "fpdim_simple" if element == "L" else "fpdim_projective"
+    monkeypatch.setattr(cyclo, former, _planted(former, {1}, shift))
     checks = _checks_on(monkeypatch, ctx)
     assert [name for name, c in checks.items() if not c.passed] == failed
     assert checks["cd_eq_p"].witness == "row 3" == f"row {_cd_witness_by_rows(ctx)}"
     witness = checks["fpdim_category"].witness
     assert witness.startswith(f"FPdim {element}1: ")
     with pytest.raises(error) as raised:
-        ctx.fpdim_numeric
+        catalog.fpdim_category(ctx)
     assert str(raised.value) == witness
     if error is NotReal:
         assert witness == f"FPdim {element}1: imaginary part 0.34202 at q"
@@ -1136,10 +1147,8 @@ def test_corrupted_fpdim_fails_the_chebyshev_check(monkeypatch):
     one = cyclo.context(3, 2).one()
     for shift in (one, 2**40 * one):
         ctx = _fresh_context(3, 2, cartan_descendant(3, 2))
-        values = list(ctx.fpdim_simples)
-        values[1] = values[1] + shift
-        ctx.__dict__["fpdim_simples"] = tuple(values)
-        check = _checks_on(monkeypatch, ctx)["chebyshev_roots"]
+        with mock.patch.object(cyclo, "fpdim_simple", _planted("fpdim_simple", {1}, shift)):
+            check = _checks_on(monkeypatch, ctx)["chebyshev_roots"]
         assert not check.passed and check.witness == "FPdim L_1 != q + q^-1"
 
 
@@ -1156,7 +1165,7 @@ def test_a_build_with_an_fp_value_that_cannot_be_evaluated_exits_1_and_reads_bac
     place of the decimal, and reads back warm with the same stdout."""
     ring = cyclo.context(3, 2)
     shift = ring.q_power(1) if shift == "q" else 10**30 * ring.one()
-    monkeypatch.setattr(cyclo, "fpdim_projective", _planted_projective({1}, shift))
+    monkeypatch.setattr(cyclo, "fpdim_projective", _planted("fpdim_projective", {1}, shift))
     args = ["verify", "-p", "3", "-n", "2", "--cache-dir", str(tmp_path)]
     catalog.category.cache_clear()
     try:
@@ -1206,9 +1215,10 @@ def test_pairs_that_name_no_category_are_refused():
 
 def _cd_witness_by_rows(ctx):
     """C d = p row by row in Cyclo arithmetic, the way `verify_cd_eq_p` once
-    ran, with FPdim P formed here by `cyclo.fpdim_projective`: the
-    projective of the first offending row, or None."""
-    dims = [ctx.fpdim_simples[ctx.simple_of_proj[s]] for s in ctx.rows]
+    ran, with FPdim L and FPdim P formed here by `cyclo.fpdim_simple` and
+    `cyclo.fpdim_projective`: the projective of the first offending row, or
+    None."""
+    dims = [cyclo.fpdim_simple(ctx.p, ctx.n, ctx.simple_of_proj[s]) for s in ctx.rows]
     for a, s in enumerate(ctx.rows):
         lhs = cyclo.context(ctx.p, ctx.n).zero()
         for b, c in enumerate(ctx.cartan[a]):
@@ -1219,10 +1229,11 @@ def _cd_witness_by_rows(ctx):
     return None
 
 
-def _planted_projective(labels, shift):
-    """`cyclo.fpdim_projective` with `shift` added to FPdim P_i for each i in
-    `labels`: a wrong FPdim P planted where it is formed."""
-    real = cyclo.fpdim_projective
+def _planted(name, labels, shift):
+    """`cyclo.fpdim_simple` or `cyclo.fpdim_projective`, as `name` says,
+    with `shift` added to its element of label i for each i in `labels`: a
+    wrong FPdim L or FPdim P planted where it is formed."""
+    real = getattr(cyclo, name)
     return lambda p, n, i: real(p, n, i) + shift if i in labels else real(p, n, i)
 
 
@@ -1246,15 +1257,10 @@ def test_cd_eq_p_names_the_first_offending_row_in_row_order(monkeypatch, p, n, f
             C[a, b] = C[b, a] = entry
     ctx = _fresh_context(p, n, C)
     one = cyclo.context(p, n).one()
-    if field == "fpdim_simples":
-        values = list(ctx.fpdim_simples)
-        for s in corrupt:
-            i = ctx.simple_of_proj[s]
-            values[i] = values[i] + one
-        ctx.__dict__[field] = tuple(values)
-    elif field == "fpdim_projectives":
-        planted = _planted_projective({ctx.simple_of_proj[s] for s in corrupt}, one)
-        monkeypatch.setattr(cyclo, "fpdim_projective", planted)
+    if field != "cartan":
+        # fpdim_simples or fpdim_projectives: plant where cyclo forms them.
+        planted = _planted(field[:-1], {ctx.simple_of_proj[s] for s in corrupt}, one)
+        monkeypatch.setattr(cyclo, field[:-1], planted)
     expected = _cd_witness_by_rows(ctx)
     assert expected is not None
     checks = _checks_on(monkeypatch, ctx)
@@ -1379,11 +1385,11 @@ def test_cartan_rows_and_ext1_edges_on_every_category_up_to_300_simples(pn):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.sampled_from(UP_TO_300_SIMPLES), st.sampled_from(["fpdim_simples", "fpdim_projectives"]), st.data())
+@given(st.sampled_from(UP_TO_300_SIMPLES), st.sampled_from(["fpdim_simple", "fpdim_projective"]), st.data())
 def test_cd_eq_p_on_every_category_up_to_300_simples(pn, field, data):
     """C d = p holds on every category up to 300 simples, and one FPdim L_t
     or FPdim P_i raised by a power of q fails it at the row the Cyclo
-    reference names.  FPdim P is planted where it is formed."""
+    reference names.  Each is planted where it is formed."""
     p, n = pn
     ctx = catalog.CategoryContext(p, n)
     assert catalog.verify_cd_eq_p(ctx) == (True, None), pn
@@ -1393,14 +1399,7 @@ def test_cd_eq_p_on_every_category_up_to_300_simples(pn, field, data):
     # A second context sharing the first one's fills, all but the FP pass.
     ctx2 = catalog.CategoryContext(p, n)
     ctx2.__dict__.update((k, v) for k, v in vars(ctx).items() if k != "fp_pass")
-    planted = cyclo.fpdim_projective
-    if field == "fpdim_simples":
-        values = list(ctx.fpdim_simples)
-        values[i] = values[i] + shift
-        ctx2.__dict__[field] = tuple(values)
-    else:
-        planted = _planted_projective({i}, shift)
-    with mock.patch.object(cyclo, "fpdim_projective", planted):
+    with mock.patch.object(cyclo, field, _planted(field, {i}, shift)):
         expected = _cd_witness_by_rows(ctx2)
         assert expected is not None
         assert catalog.verify_cd_eq_p(ctx2) == (False, expected), (pn, field, i, e)

@@ -252,9 +252,8 @@ def test_chebyshev_guard_raises_under_python_O():
         "if cyclo.chebyshev_at(ring, 8, 2) != (ring.zero(), cyclo.fpdim_simple(3, 2, 2)):\n"
         "    raise SystemExit('S_8, S_2 at q + q^-1')\n"
         "ctx = catalog.CategoryContext(3, 2)\n"
-        "values = list(ctx.fpdim_simples)\n"
-        "values[1] = values[1] + ring.one()\n"
-        "ctx.__dict__['fpdim_simples'] = tuple(values)\n"
+        "real_simple = cyclo.fpdim_simple\n"
+        "cyclo.fpdim_simple = lambda p, n, i: real_simple(p, n, i) + ring.one() if i == 1 else real_simple(p, n, i)\n"
         "real = catalog.category\n"
         "catalog.category = lambda p, n: ctx if (p, n) == (3, 2) else real(p, n)\n"
         "checks = {c.name: c for c in catalog.verify_all(3, 2, samples=5).checks}\n"

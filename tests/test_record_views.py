@@ -179,6 +179,6 @@ def test_the_block_sparse_record_holds_the_library_matrices(tmp_path, p, n):
     assert dec["support"] == [np.flatnonzero(row).tolist() for row in D]
 
     assert [e["label"] for e in record["fpdim"]] == list(cat.simples)
-    for entry, (xs, xp) in zip(record["fpdim"], cat.fpdim_numeric, strict=True):
+    for entry, (xs, xp) in zip(record["fpdim"], cat.fp_pass.values, strict=True):
         assert entry.keys() == {"label", "simple_numeric", "projective_numeric"}
         assert (entry["simple_numeric"], entry["projective_numeric"]) == (cli._nstr(xs), cli._nstr(xp))
